@@ -19,14 +19,13 @@ from .coupling import (
     RelativeEta,
     SParameterMatrix,
     build_coupling_profile,
-    efficiency_amplitude_matrix,
     efficiency_from_sparams,
     hannan_limit,
     load_pattern_file,
     load_sparams_file,
     pattern_gain,
 )
-from .geometry import ArrayGeometry, build_planar_array, element_position
+from .geometry import ArrayGeometry, build_planar_array
 from .lattice import (
     HarmonicIndex,
     SpectralLattice,
@@ -49,15 +48,7 @@ from .spectrum import (
     spectrum_value,
     vmf_density,
 )
-from .sweep import (
-    SweepResult,
-    SweepRow,
-    emit,
-    render,
-    run_multi_user_sweep,
-    run_single_user_sweep,
-    run_sweep,
-)
+from .sweep import SweepResult, SweepRow, emit, render, run_sweep
 from .synthesis import (
     ChannelRealization,
     SynthesisPlan,

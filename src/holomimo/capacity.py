@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyGains, NonPositiveDistance, ZeroChannel
+from .synthesis import MASK64
 
 __all__ = [
     "PowerAllocation",
@@ -27,8 +28,6 @@ __all__ = [
     "drop_users",
     "mu_sum_capacity",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 # Distance slope of the urban-macro NLOS pathloss law, dB per decade.
 _UMA_NLOS_SLOPE_DB = 39.08
@@ -150,7 +149,7 @@ def drop_users(count: int, seed: int) -> list[UserDrop]:
     drops = []
     for index in range(count):
         rng = np.random.default_rng(
-            np.random.SeedSequence((seed & _MASK64, index))
+            np.random.SeedSequence((seed & MASK64, index))
         )
         distance = rng.uniform(25.0, 100.0)
         azimuth = rng.uniform(-120.0, 120.0)

@@ -8,19 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import PRESET_NAMES, load_config, preset
 from .errors import ConfigError, InputFileError, NumericalError
-from .sweep import (
-    emit,
-    render,
-    run_multi_user_sweep,
-    run_single_user_sweep,
-    run_sweep,
-    _efficiency_modes_for,
-    _pattern_source_for,
-    _spectra_for,
-)
+from .sweep import emit, render, resolve_scenario, run_sweep
+from .synthesis import sample_channel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,17 +66,19 @@ def _print_or_emit(result, out, fmt):
         sys.stdout.write(render(result, fmt))
     else:
         emit(result, out, fmt)
+    for row in result.rows:
+        if row.not_converged:
+            print(
+                f"warning: spacing {row.spacing_wl:.9g}: {row.not_converged} of "
+                f"{row.realizations} realizations stopped before the "
+                f"multi-user solver converged",
+                file=sys.stderr,
+            )
 
 
 def _cmd_lattice(args) -> int:
-    from .lattice import build_lattice
-
-    config = load_config(args.config)
-    bs_spectrum, ue_spectrum = _spectra_for(config)
-    if args.end == "bs":
-        lattice = build_lattice(config.bs_aperture, config.bs_aperture, bs_spectrum)
-    else:
-        lattice = build_lattice(config.ue_aperture, config.ue_aperture, ue_spectrum)
+    scenario = resolve_scenario(load_config(args.config))
+    lattice = scenario.bs_lattice if args.end == "bs" else scenario.ue_lattice
     lines = ["ix,iy,integral"] + [
         f"{idx.ix},{idx.iy},{format(val, '.9g')}"
         for idx, val in zip(lattice.indices, lattice.marginal_integrals)
@@ -98,33 +93,12 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .coupling import build_coupling_profile
-    from .geometry import build_planar_array
-    from .synthesis import build_plan, sample_channel
-
     config = load_config(args.config)
     if not 0 <= args.spacing_index < len(config.spacing_list):
         raise ConfigError(
             f"spacing index {args.spacing_index} outside the configured list"
         )
-    spacing = config.spacing_list[args.spacing_index]
-    bs_spectrum, ue_spectrum = _spectra_for(config)
-    pattern_source = _pattern_source_for(config)
-    bs_mode, ue_mode, _ = _efficiency_modes_for(config)
-    bs_geom = build_planar_array(
-        config.bs_aperture, config.bs_aperture, spacing, spacing
-    )
-    ue_geom = build_planar_array(
-        config.ue_aperture, config.ue_aperture, spacing, spacing
-    )
-    plan = build_plan(
-        bs_geom,
-        ue_geom,
-        bs_spectrum,
-        ue_spectrum,
-        build_coupling_profile(bs_geom, pattern_source, bs_mode),
-        build_coupling_profile(ue_geom, pattern_source, ue_mode),
-    )
+    plan = resolve_scenario(config).plan(args.spacing_index)
     matrix = sample_channel(plan, config.seed, args.realization).matrix
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("row,col,re,im\n")
@@ -137,27 +111,21 @@ def _cmd_synth(args) -> int:
 
 def _cmd_capacity(args) -> int:
     config = load_config(args.config)
-    if args.mode == "su":
-        if config.users != 1:
-            raise ConfigError("capacity su requires users == 1 in the config")
-        result = run_single_user_sweep(config, jobs=args.jobs)
-    else:
-        if config.users < 2:
-            raise ConfigError("capacity mu requires users >= 2 in the config")
-        result = run_multi_user_sweep(config, jobs=args.jobs)
+    if args.mode == "su" and config.users != 1:
+        raise ConfigError("capacity su requires users == 1 in the config")
+    if args.mode == "mu" and config.users < 2:
+        raise ConfigError("capacity mu requires users >= 2 in the config")
+    result = run_sweep(config, jobs=args.jobs)
     _print_or_emit(result, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    from dataclasses import replace
-
     config = preset(args.preset)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.realizations is not None:
         config = replace(config, realizations=args.realizations)
-    config.validate()
     result = run_sweep(config, jobs=args.jobs)
     _print_or_emit(result, args.out, args.format)
     return EXIT_OK

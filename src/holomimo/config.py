@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, UnknownPreset
+from .geometry import grid_count
+from .spectrum import concentration_from_spread
 
 __all__ = ["ScenarioConfig", "load_config", "config_from_dict", "preset",
            "PRESET_NAMES", "bundled_cdl_path"]
@@ -66,6 +69,8 @@ class ScenarioConfig:
     seed: int
 
     def validate(self) -> "ScenarioConfig":
+        for name in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db"):
+            _require_finite(name, getattr(self, name))
         if self.carrier_ghz <= 0:
             raise ConfigError(f"carrier_ghz must be positive, got {self.carrier_ghz}")
         for name, aperture in (
@@ -77,14 +82,11 @@ class ScenarioConfig:
         if not self.spacing_list:
             raise ConfigError("spacing_list must not be empty")
         for spacing in self.spacing_list:
+            _require_finite("spacing", spacing)
             if spacing <= 0:
                 raise ConfigError(f"spacing {spacing} must be positive")
             for aperture in (self.bs_aperture, self.ue_aperture):
-                ratio = aperture / spacing
-                if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                    raise ConfigError(
-                        f"spacing {spacing} does not divide aperture {aperture}"
-                    )
+                grid_count(aperture, spacing)
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.users < 1:
@@ -107,12 +109,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{spec_name} missing keys: {sorted(missing)}")
         if self.spectrum_spec["kind"] == "cdl":
             for key in ("asd_deg", "asa_deg"):
-                value = self.spectrum_spec[key]
-                if not 0.0 < value < 21.0:
-                    raise ConfigError(
-                        f"spectrum_spec.{key}={value} outside the valid "
-                        f"angular-spread range (0, 21) degrees"
-                    )
+                concentration_from_spread(self.spectrum_spec[key])
         if self.efficiency_spec["kind"] == "relative_eta":
             eta = self.efficiency_spec["eta"]
             if not 0.0 <= eta <= 1.0:
@@ -125,10 +122,31 @@ class ScenarioConfig:
         return d
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _real(key: str, value) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value}")
+    return float(value)
+
+
+def _count(key: str, value) -> int:
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value}")
+    return int(value)
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a config from a JSON-shaped dict.
 
     Unknown keys are rejected at the top level and inside the nested specs.
+    Booleans are rejected as numbers, counts and the seed must be integral,
+    and every real value must be finite.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -140,17 +158,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     try:
         config = ScenarioConfig(
-            carrier_ghz=float(data["carrier_ghz"]),
-            bs_aperture=float(data["bs_aperture"]),
-            ue_aperture=float(data["ue_aperture"]),
-            spacing_list=tuple(float(s) for s in data["spacing_list"]),
+            **{k: _real(k, data[k])
+               for k in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db")},
+            **{k: _count(k, data[k]) for k in ("realizations", "users", "seed")},
+            spacing_list=tuple(_real("spacing", s) for s in data["spacing_list"]),
             spectrum_spec=dict(data["spectrum_spec"]),
             pattern_spec=dict(data["pattern_spec"]),
             efficiency_spec=dict(data["efficiency_spec"]),
-            snr_db=float(data["snr_db"]),
-            realizations=int(data["realizations"]),
-            users=int(data["users"]),
-            seed=int(data["seed"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc

@@ -41,7 +41,6 @@ __all__ = [
     "efficiency_from_sparams",
     "hannan_limit",
     "build_coupling_profile",
-    "efficiency_amplitude_matrix",
     "HALF_WAVE_EFFICIENCY",
 ]
 
@@ -314,7 +313,6 @@ class CouplingProfile:
 
     patterns: tuple[ElementPattern, ...]
     efficiencies: np.ndarray  # in [0, 1]
-    relative_efficiencies: np.ndarray  # vs the half-wavelength reference
 
     def __post_init__(self):
         if np.any(self.efficiencies < 0) or np.any(self.efficiencies > 1):
@@ -348,31 +346,15 @@ def build_coupling_profile(
 
     if isinstance(efficiency_mode, RelativeEta):
         e = np.full(n, efficiency_mode.eta * HALF_WAVE_EFFICIENCY)
-        eta = np.full(n, efficiency_mode.eta)
     elif isinstance(efficiency_mode, HannanLimited):
-        value = hannan_limit(geometry.spacing_x, geometry.spacing_y)
-        e = np.full(n, value)
-        eta = e / HALF_WAVE_EFFICIENCY
+        e = np.full(n, hannan_limit(geometry.spacing_x, geometry.spacing_y))
     elif isinstance(efficiency_mode, FromSParams):
         if efficiency_mode.sparams.order != n:
             raise DimensionMismatch(
                 f"S-parameter order {efficiency_mode.sparams.order} != {n} elements"
             )
         e = efficiency_from_sparams(efficiency_mode.sparams)
-        eta = e / HALF_WAVE_EFFICIENCY
     else:
         raise TypeError(f"unknown efficiency mode {efficiency_mode!r}")
 
-    return CouplingProfile(
-        patterns=patterns, efficiencies=e, relative_efficiencies=eta
-    )
-
-
-def efficiency_amplitude_matrix(profile: CouplingProfile) -> np.ndarray:
-    """Diagonal amplitude matrix with entries sqrt(e_p).
-
-    Efficiencies are power ratios; applying them to the channel in the
-    amplitude domain requires the square root, which keeps the received
-    power proportional to e at each end.
-    """
-    return np.diag(profile.amplitudes)
+    return CouplingProfile(patterns=patterns, efficiencies=e)

@@ -19,7 +19,6 @@ __all__ = [
     "MalformedPatternFile",
     "MalformedSParameterFile",
     "NumericalError",
-    "IndexOutOfRange",
     "IndexOutsideEllipse",
     "QuadratureNotConverged",
     "DegenerateSpectrum",
@@ -93,10 +92,6 @@ class MalformedSParameterFile(InputFileError):
 
 class NumericalError(HolomimoError):
     """Base class for numerical failures."""
-
-
-class IndexOutOfRange(NumericalError):
-    """Element index outside [0, N)."""
 
 
 class IndexOutsideEllipse(NumericalError):

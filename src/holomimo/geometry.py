@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonIntegerGrid, NonPositiveInput
+from .errors import NonIntegerGrid, NonPositiveInput
 
-__all__ = ["ArrayGeometry", "build_planar_array", "element_position"]
+__all__ = ["ArrayGeometry", "build_planar_array", "grid_count"]
 
 _GRID_RTOL = 1e-9
 
@@ -37,7 +37,9 @@ class ArrayGeometry:
         return self.count_x * self.count_y
 
 
-def _integer_ratio(aperture: float, spacing: float) -> int:
+def grid_count(aperture: float, spacing: float) -> int:
+    """Element count aperture/spacing along one axis; NonIntegerGrid unless
+    it is a positive integer within relative tolerance 1e-9."""
     n = round(aperture / spacing)
     if n < 1 or abs(n * spacing - aperture) > _GRID_RTOL * aperture:
         raise NonIntegerGrid(
@@ -69,8 +71,8 @@ def build_planar_array(
         if not (value > 0.0 and np.isfinite(value)):
             raise NonPositiveInput(f"{name} must be strictly positive, got {value}")
 
-    nx = _integer_ratio(aperture_x, spacing_x)
-    ny = _integer_ratio(aperture_y, spacing_y)
+    nx = grid_count(aperture_x, spacing_x)
+    ny = grid_count(aperture_y, spacing_y)
 
     xs = (np.arange(nx) - (nx - 1) / 2.0) * spacing_x
     ys = (np.arange(ny) - (ny - 1) / 2.0) * spacing_y
@@ -87,10 +89,3 @@ def build_planar_array(
         count_y=ny,
         elements=elements,
     )
-
-
-def element_position(geometry: ArrayGeometry, p: int) -> np.ndarray:
-    """Coordinates of the p-th element (wavelengths)."""
-    if not 0 <= p < geometry.count:
-        raise IndexOutOfRange(f"element index {p} outside [0, {geometry.count})")
-    return geometry.elements[p]

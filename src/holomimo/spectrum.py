@@ -129,16 +129,6 @@ class AngularPowerSpectrum:
     def mixture(components) -> "AngularPowerSpectrum":
         return AngularPowerSpectrum(kind="vmf", components=tuple(components))
 
-    def digest_fields(self) -> tuple:
-        """Hashable summary used in synthesis-plan metadata."""
-        return (
-            self.kind,
-            tuple(
-                (c.weight, c.mean_azimuth, c.mean_elevation, c.concentration)
-                for c in self.components
-            ),
-        )
-
 
 def vmf_density(component: VmfComponent, elevation, azimuth):
     """VMF probability density per steradian at (elevation, azimuth).
@@ -195,8 +185,8 @@ def concentration_from_spread(spread_deg: float) -> float:
     """
     if not 0.0 < spread_deg < _SPREAD_LIMIT_DEG:
         raise SpreadOutOfRange(
-            f"angular spread {spread_deg} deg outside validity range "
-            f"(0, {_SPREAD_LIMIT_DEG}) deg"
+            f"spread {spread_deg} deg outside the valid angular-spread range "
+            f"(0, {_SPREAD_LIMIT_DEG:g}) deg"
         )
     return 212.9**2 / spread_deg**2
 

@@ -1,7 +1,10 @@
 """Experiment orchestration: Monte Carlo sweeps and result emission.
 
 A sweep evaluates the mean and standard deviation of capacity over channel
-realizations for every spacing in the scenario.  Realizations use
+realizations for every spacing in the scenario.  Realizations are the outer
+loop and spacings the inner one: the users dropped in a realization, and the
+lattices of their rotated spectra, do not depend on the spacing, so they are
+built once per realization and shared by every spacing.  Realizations use
 counter-based random streams keyed by (seed, realization index), so results
 are bitwise identical regardless of how many worker processes are used;
 aggregation assembles per-realization values in index order before reducing.
@@ -12,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,10 +39,10 @@ from .spectrum import (
     rotate_spectrum,
     spectra_from_cdl,
 )
-from .synthesis import build_plan, sample_channel
+from .synthesis import MASK64, build_plan, sample_channel
 
-__all__ = ["SweepRow", "SweepResult", "run_single_user_sweep",
-           "run_multi_user_sweep", "run_sweep", "render", "emit"]
+__all__ = ["SweepRow", "SweepResult", "Scenario", "resolve_scenario",
+           "run_sweep", "render", "emit"]
 
 CSV_HEADER = "spacing_wl,efficiency_mode,spectrum,pattern,mean_bits,std_bits,realizations,seed"
 
@@ -64,40 +68,107 @@ class SweepResult:
     config: ScenarioConfig
 
 
-def _spectra_for(config: ScenarioConfig):
-    spec = config.spectrum_spec
-    if spec["kind"] == "isotropic":
-        iso = AngularPowerSpectrum.isotropic()
-        return iso, iso
-    rows, _meta = load_cdl_table(spec["path"])
-    return spectra_from_cdl(rows, asd_deg=spec["asd_deg"], asa_deg=spec["asa_deg"])
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A validated config turned into the objects that synthesis needs.
+
+    Each part is built on first use and then kept: ``holo lattice`` reads no
+    pattern or S-parameter file, and ``holo synth`` builds one spacing only.
+    """
+
+    config: ScenarioConfig
+    _links: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def spectra(self):
+        """(departure, arrival) spectra before any user rotation."""
+        spec = self.config.spectrum_spec
+        if spec["kind"] == "isotropic":
+            iso = AngularPowerSpectrum.isotropic()
+            return iso, iso
+        rows, _meta = load_cdl_table(spec["path"])
+        return spectra_from_cdl(rows, asd_deg=spec["asd_deg"], asa_deg=spec["asa_deg"])
+
+    @cached_property
+    def bs_lattice(self):
+        aperture = self.config.bs_aperture
+        return build_lattice(aperture, aperture, self.spectra[0])
+
+    @cached_property
+    def ue_lattice(self):
+        aperture = self.config.ue_aperture
+        return build_lattice(aperture, aperture, self.spectra[1])
+
+    @cached_property
+    def _coupling_sources(self):
+        """(pattern source, departure and arrival efficiency modes)."""
+        pattern = self.config.pattern_spec
+        if pattern["kind"] == "uniform":
+            source = ElementPattern.uniform()
+        elif pattern["kind"] == "dipole":
+            source = ElementPattern.dipole()
+        else:
+            patterns = load_pattern_file(pattern["path"])
+            # A single filed pattern is shared across all elements of both ends.
+            source = patterns[0] if len(patterns) == 1 else patterns
+        efficiency = self.config.efficiency_spec
+        if efficiency["kind"] == "relative_eta":
+            bs_mode = ue_mode = RelativeEta(eta=efficiency["eta"])
+        elif efficiency["kind"] == "hannan":
+            bs_mode = ue_mode = HannanLimited()
+        else:
+            bs_mode = FromSParams(load_sparams_file(efficiency["bs_path"]))
+            ue_mode = FromSParams(load_sparams_file(efficiency["ue_path"]))
+        return source, bs_mode, ue_mode
+
+    @property
+    def labels(self):
+        """(efficiency mode, spectrum, pattern) labels of the result rows."""
+        efficiency = self.config.efficiency_spec
+        mode = efficiency["kind"]
+        if mode == "relative_eta":
+            mode = f"relative_eta={efficiency['eta']:.9g}"
+        return mode, self.config.spectrum_spec["kind"], self.config.pattern_spec["kind"]
+
+    def _link(self, index: int):
+        """Geometries and coupling profiles of both ends at one spacing."""
+        if index not in self._links:
+            config = self.config
+            spacing = config.spacing_list[index]
+            source, bs_mode, ue_mode = self._coupling_sources
+            bs = build_planar_array(
+                config.bs_aperture, config.bs_aperture, spacing, spacing
+            )
+            ue = build_planar_array(
+                config.ue_aperture, config.ue_aperture, spacing, spacing
+            )
+            self._links[index] = (
+                bs,
+                ue,
+                build_coupling_profile(bs, source, bs_mode),
+                build_coupling_profile(ue, source, ue_mode),
+            )
+        return self._links[index]
+
+    def plan(self, index: int, bs_spectrum=None, ue_spectrum=None,
+             bs_lattice=None, ue_lattice=None):
+        """Synthesis plan at ``spacing_list[index]``.
+
+        Without spectra it uses the unrotated spectra and their lattices; a
+        multi-user sweep passes each user's rotated spectra and lattices.
+        """
+        if bs_spectrum is None:
+            bs_spectrum, ue_spectrum = self.spectra
+            bs_lattice, ue_lattice = self.bs_lattice, self.ue_lattice
+        bs_geom, ue_geom, bs_coupling, ue_coupling = self._link(index)
+        return build_plan(bs_geom, ue_geom, bs_spectrum, ue_spectrum,
+                          bs_coupling, ue_coupling,
+                          bs_lattice=bs_lattice, ue_lattice=ue_lattice)
 
 
-def _pattern_source_for(config: ScenarioConfig):
-    spec = config.pattern_spec
-    if spec["kind"] == "uniform":
-        return ElementPattern.uniform()
-    if spec["kind"] == "dipole":
-        return ElementPattern.dipole()
-    patterns = load_pattern_file(spec["path"])
-    # A single filed pattern is shared across all elements of both ends.
-    return patterns[0] if len(patterns) == 1 else patterns
-
-
-def _efficiency_modes_for(config: ScenarioConfig):
-    spec = config.efficiency_spec
-    if spec["kind"] == "relative_eta":
-        mode = RelativeEta(eta=spec["eta"])
-        return mode, mode, f"relative_eta={spec['eta']:.9g}"
-    if spec["kind"] == "hannan":
-        return HannanLimited(), HannanLimited(), "hannan"
-    bs = FromSParams(load_sparams_file(spec["bs_path"]))
-    ue = FromSParams(load_sparams_file(spec["ue_path"]))
-    return bs, ue, "sparams"
-
-
-def _labels_for(config: ScenarioConfig):
-    return config.spectrum_spec["kind"], config.pattern_spec["kind"]
+def resolve_scenario(config: ScenarioConfig) -> Scenario:
+    """Validate a config and return the Scenario that builds its objects."""
+    return Scenario(config.validate())
 
 
 def _chunks(count: int, parts: int):
@@ -107,21 +178,62 @@ def _chunks(count: int, parts: int):
     return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _su_chunk(args):
-    plan, seed, snr_db, indices = args
-    return [
-        su_capacity(sample_channel(plan, seed, r).matrix, snr_db).value_bits
-        for r in indices
-    ]
+def _drop_seed(seed: int, realization: int) -> int:
+    """Stable per-realization seed for the user-drop stream."""
+    state = np.random.SeedSequence(
+        (seed & MASK64, realization, 0xD0B)
+    ).generate_state(1, np.uint64)
+    return int(state[0])
 
 
-def _run_chunked(worker, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        collected = [worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            collected = list(pool.map(worker, tasks))
-    return [value for chunk in collected for value in chunk]
+def _evaluate(scenario: Scenario, shared_plans, r: int):
+    """(value_bits, converged) at every spacing for realization ``r``.
+
+    ``shared_plans`` holds one plan per spacing when every user sees the
+    unrotated spectra, and is None otherwise.
+    """
+    config = scenario.config
+    if config.users == 1:
+        return [
+            (su_capacity(sample_channel(plan, config.seed, r).matrix,
+                         config.snr_db).value_bits, True)
+            for plan in shared_plans
+        ]
+    drops = drop_users(config.users, _drop_seed(config.seed, r))
+    if shared_plans is None:
+        # The sector azimuth rotates the departure spectrum; the terminal
+        # orientation rotates the arrival spectrum.  Each user's lattices are
+        # built once here and serve every spacing.
+        bs_spectrum, ue_spectrum = scenario.spectra
+        ends = []
+        for drop in drops:
+            bs = rotate_spectrum(bs_spectrum, math.radians(drop.azimuth_deg))
+            ue = rotate_spectrum(ue_spectrum, math.radians(drop.orientation_deg))
+            ends.append((
+                bs,
+                ue,
+                build_lattice(config.bs_aperture, config.bs_aperture, bs),
+                build_lattice(config.ue_aperture, config.ue_aperture, ue),
+            ))
+    budget = 10.0 ** (config.snr_db / 10.0)
+    out = []
+    for s in range(len(config.spacing_list)):
+        channels = []
+        for k, drop in enumerate(drops):
+            if shared_plans is not None:
+                plan = shared_plans[s]
+            else:
+                plan = scenario.plan(s, *ends[k])
+            h = sample_channel(plan, config.seed, (r << 32) | k).matrix
+            channels.append(h * 10.0 ** (drop.snr_db / 20.0))
+        report = mu_sum_capacity(channels, budget)
+        out.append((report.value_bits, report.converged))
+    return out
+
+
+def _evaluate_chunk(args):
+    scenario, shared_plans, indices = args
+    return [_evaluate(scenario, shared_plans, r) for r in indices]
 
 
 def _mean_std(values: np.ndarray):
@@ -130,180 +242,51 @@ def _mean_std(values: np.ndarray):
     return mean, std
 
 
-def run_single_user_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
-    """Mean/std single-user capacity per spacing, deterministic in the seed."""
-    config.validate()
-    if config.users != 1:
-        raise ValueError("single-user sweep needs users == 1")
-    bs_spectrum, ue_spectrum = _spectra_for(config)
-    pattern_source = _pattern_source_for(config)
-    bs_mode, ue_mode, mode_label = _efficiency_modes_for(config)
-    spectrum_label, pattern_label = _labels_for(config)
-
-    # Lattices depend on aperture and spectrum only; share them across spacings.
-    bs_lattice = build_lattice(config.bs_aperture, config.bs_aperture, bs_spectrum)
-    ue_lattice = build_lattice(config.ue_aperture, config.ue_aperture, ue_spectrum)
-
-    rows = []
-    for spacing in config.spacing_list:
-        bs_geom = build_planar_array(
-            config.bs_aperture, config.bs_aperture, spacing, spacing
-        )
-        ue_geom = build_planar_array(
-            config.ue_aperture, config.ue_aperture, spacing, spacing
-        )
-        plan = build_plan(
-            bs_geom,
-            ue_geom,
-            bs_spectrum,
-            ue_spectrum,
-            build_coupling_profile(bs_geom, pattern_source, bs_mode),
-            build_coupling_profile(ue_geom, pattern_source, ue_mode),
-            bs_lattice=bs_lattice,
-            ue_lattice=ue_lattice,
-        )
-        tasks = [
-            (plan, config.seed, config.snr_db, chunk)
-            for chunk in _chunks(config.realizations, jobs)
-        ]
-        values = np.array(_run_chunked(_su_chunk, tasks, jobs))
-        mean, std = _mean_std(values)
-        rows.append(
-            SweepRow(
-                spacing_wl=spacing,
-                efficiency_mode=mode_label,
-                spectrum=spectrum_label,
-                pattern=pattern_label,
-                mean_bits=mean,
-                std_bits=std,
-                realizations=config.realizations,
-                seed=config.seed,
-            )
-        )
-    return SweepResult(rows=tuple(rows), config=config)
-
-
-def _drop_seed(seed: int, realization: int) -> int:
-    """Stable per-realization seed for the user-drop stream."""
-    state = np.random.SeedSequence(
-        (seed & ((1 << 64) - 1), realization, 0xD0B)
-    ).generate_state(1, np.uint64)
-    return int(state[0])
-
-
-def _mu_chunk(args):
-    (bundle, indices) = args
-    (
-        bs_geom,
-        ue_geom,
-        bs_spectrum,
-        ue_spectrum,
-        bs_coupling,
-        ue_coupling,
-        bs_lattice,
-        ue_lattice,
-        users,
-        seed,
-        snr_db,
-    ) = bundle
-    budget = 10.0 ** (snr_db / 10.0)
-    isotropic = bs_spectrum.kind == "isotropic" and ue_spectrum.kind == "isotropic"
-    shared_plan = None
-    if isotropic:
-        shared_plan = build_plan(
-            bs_geom, ue_geom, bs_spectrum, ue_spectrum, bs_coupling, ue_coupling,
-            bs_lattice=bs_lattice, ue_lattice=ue_lattice,
-        )
-    out = []
-    for r in indices:
-        drops = drop_users(users, _drop_seed(seed, r))
-        channels = []
-        for k, drop in enumerate(drops):
-            if shared_plan is not None:
-                plan = shared_plan
-            else:
-                # The sector azimuth rotates the departure spectrum; the
-                # terminal orientation rotates the arrival spectrum.
-                plan = build_plan(
-                    bs_geom,
-                    ue_geom,
-                    rotate_spectrum(bs_spectrum, math.radians(drop.azimuth_deg)),
-                    rotate_spectrum(ue_spectrum, math.radians(drop.orientation_deg)),
-                    bs_coupling,
-                    ue_coupling,
-                )
-            h = sample_channel(plan, seed, (r << 32) | k).matrix
-            channels.append(h * 10.0 ** (drop.snr_db / 20.0))
-        report = mu_sum_capacity(channels, budget)
-        out.append((report.value_bits, report.converged))
-    return out
-
-
-def run_multi_user_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
-    """Mean/std multi-user sum capacity per spacing.
-
-    Every realization drops fresh users (seed-derived), synthesizes each
-    user's channel with its rotated spectra and relative pathloss, and runs
-    the sum-power iterative water-filling solver.
-    """
-    config.validate()
-    if config.users < 2:
-        raise ValueError("multi-user sweep needs users >= 2")
-    bs_spectrum, ue_spectrum = _spectra_for(config)
-    pattern_source = _pattern_source_for(config)
-    bs_mode, ue_mode, mode_label = _efficiency_modes_for(config)
-    spectrum_label, pattern_label = _labels_for(config)
-
-    bs_lattice = build_lattice(config.bs_aperture, config.bs_aperture, bs_spectrum)
-    ue_lattice = build_lattice(config.ue_aperture, config.ue_aperture, ue_spectrum)
-
-    rows = []
-    for spacing in config.spacing_list:
-        bs_geom = build_planar_array(
-            config.bs_aperture, config.bs_aperture, spacing, spacing
-        )
-        ue_geom = build_planar_array(
-            config.ue_aperture, config.ue_aperture, spacing, spacing
-        )
-        bundle = (
-            bs_geom,
-            ue_geom,
-            bs_spectrum,
-            ue_spectrum,
-            build_coupling_profile(bs_geom, pattern_source, bs_mode),
-            build_coupling_profile(ue_geom, pattern_source, ue_mode),
-            bs_lattice,
-            ue_lattice,
-            config.users,
-            config.seed,
-            config.snr_db,
-        )
-        tasks = [(bundle, chunk) for chunk in _chunks(config.realizations, jobs)]
-        pairs = _run_chunked(_mu_chunk, tasks, jobs)
-        values = np.array([v for v, _ in pairs])
-        failures = sum(1 for _, ok in pairs if not ok)
-        mean, std = _mean_std(values)
-        rows.append(
-            SweepRow(
-                spacing_wl=spacing,
-                efficiency_mode=mode_label,
-                spectrum=spectrum_label,
-                pattern=pattern_label,
-                mean_bits=mean,
-                std_bits=std,
-                realizations=config.realizations,
-                seed=config.seed,
-                not_converged=failures,
-            )
-        )
-    return SweepResult(rows=tuple(rows), config=config)
-
-
 def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
-    """Dispatch to the single-user or multi-user sweep on config.users."""
-    if config.users == 1:
-        return run_single_user_sweep(config, jobs=jobs)
-    return run_multi_user_sweep(config, jobs=jobs)
+    """Mean/std capacity per spacing, deterministic in the seed.
+
+    A single user's channel is water-filled.  With several users, every
+    realization drops fresh users (seed-derived), synthesizes each user's
+    channel with its rotated spectra and relative pathloss, and runs the
+    sum-power iterative water-filling solver.  ``jobs`` worker processes
+    each take a contiguous chunk of realizations across all spacings.
+    """
+    scenario = resolve_scenario(config)
+    spacings = range(len(config.spacing_list))
+    shared_plans = None
+    # Rotation leaves isotropic spectra unchanged, so then, as with a single
+    # user, every link sees the unrotated spectra and one plan per spacing.
+    if config.users == 1 or all(s.kind == "isotropic" for s in scenario.spectra):
+        shared_plans = tuple(scenario.plan(s) for s in spacings)
+    tasks = [
+        (scenario, shared_plans, chunk)
+        for chunk in _chunks(config.realizations, jobs)
+    ]
+    if jobs <= 1 or len(tasks) <= 1:
+        chunks = [_evaluate_chunk(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_evaluate_chunk, tasks))
+    per_realization = [pairs for chunk in chunks for pairs in chunk]
+
+    mode_label, spectrum_label, pattern_label = scenario.labels
+    rows = []
+    for s in spacings:
+        mean, std = _mean_std(np.array([pairs[s][0] for pairs in per_realization]))
+        rows.append(
+            SweepRow(
+                spacing_wl=config.spacing_list[s],
+                efficiency_mode=mode_label,
+                spectrum=spectrum_label,
+                pattern=pattern_label,
+                mean_bits=mean,
+                std_bits=std,
+                realizations=config.realizations,
+                seed=config.seed,
+                not_converged=sum(not pairs[s][1] for pairs in per_realization),
+            )
+        )
+    return SweepResult(rows=tuple(rows), config=config)
 
 
 def _format_row_csv(row: SweepRow) -> str:

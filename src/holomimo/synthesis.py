@@ -10,7 +10,6 @@ are bitwise reproducible regardless of evaluation order or parallelism.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,10 @@ from .lattice import (
 )
 
 __all__ = ["SynthesisPlan", "ChannelRealization", "build_plan", "sample_channel",
-           "expected_frobenius"]
+           "expected_frobenius", "MASK64"]
 
-_MASK64 = (1 << 64) - 1
+# Seeds and counters enter every random stream as unsigned 64-bit words.
+MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +49,6 @@ class SynthesisPlan:
     variance_table: VarianceTable
     bs_amplitudes: np.ndarray  # (N_S,) sqrt of element efficiencies
     ue_amplitudes: np.ndarray  # (N_R,)
-    metadata: dict
 
     @property
     def bs_count(self) -> int:
@@ -84,13 +83,6 @@ def _modified_basis(
     return columns
 
 
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:16]
-
-
 def build_plan(
     bs_geometry: ArrayGeometry,
     ue_geometry: ArrayGeometry,
@@ -118,31 +110,12 @@ def build_plan(
     bs_basis = _modified_basis(bs_geometry, bs_lattice, bs_coupling, sign=-1)
     ue_basis = _modified_basis(ue_geometry, ue_lattice, ue_coupling, sign=+1)
     table = build_variance_table(bs_lattice, ue_lattice)
-    metadata = {
-        "bs_geometry": (
-            bs_geometry.aperture_x,
-            bs_geometry.aperture_y,
-            bs_geometry.spacing_x,
-            bs_geometry.spacing_y,
-        ),
-        "ue_geometry": (
-            ue_geometry.aperture_x,
-            ue_geometry.aperture_y,
-            ue_geometry.spacing_x,
-            ue_geometry.spacing_y,
-        ),
-        "bs_digest": _digest(bs_basis, bs_lattice.marginal_integrals,
-                             bs_coupling.efficiencies),
-        "ue_digest": _digest(ue_basis, ue_lattice.marginal_integrals,
-                             ue_coupling.efficiencies),
-    }
     return SynthesisPlan(
         bs_basis=bs_basis,
         ue_basis=ue_basis,
         variance_table=table,
         bs_amplitudes=bs_coupling.amplitudes,
         ue_amplitudes=ue_coupling.amplitudes,
-        metadata=metadata,
     )
 
 
@@ -158,7 +131,7 @@ def sample_channel(
     expansion is applied explicitly.
     """
     key = np.array(
-        [seed & _MASK64, realization_index & _MASK64], dtype=np.uint64
+        [seed & MASK64, realization_index & MASK64], dtype=np.uint64
     )
     rng = np.random.Generator(np.random.Philox(key=key))
     variances = plan.variance_table.variances()

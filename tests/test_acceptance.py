@@ -50,14 +50,13 @@ def iso_unit_plan(bs_ap, ue_ap, spacing, bs_pattern=None, ue_pattern=None):
         return hm.CouplingProfile(
             patterns=(pattern or uniform,) * geometry.count,
             efficiencies=np.ones(geometry.count),
-            relative_efficiencies=np.full(geometry.count, 4.0 / math.pi),
         )
 
     return hm.build_plan(bs, ue, iso, iso, unit(bs, bs_pattern), unit(ue, ue_pattern))
 
 
 def sweep_mean_se(config):
-    rows = hm.run_single_user_sweep(config).rows
+    rows = hm.run_sweep(config).rows
     return {
         r.spacing_wl: (r.mean_bits, r.std_bits / math.sqrt(r.realizations))
         for r in rows
@@ -193,7 +192,7 @@ def test_criterion_06_vmf_normalization():
 def test_criterion_07_hannan_flatness():
     start = time.time()
     config = replace(hm.preset("fig3-hannan"), realizations=100, seed=SEED)
-    means = [row.mean_bits for row in hm.run_single_user_sweep(config).rows]
+    means = [row.mean_bits for row in hm.run_sweep(config).rows]
     spread = (max(means) - min(means)) / np.mean(means)
     assert spread <= 0.15, means
     elapsed = time.time() - start
@@ -205,7 +204,7 @@ def test_criterion_07_hannan_flatness():
 def test_criterion_08_dense_packing_gain():
     config = replace(hm.preset("fig3-isotropic"), realizations=100, seed=SEED)
     means = {row.spacing_wl: row.mean_bits for row in
-             hm.run_single_user_sweep(config).rows}
+             hm.run_sweep(config).rows}
     ratio = means[0.125] / means[0.5]
     assert 2.0 <= ratio <= 4.5, ratio
     announce(8, f"capacity gain from dense packing at full relative "

@@ -11,8 +11,6 @@ from holomimo import (
     load_config,
     preset,
     render,
-    run_multi_user_sweep,
-    run_single_user_sweep,
     run_sweep,
     sample_channel,
     su_capacity,
@@ -121,7 +119,7 @@ class TestSingleUserSweep:
         )
 
         config = make_config(realizations=1)
-        result = run_single_user_sweep(config)
+        result = run_sweep(config)
         assert len(result.rows) == 1
         row = result.rows[0]
         assert row.std_bits == 0.0
@@ -138,26 +136,26 @@ class TestSingleUserSweep:
         assert row.mean_bits == direct.value_bits
 
     def test_same_seed_bitwise_identical(self):
-        a = render(run_single_user_sweep(make_config()), "csv")
-        b = render(run_single_user_sweep(make_config()), "csv")
+        a = render(run_sweep(make_config()), "csv")
+        b = render(run_sweep(make_config()), "csv")
         assert a == b
 
     def test_rows_follow_spacing_list_order(self):
         config = make_config(spacing_list=[0.5, 0.25], realizations=2)
-        result = run_single_user_sweep(config)
+        result = run_sweep(config)
         assert [r.spacing_wl for r in result.rows] == [0.5, 0.25]
 
     def test_jobs_do_not_change_results(self):
         config = make_config(realizations=6)
-        serial = render(run_single_user_sweep(config, jobs=1), "csv")
-        parallel = render(run_single_user_sweep(config, jobs=3), "csv")
+        serial = render(run_sweep(config, jobs=1), "csv")
+        parallel = render(run_sweep(config, jobs=3), "csv")
         assert serial == parallel
 
     def test_mean_stable_under_doubling_realizations(self):
         # statistical regression guard: doubling the draw count moves the
         # mean by less than 3 standard errors
-        small = run_single_user_sweep(make_config(realizations=40)).rows[0]
-        large = run_single_user_sweep(make_config(realizations=80)).rows[0]
+        small = run_sweep(make_config(realizations=40)).rows[0]
+        large = run_sweep(make_config(realizations=80)).rows[0]
         se = small.std_bits / math.sqrt(small.realizations)
         assert abs(small.mean_bits - large.mean_bits) < 3.0 * se
 
@@ -165,7 +163,7 @@ class TestSingleUserSweep:
 class TestMultiUserSweep:
     def test_two_user_sweep_runs(self):
         config = make_config(users=2, realizations=2)
-        result = run_multi_user_sweep(config)
+        result = run_sweep(config)
         row = result.rows[0]
         assert row.realizations == 2
         assert row.mean_bits > 0
@@ -174,7 +172,7 @@ class TestMultiUserSweep:
     def test_multiuser_beats_strongest_single_user(self):
         # with a common budget the sum capacity is at least any one user's
         config = make_config(users=2, realizations=1, seed=3)
-        mu_row = run_multi_user_sweep(config).rows[0]
+        mu_row = run_sweep(config).rows[0]
         assert mu_row.mean_bits > 0.0
 
     def test_dispatch_on_users(self):
@@ -185,8 +183,8 @@ class TestMultiUserSweep:
 
     def test_same_seed_identical(self):
         config = make_config(users=2, realizations=2)
-        a = render(run_multi_user_sweep(config, jobs=1), "csv")
-        b = render(run_multi_user_sweep(config, jobs=2), "csv")
+        a = render(run_sweep(config, jobs=1), "csv")
+        b = render(run_sweep(config, jobs=2), "csv")
         assert a == b
 
 
@@ -198,18 +196,18 @@ class TestEmission:
 
     def test_single_row_two_lines(self, tmp_path):
         out = tmp_path / "r.csv"
-        emit(run_single_user_sweep(make_config(realizations=1)), out, "csv")
+        emit(run_sweep(make_config(realizations=1)), out, "csv")
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == CSV_HEADER
 
     def test_csv_uses_lf_endings(self, tmp_path):
         out = tmp_path / "r.csv"
-        emit(run_single_user_sweep(make_config(realizations=1)), out, "csv")
+        emit(run_sweep(make_config(realizations=1)), out, "csv")
         assert b"\r" not in out.read_bytes()
 
     def test_json_round_trip_exact(self, tmp_path):
-        result = run_single_user_sweep(make_config(realizations=3))
+        result = run_sweep(make_config(realizations=3))
         out = tmp_path / "r.json"
         emit(result, out, "json")
         loaded = json.loads(out.read_text())
@@ -297,3 +295,28 @@ class TestCli:
             tmp_path, pattern_spec={"kind": "dipole"}, realizations=1
         )
         assert main(["capacity", "su", "--config", str(config)]) == 4
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"carrier_ghz": math.nan},
+            {"bs_aperture": math.nan},
+            {"snr_db": math.nan},
+            {"snr_db": math.inf},
+            {"spacing_list": [0.5, math.nan]},
+            {"realizations": 1.7},
+            {"users": True},
+            {"seed": 0.5},
+            {"seed": False},
+        ],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, overrides):
+        config = self.write_config(tmp_path, **overrides)
+        assert main(["capacity", "su", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_integral_float_count_is_accepted(self):
+        assert make_config(realizations=2.0).realizations == 2

@@ -14,13 +14,13 @@ from holomimo import (
     SParameterMatrix,
     build_coupling_profile,
     build_planar_array,
-    efficiency_amplitude_matrix,
     efficiency_from_sparams,
     hannan_limit,
     load_pattern_file,
     load_sparams_file,
     pattern_gain,
 )
+from holomimo.coupling import HALF_WAVE_EFFICIENCY
 from holomimo.errors import (
     DimensionMismatch,
     EmptyFile,
@@ -213,7 +213,7 @@ class TestCouplingProfile:
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
         profile = build_coupling_profile(g, ElementPattern.uniform(), RelativeEta(1.0))
         np.testing.assert_allclose(profile.efficiencies, math.pi / 4, rtol=1e-15)
-        np.testing.assert_allclose(profile.relative_efficiencies, 1.0)
+        np.testing.assert_allclose(profile.efficiencies / HALF_WAVE_EFFICIENCY, 1.0)
 
     def test_eighty_percent_relative_efficiency(self):
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
@@ -225,7 +225,9 @@ class TestCouplingProfile:
     def test_hannan_limited_eighth_wavelength(self):
         g = build_planar_array(1.0, 1.0, 0.125, 0.125)
         profile = build_coupling_profile(g, ElementPattern.uniform(), HannanLimited())
-        np.testing.assert_allclose(profile.relative_efficiencies, 1.0 / 16.0, rtol=1e-12)
+        np.testing.assert_allclose(
+            profile.efficiencies / HALF_WAVE_EFFICIENCY, 1.0 / 16.0, rtol=1e-12
+        )
 
     def test_hannan_total_radiated_power_invariant_across_spacings(self):
         # N * e is pinned by the aperture area alone under the spacing limit.
@@ -252,7 +254,8 @@ class TestCouplingProfile:
         profile = build_coupling_profile(g, ElementPattern.uniform(), FromSParams(s))
         np.testing.assert_allclose(profile.efficiencies, 0.75)
         np.testing.assert_allclose(
-            profile.relative_efficiencies, 0.75 / (math.pi / 4), rtol=1e-12
+            profile.efficiencies / HALF_WAVE_EFFICIENCY, 0.75 / (math.pi / 4),
+            rtol=1e-12,
         )
 
     def test_eta_outside_unit_interval_rejected(self):
@@ -272,21 +275,20 @@ def _profile_with_efficiencies(e):
     return CouplingProfile(
         patterns=(ElementPattern.uniform(),) * e.size,
         efficiencies=e,
-        relative_efficiencies=e / (math.pi / 4),
     )
 
 
 class TestAmplitudeMatrix:
     def test_unit_efficiency_gives_identity(self):
         profile = _profile_with_efficiencies(np.ones(4))
-        np.testing.assert_array_equal(efficiency_amplitude_matrix(profile), np.eye(4))
+        np.testing.assert_array_equal(np.diag(profile.amplitudes), np.eye(4))
 
     def test_amplitude_is_square_root_of_efficiency(self):
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
         profile = build_coupling_profile(g, ElementPattern.uniform(), RelativeEta(1.0))
-        diag = np.diag(efficiency_amplitude_matrix(profile))
+        diag = profile.amplitudes
         np.testing.assert_allclose(diag, 0.8862269254527580, rtol=1e-12)
 
     def test_quarter_efficiency(self):
         profile = _profile_with_efficiencies([0.25])
-        np.testing.assert_allclose(efficiency_amplitude_matrix(profile), [[0.5]])
+        np.testing.assert_allclose(np.diag(profile.amplitudes), [[0.5]])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from holomimo import build_planar_array, element_position
-from holomimo.errors import IndexOutOfRange, NonIntegerGrid, NonPositiveInput
+from holomimo import build_planar_array
+from holomimo.errors import NonIntegerGrid, NonPositiveInput
 
 
 def test_element_counts_match_aperture_over_spacing():
@@ -27,20 +27,12 @@ def test_nonpositive_inputs_rejected(bad):
 
 def test_single_element_sits_at_origin():
     g = build_planar_array(0.5, 0.5, 0.5, 0.5)
-    np.testing.assert_array_equal(element_position(g, 0), [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(g.elements[0], [0.0, 0.0, 0.0])
 
 
 def test_first_element_of_centered_eight_by_eight():
     g = build_planar_array(4.0, 4.0, 0.5, 0.5)
-    np.testing.assert_array_equal(element_position(g, 0), [-1.75, -1.75, 0.0])
-
-
-def test_out_of_range_element_index():
-    g = build_planar_array(4.0, 4.0, 0.5, 0.5)
-    with pytest.raises(IndexOutOfRange):
-        element_position(g, g.count)
-    with pytest.raises(IndexOutOfRange):
-        element_position(g, -1)
+    np.testing.assert_array_equal(g.elements[0], [-1.75, -1.75, 0.0])
 
 
 def test_ordering_is_y_outer_x_inner():

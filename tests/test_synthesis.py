@@ -1,7 +1,5 @@
 """Channel synthesis tests: bases, moments, determinism."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,6 @@ def unit_profile(geometry, pattern=UNIFORM):
     return CouplingProfile(
         patterns=(pattern,) * n,
         efficiencies=np.ones(n),
-        relative_efficiencies=np.full(n, 4.0 / math.pi),
     )
 
 
@@ -37,7 +34,6 @@ def scaled_profile(geometry, efficiency, pattern=UNIFORM):
     return CouplingProfile(
         patterns=(pattern,) * n,
         efficiencies=e,
-        relative_efficiencies=e / (math.pi / 4.0),
     )
 
 
@@ -182,10 +178,3 @@ class TestMoments:
             acc += sample_channel(plan, 5, r).matrix
         assert np.abs(acc / draws).max() < 0.1
 
-
-class TestMetadata:
-    def test_digests_distinguish_plans(self):
-        a = simple_plan()
-        b = simple_plan(bs_eff=0.5)
-        assert a.metadata["bs_digest"] != b.metadata["bs_digest"]
-        assert a.metadata["ue_digest"] == b.metadata["ue_digest"]
