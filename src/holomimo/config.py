@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -45,6 +46,11 @@ _SPEC_FIELDS = {
         "sparams": {"bs_path", "ue_path"},
     },
 }
+
+
+# Nested spec keys that hold real numbers; every other key but "kind" holds a
+# file path.
+_SPEC_REALS = {"asd_deg", "asa_deg", "eta"}
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,13 @@ class ScenarioConfig:
             missing = kinds[kind] - set(spec)
             if missing:
                 raise ConfigError(f"{spec_name} missing keys: {sorted(missing)}")
+            for key, value in spec.items():
+                if key in _SPEC_REALS:
+                    _require_spec_real(f"{spec_name}.{key}", value)
+                elif key != "kind" and not isinstance(value, str):
+                    raise ConfigError(
+                        f"{spec_name}.{key} must be a path string, got {value!r}"
+                    )
         if self.spectrum_spec["kind"] == "cdl":
             for key in ("asd_deg", "asa_deg"):
                 concentration_from_spread(self.spectrum_spec[key])
@@ -125,6 +138,12 @@ class ScenarioConfig:
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _require_spec_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    _require_finite(name, value)
 
 
 def _real(key: str, value) -> float:

@@ -184,18 +184,41 @@ def _read_rows(path, columns, file_kind_error):
     return rows
 
 
+def _index(path, value: float, what: str, file_kind_error) -> int:
+    """A file's integer index field, rejected unless a nonnegative integer."""
+    if not (value >= 0 and value.is_integer()):
+        raise file_kind_error(
+            f"{path}: {what} index {value!r} is not a nonnegative integer"
+        )
+    return int(value)
+
+
 def load_pattern_file(path) -> list[ElementPattern]:
     """Load per-element gridded patterns from a CSV file.
 
-    Header: ``element_index,theta_deg,phi_deg,re,im``.  Each element must
-    provide a full cartesian (theta, phi) grid.  Every pattern is
+    Header: ``element_index,theta_deg,phi_deg,re,im``.  Element indices run
+    0..N-1 with none missing, and each element must provide a full cartesian
+    (theta, phi) grid of finite values, every point once.  Every pattern is
     power-renormalized on load.
     """
     rows = _read_rows(path, _PATTERN_COLUMNS, MalformedPatternFile)
     by_element: dict[int, dict[tuple[float, float], complex]] = {}
     for rec in rows:
-        idx = int(rec[0])
-        by_element.setdefault(idx, {})[(rec[1], rec[2])] = complex(rec[3], rec[4])
+        idx = _index(path, rec[0], "element", MalformedPatternFile)
+        if not all(math.isfinite(x) for x in rec[1:]):
+            raise MalformedPatternFile(f"{path}: element {idx} has a non-finite value")
+        samples = by_element.setdefault(idx, {})
+        if (rec[1], rec[2]) in samples:
+            raise MalformedPatternFile(
+                f"{path}: element {idx} repeats grid point "
+                f"theta={rec[1]:g} phi={rec[2]:g} deg"
+            )
+        samples[(rec[1], rec[2])] = complex(rec[3], rec[4])
+    if sorted(by_element) != list(range(len(by_element))):
+        raise MalformedPatternFile(
+            f"{path}: element indices must run 0..{len(by_element) - 1}, "
+            f"got {sorted(by_element)}"
+        )
 
     patterns = []
     for idx in sorted(by_element):
@@ -253,12 +276,23 @@ class SParameterMatrix:
 def load_sparams_file(path) -> SParameterMatrix:
     """Load a full S-parameter matrix from CSV ``row,col,re,im``."""
     rows = _read_rows(path, _SPARAM_COLUMNS, MalformedSParameterFile)
-    order = int(max(max(r[0], r[1]) for r in rows)) + 1
-    entries = np.full((order, order), np.nan + 0j)
+    values: dict[tuple[int, int], complex] = {}
     for rec in rows:
-        entries[int(rec[0]), int(rec[1])] = complex(rec[2], rec[3])
-    if np.any(np.isnan(entries)):
+        key = (
+            _index(path, rec[0], "row", MalformedSParameterFile),
+            _index(path, rec[1], "column", MalformedSParameterFile),
+        )
+        if key in values:
+            raise MalformedSParameterFile(f"{path}: duplicate entry {key}")
+        if not (math.isfinite(rec[2]) and math.isfinite(rec[3])):
+            raise MalformedSParameterFile(f"{path}: non-finite entry {key}")
+        values[key] = complex(rec[2], rec[3])
+    order = max(max(key) for key in values) + 1
+    if len(values) != order * order:
         raise MalformedSParameterFile(f"{path}: missing entries for order {order}")
+    entries = np.empty((order, order), dtype=complex)
+    for (row, col), value in values.items():
+        entries[row, col] = value
     return SParameterMatrix(entries=entries)
 
 

@@ -8,6 +8,12 @@ built once per realization and shared by every spacing.  Realizations use
 counter-based random streams keyed by (seed, realization index), so results
 are bitwise identical regardless of how many worker processes are used;
 aggregation assembles per-realization values in index order before reducing.
+
+Capacity is evaluated on harmonic-domain channels
+(``synthesis.sample_harmonic_channel``), which have the singular values and
+sum capacity of the element matrices.  All users share transmit coordinates
+because the transmit basis depends on the array and the lattice index set,
+not on the user's rotated spectrum.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .spectrum import (
     rotate_spectrum,
     spectra_from_cdl,
 )
-from .synthesis import MASK64, build_plan, sample_channel
+from .synthesis import MASK64, build_plan, sample_harmonic_channel
 
 __all__ = ["SweepRow", "SweepResult", "Scenario", "resolve_scenario",
            "run_sweep", "render", "emit"]
@@ -195,7 +201,7 @@ def _evaluate(scenario: Scenario, shared_plans, r: int):
     config = scenario.config
     if config.users == 1:
         return [
-            (su_capacity(sample_channel(plan, config.seed, r).matrix,
+            (su_capacity(sample_harmonic_channel(plan, config.seed, r),
                          config.snr_db).value_bits, True)
             for plan in shared_plans
         ]
@@ -224,7 +230,7 @@ def _evaluate(scenario: Scenario, shared_plans, r: int):
                 plan = shared_plans[s]
             else:
                 plan = scenario.plan(s, *ends[k])
-            h = sample_channel(plan, config.seed, (r << 32) | k).matrix
+            h = sample_harmonic_channel(plan, config.seed, (r << 32) | k)
             channels.append(h * 10.0 ** (drop.snr_db / 20.0))
         report = mu_sum_capacity(channels, budget)
         out.append((report.value_bits, report.converged))

@@ -6,6 +6,14 @@ per-element efficiency amplitudes.  Realizations are then pure functions of
 (plan, seed, realization_index): every Fourier coefficient is drawn from a
 counter-based random stream keyed by seed and realization index, so draws
 are bitwise reproducible regardless of evaluation order or parallelism.
+
+``sample_channel`` returns the element-domain channel
+H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H.  The plan also keeps the R
+factors of the thin QRs Gamma_R Psi_R = Q_R R_R and Gamma_S Psi_S = Q_S R_S,
+and ``sample_harmonic_channel`` returns the same draw as
+M = s * R_R C R_S^H, at most (harmonics x harmonics) whatever the element
+count.  H = Q_R M Q_S^H with isometries at both ends, so M has the nonzero
+singular values and the broadcast sum capacity of H.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingProfile, pattern_gain
+from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
 from .lattice import (
     SpectralLattice,
@@ -25,7 +33,7 @@ from .lattice import (
 )
 
 __all__ = ["SynthesisPlan", "ChannelRealization", "build_plan", "sample_channel",
-           "expected_frobenius", "MASK64"]
+           "sample_harmonic_channel", "expected_frobenius", "MASK64"]
 
 # Seeds and counters enter every random stream as unsigned 64-bit words.
 MASK64 = (1 << 64) - 1
@@ -49,6 +57,8 @@ class SynthesisPlan:
     variance_table: VarianceTable
     bs_amplitudes: np.ndarray  # (N_S,) sqrt of element efficiencies
     ue_amplitudes: np.ndarray  # (N_R,)
+    bs_r: np.ndarray  # (min(N_S, n_S), n_S), R of the QR of amplitudes * bs_basis
+    ue_r: np.ndarray  # (min(N_R, n_R), n_R)
 
     @property
     def bs_count(self) -> int:
@@ -67,20 +77,19 @@ def _modified_basis(
 ) -> np.ndarray:
     """Stack harmonic vectors, each weighted by the per-element pattern gain
     evaluated at that harmonic's propagation angles."""
-    n = geometry.count
-    columns = np.empty((n, lattice.cardinality), dtype=complex)
-    shared = all(p is coupling.patterns[0] for p in coupling.patterns)
-    for j, index in enumerate(lattice.indices):
-        vec = harmonic_vector(index, geometry, sign)
-        theta, phi = harmonic_angles(index, lattice.aperture_x, lattice.aperture_y)
-        if shared:
-            columns[:, j] = vec * pattern_gain(coupling.patterns[0], 0, theta, phi)
-        else:
-            gains = np.array(
-                [pattern_gain(coupling.patterns, p, theta, phi) for p in range(n)]
-            )
-            columns[:, j] = vec * gains
-    return columns
+    vectors = np.column_stack(
+        [harmonic_vector(index, geometry, sign) for index in lattice.indices]
+    )
+    theta, phi = np.array(
+        [harmonic_angles(index, lattice.aperture_x, lattice.aperture_y)
+         for index in lattice.indices]
+    ).T
+    patterns = coupling.patterns
+    if all(p is patterns[0] for p in patterns):
+        gains = patterns[0].gain(theta, phi)  # one row, broadcast to every element
+    else:
+        gains = np.array([p.gain(theta, phi) for p in patterns])
+    return vectors * gains
 
 
 def build_plan(
@@ -110,25 +119,26 @@ def build_plan(
     bs_basis = _modified_basis(bs_geometry, bs_lattice, bs_coupling, sign=-1)
     ue_basis = _modified_basis(ue_geometry, ue_lattice, ue_coupling, sign=+1)
     table = build_variance_table(bs_lattice, ue_lattice)
+    bs_amplitudes = bs_coupling.amplitudes
+    ue_amplitudes = ue_coupling.amplitudes
     return SynthesisPlan(
         bs_basis=bs_basis,
         ue_basis=ue_basis,
         variance_table=table,
-        bs_amplitudes=bs_coupling.amplitudes,
-        ue_amplitudes=ue_coupling.amplitudes,
+        bs_amplitudes=bs_amplitudes,
+        ue_amplitudes=ue_amplitudes,
+        bs_r=np.linalg.qr(bs_amplitudes[:, None] * bs_basis, mode="r"),
+        ue_r=np.linalg.qr(ue_amplitudes[:, None] * ue_basis, mode="r"),
     )
 
 
-def sample_channel(
-    plan: SynthesisPlan, seed: int, realization_index: int
-) -> ChannelRealization:
-    """Draw one channel realization.
+def _coefficients(plan: SynthesisPlan, seed: int, realization_index: int):
+    """Fourier coefficients C of one realization.
 
-    Each Fourier coefficient is circularly-symmetric complex Gaussian with
-    the tabulated variance (independent real/imaginary parts of variance
+    Each coefficient is circularly-symmetric complex Gaussian with the
+    tabulated variance (independent real/imaginary parts of variance
     sigma^2/2 each), generated from a Philox counter-based stream keyed by
-    (seed, realization_index).  The sqrt(N_R*N_S) front factor of the series
-    expansion is applied explicitly.
+    (seed, realization_index).
     """
     key = np.array(
         [seed & MASK64, realization_index & MASK64], dtype=np.uint64
@@ -136,9 +146,20 @@ def sample_channel(
     rng = np.random.Generator(np.random.Philox(key=key))
     variances = plan.variance_table.variances()
     z = rng.standard_normal(size=(*variances.shape, 2))
-    coeffs = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(variances / 2.0)
-    scale = np.sqrt(plan.ue_count * plan.bs_count)
-    matrix = scale * (
+    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(variances / 2.0)
+
+
+def sample_channel(
+    plan: SynthesisPlan, seed: int, realization_index: int
+) -> ChannelRealization:
+    """Draw one channel realization in the element domain.
+
+    H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H, receive x transmit
+    elements, where s = sqrt(N_R*N_S) is the front factor of the series
+    expansion.
+    """
+    coeffs = _coefficients(plan, seed, realization_index)
+    matrix = np.sqrt(plan.ue_count * plan.bs_count) * (
         (plan.ue_amplitudes[:, None] * plan.ue_basis)
         @ coeffs
         @ (plan.bs_basis.conj().T * plan.bs_amplitudes[None, :])
@@ -146,6 +167,22 @@ def sample_channel(
     return ChannelRealization(
         matrix=matrix, realization_index=realization_index, seed=seed
     )
+
+
+def sample_harmonic_channel(
+    plan: SynthesisPlan, seed: int, realization_index: int
+) -> np.ndarray:
+    """Draw the same realization as ``sample_channel`` in harmonic
+    coordinates: M = s * R_R C R_S^H.
+
+    M has the nonzero singular values and the sum capacity of the element
+    matrix, at (min(N_R, n_R) x min(N_S, n_S)) instead of (N_R x N_S).
+    Channels of several users share transmit coordinates when their plans
+    share the transmit basis, as plans on the same array do.
+    """
+    coeffs = _coefficients(plan, seed, realization_index)
+    scale = np.sqrt(plan.ue_count * plan.bs_count)
+    return scale * (plan.ue_r @ coeffs @ plan.bs_r.conj().T)
 
 
 def expected_frobenius(plan: SynthesisPlan) -> float:

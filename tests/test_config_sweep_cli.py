@@ -288,6 +288,29 @@ class TestCli:
         )
         assert main(["capacity", "su", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize(
+        "spec_name, header, body",
+        [
+            ("efficiency_spec", "row,col,re,im", ["0,0,0.1,0", "-1,0,0.2,0"]),
+            ("efficiency_spec", "row,col,re,im", ["0,0,0.1,0", "0,0,0.2,0"]),
+            ("pattern_spec", "element_index,theta_deg,phi_deg,re,im",
+             [f"3,{t},{p},1,0" for t in (0, 90) for p in (-180, 0)]),
+        ],
+        ids=["sparams-negative-row", "sparams-duplicate", "pattern-index-gap"],
+    )
+    def test_malformed_index_file_exits_3(self, tmp_path, capsys, spec_name,
+                                          header, body):
+        data = tmp_path / "input.csv"
+        data.write_text("\n".join([header, *body]) + "\n")
+        spec = (
+            {"kind": "sparams", "bs_path": str(data), "ue_path": str(data)}
+            if spec_name == "efficiency_spec"
+            else {"kind": "file", "path": str(data)}
+        )
+        config = self.write_config(tmp_path, **{spec_name: spec})
+        assert main(["capacity", "su", "--config", str(config)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_numerical_failure_exits_4(self, tmp_path):
         # the broadside-null pattern on a single-mode receive aperture
         # produces an exactly zero channel
@@ -317,6 +340,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "spec_name, spec",
+        [
+            ("spectrum_spec", {"asd_deg": "ten"}),
+            ("spectrum_spec", {"asd_deg": True}),
+            ("spectrum_spec", {"asa_deg": math.inf}),
+            ("spectrum_spec", {"asa_deg": [20.0]}),
+            ("efficiency_spec", {"kind": "relative_eta", "eta": "x"}),
+            ("efficiency_spec", {"kind": "relative_eta", "eta": math.nan}),
+            ("efficiency_spec", {"kind": "relative_eta", "eta": False}),
+            ("spectrum_spec", {"path": 3}),
+            ("pattern_spec", {"kind": "file", "path": None}),
+            ("efficiency_spec", {"kind": "sparams", "bs_path": "s.csv", "ue_path": 1}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(
+            f"{k}={x}" for k, x in v.items() if k != "kind"
+        ),
+    )
+    def test_bad_spec_values_exit_2(self, tmp_path, capsys, spec_name, spec):
+        cdl = {"kind": "cdl", "path": bundled_cdl_path(), "asd_deg": 10.0,
+               "asa_deg": 20.0}
+        base = cdl if spec_name == "spectrum_spec" else {}
+        config = self.write_config(tmp_path, **{spec_name: {**base, **spec}})
+        assert main(["capacity", "su", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert spec_name in captured.err
 
     def test_integral_float_count_is_accepted(self):
         assert make_config(realizations=2.0).realizations == 2

@@ -147,6 +147,40 @@ class TestGriddedPatterns:
         with pytest.raises(MalformedPatternFile):
             load_pattern_file(f)
 
+    def test_element_indices_with_gaps_rejected(self, tmp_path):
+        # Indices {3, 7} must not be renumbered to elements 0 and 1.
+        f = tmp_path / "pat.csv"
+        thetas, phis = [0.0, 90.0], [-180.0, 0.0]
+        rows = full_grid_rows(3, thetas, phis, lambda t, p: 1 + 0j)
+        rows += full_grid_rows(7, thetas, phis, lambda t, p: 1 + 0j)
+        write_pattern_csv(f, rows)
+        with pytest.raises(MalformedPatternFile, match="0..1"):
+            load_pattern_file(f)
+
+    def test_fractional_element_index_rejected(self, tmp_path):
+        f = tmp_path / "pat.csv"
+        rows = full_grid_rows(0, [0.0, 90.0], [-180.0, 0.0], lambda t, p: 1 + 0j)
+        rows += full_grid_rows(1.5, [0.0, 90.0], [-180.0, 0.0], lambda t, p: 1 + 0j)
+        write_pattern_csv(f, rows)
+        with pytest.raises(MalformedPatternFile, match="nonnegative integer"):
+            load_pattern_file(f)
+
+    def test_duplicate_grid_point_rejected(self, tmp_path):
+        f = tmp_path / "pat.csv"
+        rows = full_grid_rows(0, [0.0, 90.0], [-180.0, 0.0], lambda t, p: 1 + 0j)
+        write_pattern_csv(f, rows + [(0, 90.0, 0.0, 5.0, 0.0)])
+        with pytest.raises(MalformedPatternFile, match="repeats grid point"):
+            load_pattern_file(f)
+
+    def test_non_finite_gain_rejected(self, tmp_path):
+        # A NaN sample used to reach the SVD and end in a traceback.
+        f = tmp_path / "pat.csv"
+        rows = full_grid_rows(0, [0.0, 90.0], [-180.0, 0.0], lambda t, p: 1 + 0j)
+        rows[1] = (0, 0.0, 0.0, "nan", 0.0)
+        write_pattern_csv(f, rows)
+        with pytest.raises(MalformedPatternFile, match="non-finite"):
+            load_pattern_file(f)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "pat.csv"
         f.write_text("element_index,theta_deg,phi_deg,re,im\n")
@@ -185,6 +219,29 @@ class TestSParameters:
         f = tmp_path / "s.csv"
         f.write_text("row,col,re,im\n0,0,0.1,0\n1,1,0.1,0\n")
         with pytest.raises(MalformedSParameterFile):
+            load_sparams_file(f)
+
+    @pytest.mark.parametrize(
+        "extra, match",
+        [
+            ("-1,0,0.3,0", "nonnegative integer"),  # would wrap onto the last row
+            ("0,1.7,0.3,0", "nonnegative integer"),  # would truncate to column 1
+            ("1,0,0.3,0", "duplicate entry"),  # would keep the last value
+            ("1,nan,0.3,0", "nonnegative integer"),
+        ],
+        ids=["negative", "fractional", "duplicate", "nan"],
+    )
+    def test_bad_indices_rejected(self, tmp_path, extra, match):
+        f = tmp_path / "s.csv"
+        full = ["0,0,0.1,0", "0,1,0.1,0", "1,0,0.1,0", "1,1,0.1,0"]
+        f.write_text("\n".join(["row,col,re,im", *full, extra]) + "\n")
+        with pytest.raises(MalformedSParameterFile, match=match):
+            load_sparams_file(f)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("row,col,re,im\n0,0,nan,0\n")
+        with pytest.raises(MalformedSParameterFile, match="non-finite"):
             load_sparams_file(f)
 
 
