@@ -23,7 +23,6 @@ from .coupling import (
     hannan_limit,
     load_pattern_file,
     load_sparams_file,
-    pattern_gain,
 )
 from .geometry import ArrayGeometry, build_planar_array
 from .lattice import (

@@ -98,7 +98,8 @@ def _cmd_synth(args) -> int:
         raise ConfigError(
             f"spacing index {args.spacing_index} outside the configured list"
         )
-    plan = resolve_scenario(config).plan(args.spacing_index)
+    scenario = resolve_scenario(config)
+    plan = scenario.plans(scenario.bs_lattice, scenario.ue_lattice)[args.spacing_index]
     matrix = sample_channel(plan, config.seed, args.realization).matrix
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("row,col,re,im\n")

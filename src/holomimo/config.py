@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -191,7 +192,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Load a ScenarioConfig from a JSON file."""
+    """Load a ScenarioConfig from a JSON file.
+
+    Relative file paths in the nested specs resolve against the directory of
+    the config file, so a config runs the same from any working directory.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -200,7 +205,13 @@ def load_config(path) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    config = config_from_dict(data)
+    folder = os.path.dirname(path)
+    return replace(config, **{
+        name: {k: v if k == "kind" or k in _SPEC_REALS else os.path.join(folder, v)
+               for k, v in getattr(config, name).items()}
+        for name in _SPEC_FIELDS
+    })
 
 
 def bundled_cdl_path() -> str:

@@ -35,7 +35,6 @@ __all__ = [
     "RelativeEta",
     "HannanLimited",
     "FromSParams",
-    "pattern_gain",
     "load_pattern_file",
     "load_sparams_file",
     "efficiency_from_sparams",
@@ -144,16 +143,6 @@ class ElementPattern:
             "i,ij->", w * 0.5 * math.pi, values
         ) * (2.0 * math.pi / n_phi)
         return float(integral / (4.0 * math.pi))
-
-
-def pattern_gain(pattern, element_index: int, elevation, azimuth):
-    """Gain of the given element's pattern at (elevation, azimuth).
-
-    ``pattern`` is a single shared ElementPattern or a per-element sequence.
-    """
-    if isinstance(pattern, (list, tuple)):
-        pattern = pattern[element_index]
-    return pattern.gain(elevation, azimuth)
 
 
 def _read_rows(path, columns, file_kind_error):

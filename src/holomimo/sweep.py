@@ -4,7 +4,9 @@ A sweep evaluates the mean and standard deviation of capacity over channel
 realizations for every spacing in the scenario.  Realizations are the outer
 loop and spacings the inner one: the users dropped in a realization, and the
 lattices of their rotated spectra, do not depend on the spacing, so they are
-built once per realization and shared by every spacing.  Realizations use
+built once per realization and shared by every spacing.  The plans' bases
+and R factors do not depend on the users, so there is one plan per spacing
+and each user carries only its own variance table.  Realizations use
 counter-based random streams keyed by (seed, realization index), so results
 are bitwise identical regardless of how many worker processes are used;
 aggregation assembles per-realization values in index order before reducing.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +40,7 @@ from .coupling import (
     load_sparams_file,
 )
 from .geometry import build_planar_array
-from .lattice import build_lattice
+from .lattice import build_lattice, build_variance_table
 from .spectrum import (
     AngularPowerSpectrum,
     load_cdl_table,
@@ -78,12 +80,16 @@ class SweepResult:
 class Scenario:
     """A validated config turned into the objects that synthesis needs.
 
-    Each part is built on first use and then kept: ``holo lattice`` reads no
-    pattern or S-parameter file, and ``holo synth`` builds one spacing only.
+    A plan's bases and R factors belong to a spacing: they depend on the
+    arrays and the apertures' harmonic index sets, which every lattice of an
+    aperture shares.  Its variance table belongs to a lattice pair, so a
+    dropped user carries one table for all spacings.  Each part is built on
+    first use and then kept: ``holo lattice`` reads no pattern or S-parameter
+    file.
     """
 
     config: ScenarioConfig
-    _links: dict = field(default_factory=dict, init=False, repr=False)
+    _plans: list = field(default_factory=list, init=False, repr=False)
 
     @cached_property
     def spectra(self):
@@ -136,40 +142,49 @@ class Scenario:
             mode = f"relative_eta={efficiency['eta']:.9g}"
         return mode, self.config.spectrum_spec["kind"], self.config.pattern_spec["kind"]
 
-    def _link(self, index: int):
-        """Geometries and coupling profiles of both ends at one spacing."""
-        if index not in self._links:
-            config = self.config
-            spacing = config.spacing_list[index]
-            source, bs_mode, ue_mode = self._coupling_sources
-            bs = build_planar_array(
-                config.bs_aperture, config.bs_aperture, spacing, spacing
-            )
-            ue = build_planar_array(
-                config.ue_aperture, config.ue_aperture, spacing, spacing
-            )
-            self._links[index] = (
-                bs,
-                ue,
-                build_coupling_profile(bs, source, bs_mode),
-                build_coupling_profile(ue, source, ue_mode),
-            )
-        return self._links[index]
+    def user_lattices(self, drop):
+        """(departure, arrival) lattices of a dropped user's rotated spectra.
 
-    def plan(self, index: int, bs_spectrum=None, ue_spectrum=None,
-             bs_lattice=None, ue_lattice=None):
-        """Synthesis plan at ``spacing_list[index]``.
-
-        Without spectra it uses the unrotated spectra and their lattices; a
-        multi-user sweep passes each user's rotated spectra and lattices.
+        The sector azimuth rotates the departure spectrum; the terminal
+        orientation rotates the arrival spectrum.  A spectrum that rotation
+        hands back unchanged (isotropic) keeps its unrotated lattice.
         """
-        if bs_spectrum is None:
-            bs_spectrum, ue_spectrum = self.spectra
-            bs_lattice, ue_lattice = self.bs_lattice, self.ue_lattice
-        bs_geom, ue_geom, bs_coupling, ue_coupling = self._link(index)
-        return build_plan(bs_geom, ue_geom, bs_spectrum, ue_spectrum,
-                          bs_coupling, ue_coupling,
-                          bs_lattice=bs_lattice, ue_lattice=ue_lattice)
+        config = self.config
+        bs_spectrum, ue_spectrum = self.spectra
+        bs = rotate_spectrum(bs_spectrum, math.radians(drop.azimuth_deg))
+        ue = rotate_spectrum(ue_spectrum, math.radians(drop.orientation_deg))
+        return (
+            self.bs_lattice if bs is bs_spectrum
+            else build_lattice(config.bs_aperture, config.bs_aperture, bs),
+            self.ue_lattice if ue is ue_spectrum
+            else build_lattice(config.ue_aperture, config.ue_aperture, ue),
+        )
+
+    def plans(self, bs_lattice, ue_lattice):
+        """Synthesis plans at every spacing for one lattice pair.
+
+        The first call builds the plans of all spacings on its pair; later
+        pairs share their bases and R factors and get their own variance
+        table.
+        """
+        config = self.config
+        if not self._plans:
+            source, bs_mode, ue_mode = self._coupling_sources
+            for spacing in config.spacing_list:
+                bs, ue = (build_planar_array(a, a, spacing, spacing)
+                          for a in (config.bs_aperture, config.ue_aperture))
+                # The lattices stand in for the spectra, which go unused.
+                self._plans.append(build_plan(
+                    bs, ue, None, None,
+                    build_coupling_profile(bs, source, bs_mode),
+                    build_coupling_profile(ue, source, ue_mode),
+                    bs_lattice=bs_lattice, ue_lattice=ue_lattice,
+                ))
+        table = self._plans[0].variance_table
+        if table.bs_lattice is bs_lattice and table.ue_lattice is ue_lattice:
+            return self._plans
+        table = build_variance_table(bs_lattice, ue_lattice)
+        return [replace(plan, variance_table=table) for plan in self._plans]
 
 
 def resolve_scenario(config: ScenarioConfig) -> Scenario:
@@ -192,54 +207,36 @@ def _drop_seed(seed: int, realization: int) -> int:
     return int(state[0])
 
 
-def _evaluate(scenario: Scenario, shared_plans, r: int):
-    """(value_bits, converged) at every spacing for realization ``r``.
-
-    ``shared_plans`` holds one plan per spacing when every user sees the
-    unrotated spectra, and is None otherwise.
-    """
+def _evaluate(scenario: Scenario, r: int):
+    """(value_bits, converged) at every spacing for realization ``r``."""
     config = scenario.config
     if config.users == 1:
         return [
             (su_capacity(sample_harmonic_channel(plan, config.seed, r),
                          config.snr_db).value_bits, True)
-            for plan in shared_plans
+            for plan in scenario.plans(scenario.bs_lattice, scenario.ue_lattice)
         ]
     drops = drop_users(config.users, _drop_seed(config.seed, r))
-    if shared_plans is None:
-        # The sector azimuth rotates the departure spectrum; the terminal
-        # orientation rotates the arrival spectrum.  Each user's lattices are
-        # built once here and serve every spacing.
-        bs_spectrum, ue_spectrum = scenario.spectra
-        ends = []
-        for drop in drops:
-            bs = rotate_spectrum(bs_spectrum, math.radians(drop.azimuth_deg))
-            ue = rotate_spectrum(ue_spectrum, math.radians(drop.orientation_deg))
-            ends.append((
-                bs,
-                ue,
-                build_lattice(config.bs_aperture, config.bs_aperture, bs),
-                build_lattice(config.ue_aperture, config.ue_aperture, ue),
-            ))
+    # Every lattice of the realization comes before any plan or QR work,
+    # which would leave BLAS threads spinning through the Python quadrature.
+    lattices = [scenario.user_lattices(drop) for drop in drops]
+    user_plans = [scenario.plans(*pair) for pair in lattices]
     budget = 10.0 ** (config.snr_db / 10.0)
     out = []
     for s in range(len(config.spacing_list)):
-        channels = []
-        for k, drop in enumerate(drops):
-            if shared_plans is not None:
-                plan = shared_plans[s]
-            else:
-                plan = scenario.plan(s, *ends[k])
-            h = sample_harmonic_channel(plan, config.seed, (r << 32) | k)
-            channels.append(h * 10.0 ** (drop.snr_db / 20.0))
+        channels = [
+            sample_harmonic_channel(plans[s], config.seed, (r << 32) | k)
+            * 10.0 ** (drop.snr_db / 20.0)
+            for k, (drop, plans) in enumerate(zip(drops, user_plans))
+        ]
         report = mu_sum_capacity(channels, budget)
         out.append((report.value_bits, report.converged))
     return out
 
 
 def _evaluate_chunk(args):
-    scenario, shared_plans, indices = args
-    return [_evaluate(scenario, shared_plans, r) for r in indices]
+    scenario, indices = args
+    return [_evaluate(scenario, r) for r in indices]
 
 
 def _mean_std(values: np.ndarray):
@@ -258,16 +255,7 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
     each take a contiguous chunk of realizations across all spacings.
     """
     scenario = resolve_scenario(config)
-    spacings = range(len(config.spacing_list))
-    shared_plans = None
-    # Rotation leaves isotropic spectra unchanged, so then, as with a single
-    # user, every link sees the unrotated spectra and one plan per spacing.
-    if config.users == 1 or all(s.kind == "isotropic" for s in scenario.spectra):
-        shared_plans = tuple(scenario.plan(s) for s in spacings)
-    tasks = [
-        (scenario, shared_plans, chunk)
-        for chunk in _chunks(config.realizations, jobs)
-    ]
+    tasks = [(scenario, chunk) for chunk in _chunks(config.realizations, jobs)]
     if jobs <= 1 or len(tasks) <= 1:
         chunks = [_evaluate_chunk(t) for t in tasks]
     else:
@@ -277,7 +265,7 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
 
     mode_label, spectrum_label, pattern_label = scenario.labels
     rows = []
-    for s in spacings:
+    for s in range(len(config.spacing_list)):
         mean, std = _mean_std(np.array([pairs[s][0] for pairs in per_realization]))
         rows.append(
             SweepRow(

@@ -1,9 +1,12 @@
 """Water-filling, pathloss, user-drop, and multi-user solver tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from holomimo import (
     drop_users,
@@ -71,6 +74,63 @@ class TestWaterfill:
             waterfill([], 1.0)
         with pytest.raises(EmptyGains):
             waterfill([0.0, 0.0], 1.0)
+
+    def test_gain_with_overflowing_reciprocal_gets_no_power(self):
+        # 1/1e-320 overflows to inf, a level no finite water level reaches;
+        # counting it in the water level would make it inf and the power nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc, capacity = waterfill([1.0, 1e-320], 1.0)
+            report = su_capacity(np.diag([1.0, 1e-161]), 0.0)
+        np.testing.assert_array_equal(alloc.powers, [1.0, 0.0])
+        assert capacity == 1.0
+        assert alloc.water_level == 2.0
+        assert report.value_bits == 1.0
+        with pytest.raises(EmptyGains):
+            waterfill([1e-320], 1.0)
+        # 1/1e-308 is finite but near the float maximum: the scaled running
+        # sum gives the exact unscaled allocation.
+        alloc, capacity = waterfill([1.0, 1e-308], 1.0)
+        np.testing.assert_array_equal(alloc.powers, [1.0, 0.0])
+        assert (capacity, alloc.water_level) == (1.0, 2.0)
+
+    @given(
+        exponents=st.lists(
+            st.floats(min_value=-320.0, max_value=3.0), min_size=1, max_size=8
+        ),
+        budget=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    # Reciprocals whose running sum overflows, and gains either side of the
+    # overflow threshold 1/g = inf.
+    @example(exponents=[-308.0, -308.0], budget=1.0)
+    @example(exponents=[-307.0] * 8, budget=1e3)
+    @example(exponents=[-308.2547, -308.2548, 0.0], budget=1e-3)
+    def test_kkt_conditions_over_extreme_gains(self, exponents, budget):
+        gains = 10.0 ** np.array(exponents)
+        with np.errstate(divide="ignore", over="ignore"):
+            finite = np.isfinite(1.0 / gains)
+        if not finite.any():
+            with pytest.raises(EmptyGains):
+                waterfill(gains, budget)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc, capacity = waterfill(gains, budget)
+        powers, mu = alloc.powers, alloc.water_level
+        assert math.isfinite(mu) and math.isfinite(capacity)
+        assert np.all(powers >= 0.0)
+        assert np.all(powers[~finite] == 0.0)
+        active = powers > 0.0
+        # Every quantity is exact to rounding at the scale of the water level.
+        tol = 1e-12 * mu * gains.size
+        assert powers.sum() == pytest.approx(budget, abs=tol)
+        inv = 1.0 / gains[finite]
+        level = powers[finite] + inv
+        np.testing.assert_allclose(level[active[finite]], mu, rtol=1e-12)
+        assert np.all(inv[~active[finite]] >= mu * (1.0 - 1e-12))
+        assert capacity == pytest.approx(
+            float(np.sum(np.log2(1.0 + powers * gains))), rel=1e-12
+        )
 
 
 class TestSingleUserCapacity:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 
 import pytest
 
@@ -81,6 +82,30 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(BASE))
         assert load_config(path) == make_config()
+
+    def test_relative_spec_paths_resolve_against_the_config_file(self, tmp_path):
+        folder = tmp_path / "configs"
+        folder.mkdir()
+        absolute = str(tmp_path / "table.csv")
+        path = folder / "c.json"
+        path.write_text(json.dumps({
+            **BASE,
+            "spectrum_spec": {"kind": "cdl", "path": absolute, "asd_deg": 10.0,
+                              "asa_deg": 10.0},
+            "pattern_spec": {"kind": "file", "path": "pattern.csv"},
+            "efficiency_spec": {"kind": "sparams", "bs_path": "s/bs.csv",
+                                "ue_path": "../ue.csv"},
+        }))
+        config = load_config(path)
+        assert config.spectrum_spec["path"] == absolute
+        assert config.spectrum_spec["asd_deg"] == 10.0
+        assert config.pattern_spec == {"kind": "file",
+                                       "path": str(folder / "pattern.csv")}
+        assert config.efficiency_spec == {
+            "kind": "sparams",
+            "bs_path": str(folder / "s" / "bs.csv"),
+            "ue_path": str(folder / ".." / "ue.csv"),
+        }
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -270,6 +295,29 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 4  # header + three spacings
         assert lines[1].endswith(",2,5")
+
+    def test_relative_cdl_path_runs_from_any_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        folder = tmp_path / "configs"
+        folder.mkdir()
+        shutil.copyfile(bundled_cdl_path(), folder / "cdl_b.csv")
+        cdl = {"kind": "cdl", "path": "cdl_b.csv", "asd_deg": 10.0, "asa_deg": 20.0}
+        config = self.write_config(folder, spectrum_spec=cdl, realizations=2)
+        reference = self.write_config(
+            tmp_path, spectrum_spec={**cdl, "path": bundled_cdl_path()},
+            realizations=2,
+        )
+        assert main(["capacity", "su", "--config", str(reference)]) == 0
+        expected = capsys.readouterr().out
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["capacity", "su", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.chdir(tmp_path)
+        assert main(["capacity", "su", "--config", "configs/config.json"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -18,7 +18,6 @@ from holomimo import (
     hannan_limit,
     load_pattern_file,
     load_sparams_file,
-    pattern_gain,
 )
 from holomimo.coupling import HALF_WAVE_EFFICIENCY
 from holomimo.errors import (
@@ -51,14 +50,14 @@ def full_grid_rows(element, thetas, phis, value_fn):
 class TestAnalyticPatterns:
     def test_uniform_gain_is_one(self):
         pattern = ElementPattern.uniform()
-        assert pattern_gain(pattern, 0, 0.7, -2.0) == 1.0
+        assert pattern.gain(0.7, -2.0) == 1.0
         assert pattern.sphere_power() == pytest.approx(1.0, rel=1e-12)
 
     def test_dipole_null_at_broadside(self):
-        assert pattern_gain(ElementPattern.dipole(), 0, 0.0, 0.0) == 0.0
+        assert ElementPattern.dipole().gain(0.0, 0.0) == 0.0
 
     def test_dipole_peak_at_horizon(self):
-        value = pattern_gain(ElementPattern.dipole(), 0, math.pi / 2, 1.0)
+        value = ElementPattern.dipole().gain(math.pi / 2, 1.0)
         assert value == pytest.approx(DIPOLE_PEAK, rel=1e-12)
 
     def test_dipole_power_normalized(self):

@@ -29,7 +29,6 @@ from holomimo import (
     load_cdl_table,
     load_pattern_file,
     mu_sum_capacity,
-    pattern_gain,
     rotate_spectrum,
     sample_channel,
     spectra_from_cdl,
@@ -57,13 +56,13 @@ def make_plan(bs_aperture, ue_aperture, spacing, bs_spectrum, ue_spectrum,
 
 def loop_basis(geometry, lattice, coupling, sign):
     """The per-element, per-harmonic loop that built the bases before they
-    were vectorized: one scalar ``pattern_gain`` call per element and
-    harmonic."""
+    were vectorized: one scalar ``ElementPattern.gain`` call per element
+    and harmonic."""
     columns = np.empty((geometry.count, lattice.cardinality), dtype=complex)
     for j, index in enumerate(lattice.indices):
         theta, phi = harmonic_angles(index, lattice.aperture_x, lattice.aperture_y)
         gains = np.array(
-            [pattern_gain(coupling.patterns, p, theta, phi)
+            [coupling.patterns[p].gain(theta, phi)
              for p in range(geometry.count)]
         )
         columns[:, j] = harmonic_vector(index, geometry, sign) * gains
