@@ -84,11 +84,13 @@ class AngularPowerSpectrum:
     components: tuple[VmfComponent, ...] = ()
 
     @cached_property
-    def _mixture_arrays(self):
+    def mixture_arrays(self):
         """(mean unit vectors, concentrations, weighted front factors,
-        constant isotropic-limit term) for batched evaluation."""
+        constant term) for batched evaluation: the spectrum at unit vector p
+        is constant + sum_k coef_k * exp(alpha_k * (p . mean_k - 1)).  The
+        isotropic spectrum is the constant 1 with no VMF terms."""
         means, alphas, coefs = [], [], []
-        constant = 0.0
+        constant = 1.0 if self.kind == "isotropic" else 0.0
         for c in self.components:
             if c.concentration < _ISOTROPIC_ALPHA:
                 constant += c.weight / (4.0 * math.pi)
@@ -164,7 +166,7 @@ def spectrum_value(spectrum: AngularPowerSpectrum, elevation, azimuth):
     elevation = np.asarray(elevation, dtype=float)
     azimuth = np.asarray(azimuth, dtype=float)
     elevation, azimuth = np.broadcast_arrays(elevation, azimuth)
-    means, alphas, coefs, constant = spectrum._mixture_arrays
+    means, alphas, coefs, constant = spectrum.mixture_arrays
     sin_t = np.sin(elevation)
     points = np.stack(
         [sin_t * np.cos(azimuth), sin_t * np.sin(azimuth), np.cos(elevation)],
