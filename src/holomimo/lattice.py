@@ -23,9 +23,12 @@ lattice take one bisection step together, a few tiles per batch, and the
 accepted tiles' estimates are summed per cell with np.bincount.  Nodes are
 direction-cosine unit vectors, so the spectrum's VMF exponents are plain
 dot products.  A VMF term is skipped on a tile when it is below exp(-40) of
-its peak at every node, which a spherical cap around the tile's nodes
-shows: if the angle from the cap's centre to the term's mean exceeds the
-cap's radius by d, no node's dot product with the mean exceeds cos(d).
+its largest value on the upper hemisphere at every node, which a spherical
+cap around the tile's nodes shows: if the angle from the cap's centre to the
+term's mean exceeds the cap's radius by d, no node's dot product with the
+mean exceeds cos(d).  The largest value is the term's peak when its mean is
+on or above the horizon, and its value at the horizon otherwise, so a
+cluster behind the aperture keeps the tail that reaches the hemisphere.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ _TILE_ATOL = 1e-15
 _N_COARSE = 12
 _N_FINE = 24
 _MAX_DEPTH = 14
-# A VMF term is skipped on a tile where it stays below exp(-40) of its peak
-# at every node; tiles are evaluated this many at a time.
+# A VMF term is skipped on a tile where it stays below exp(-40) of its largest
+# value on the upper hemisphere at every node; tiles are evaluated this many
+# at a time.
 _CULL_EXPONENT = 40.0
 _BATCH_TILES = 4
 
@@ -239,15 +243,23 @@ def _cap_bound(points: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.cos(np.maximum(0.0, distance - radius[:, None]))
 
 
-def _node_values(mixture, points: np.ndarray) -> np.ndarray:
+def _hemisphere_peaks(means: np.ndarray) -> np.ndarray:
+    """Largest dot product of each mean with an upper-hemisphere direction:
+    1 for a mean on or above the horizon, else the sine of its elevation,
+    reached at the horizon."""
+    return np.where(means[:, 2] >= 0.0, 1.0, np.hypot(means[:, 0], means[:, 1]))
+
+
+def _node_values(mixture, peaks: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Spectrum at the nodes (3, T, m) of T tiles, shape (T, m).
 
     A VMF term is skipped on a tile where the cap bound puts
-    alpha * (dot - 1) below -_CULL_EXPONENT at every node.
+    alpha * (dot - peak) below -_CULL_EXPONENT at every node, ``peaks``
+    being the terms' _hemisphere_peaks.
     """
     means, alphas, coefs, constant = mixture
     values = np.full(points.shape[1:], constant)
-    active = alphas * (_cap_bound(points, means) - 1.0) >= -_CULL_EXPONENT
+    active = alphas * (_cap_bound(points, means) - peaks) >= -_CULL_EXPONENT
     for k in np.flatnonzero(active.any(axis=0)):
         rows = active[:, k]
         if rows.all():
@@ -276,6 +288,7 @@ def _cell_integrals(spectrum: AngularPowerSpectrum, cells) -> np.ndarray:
     ).reshape(-1, 6)
     totals = np.zeros(len(cells))
     mixture = spectrum.mixture_arrays
+    peaks = _hemisphere_peaks(mixture[0])
     n_coarse = _N_COARSE * _N_COARSE
     depth = 0
     while len(tiles):
@@ -284,7 +297,7 @@ def _cell_integrals(spectrum: AngularPowerSpectrum, cells) -> np.ndarray:
         for start in range(0, len(tiles), _BATCH_TILES):
             batch = slice(start, start + _BATCH_TILES)
             points, weights = _tile_nodes(tiles[batch])
-            weighted = _node_values(mixture, points) * weights
+            weighted = _node_values(mixture, peaks, points) * weights
             coarse[batch] = weighted[:, :n_coarse].sum(axis=1)
             fine[batch] = weighted[:, n_coarse:].sum(axis=1)
         done = np.abs(fine - coarse) <= _TILE_RTOL * np.abs(fine) + _TILE_ATOL

@@ -160,9 +160,6 @@ def spectrum_value(spectrum: AngularPowerSpectrum, elevation, azimuth):
     is the 3-D dot product of the evaluation direction with the component's
     mean direction, so all components reduce to a single matrix product.
     """
-    if spectrum.kind == "isotropic":
-        out = np.ones(np.broadcast(np.asarray(elevation), np.asarray(azimuth)).shape)
-        return out if out.ndim else 1.0
     elevation = np.asarray(elevation, dtype=float)
     azimuth = np.asarray(azimuth, dtype=float)
     elevation, azimuth = np.broadcast_arrays(elevation, azimuth)

@@ -21,6 +21,7 @@ from holomimo import (
     AngularPowerSpectrum,
     VmfComponent,
     build_lattice,
+    build_variance_table,
     concentration_from_spread,
     enumerate_lattice,
     load_cdl_table,
@@ -119,6 +120,14 @@ spectra = st.one_of(
         st.floats(-math.pi, math.pi),
         st.floats(0.0, math.pi),
     ),
+    # Just behind the aperture: only the tail reaches the hemisphere, and
+    # the lattice total can be far below the rule's absolute floor.
+    st.builds(
+        single_vmf,
+        st.floats(1.0, 20.0),
+        st.floats(-math.pi, math.pi),
+        st.floats(0.5 * math.pi, 0.5 * math.pi + 0.35),
+    ),
 )
 apertures = st.floats(0.5, 4.0)
 
@@ -134,9 +143,11 @@ def test_cells_match_the_recursive_rule(spectrum, aperture_x, aperture_y):
     aperture_y = aperture_x if aperture_y is None else aperture_y
     got = build_lattice(aperture_x, aperture_y, spectrum).marginal_integrals
     expected = oracle_cells(spectrum, aperture_x, aperture_y)
-    np.testing.assert_array_less(
-        np.abs(got - expected), 1e-6 * np.abs(expected) + 1e-15
-    )
+    error = np.abs(got - expected)
+    np.testing.assert_array_less(error, 1e-6 * np.abs(expected) + 1e-15)
+    # The absolute floor passes any cell of a lattice whose total is below
+    # it; measured against the total, no cell may be lost either.
+    assert np.all(error <= 1e-6 * np.abs(expected) + 1e-9 * expected.sum())
 
 
 @pytest.mark.parametrize(
@@ -183,16 +194,36 @@ def test_cap_bound_dominates_every_node_dot_product():
         largest = np.einsum("itm,ki->tkm", points, all_means).max(axis=2)
         bound = lat._cap_bound(points, all_means)
         assert np.all(bound >= largest)
+        # No node beats a mean's largest dot product over the hemisphere.
+        assert np.all(largest <= lat._hemisphere_peaks(all_means) + 1e-15)
 
 
-def test_culling_skips_only_negligible_terms(monkeypatch):
+@pytest.mark.parametrize(
+    "asd_deg,rotation", [(10.0, 1.1), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (5.0, 0.0)]
+)
+def test_culling_skips_only_negligible_terms(monkeypatch, asd_deg, rotation):
     # Against the same rule with culling turned off, culling moves no cell
-    # beyond the rule's absolute tolerance.
-    spectrum = rotate_spectrum(CDL_BS, 1.1)
-    culled = build_lattice(4.0, 4.0, spectrum).marginal_integrals
+    # beyond 1e-9 of the lattice total.  Every CDL-B departure cluster has
+    # its zenith 8 to 30 degrees below the horizon, so the BS lattice holds
+    # only tails, far below each cluster's peak (about 1e-55 of the
+    # mixture's mass at 2 degrees).  Culling against the peak rather than
+    # the hemisphere's largest value lost 0.4% of the BS total at 2 degrees.
+    bs, ue = spectra_from_cdl(
+        load_cdl_table(bundled_cdl_path())[0], asd_deg=asd_deg, asa_deg=20.0
+    )
+    bs = rotate_spectrum(bs, rotation)
+    culled = build_lattice(4.0, 4.0, bs)
+    table = build_variance_table(culled, build_lattice(1.0, 1.0, ue))
+    assert table.variances().sum() == pytest.approx(1.0, rel=1e-12)
     monkeypatch.setattr(lat, "_CULL_EXPONENT", math.inf)
-    full = build_lattice(4.0, 4.0, spectrum).marginal_integrals
-    np.testing.assert_allclose(culled, full, rtol=1e-9, atol=1e-15)
+    full = build_lattice(4.0, 4.0, bs)
+    assert culled.total_integral == pytest.approx(full.total_integral, rel=1e-9)
+    np.testing.assert_allclose(
+        culled.marginal_integrals,
+        full.marginal_integrals,
+        rtol=1e-9,
+        atol=1e-9 * full.total_integral,
+    )
 
 
 CONCENTRATED = single_vmf(1.0, 0.3, 0.8)
