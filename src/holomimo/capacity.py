@@ -5,7 +5,9 @@ a total power budget with unit noise per receive element.  Multi-user
 downlink sum capacity is computed through the dual multiple-access channel
 under a sum power constraint, iterating simultaneous per-user water-filling
 with the averaged covariance update that guarantees convergence for any
-number of users.
+number of users.  Each user is whitened by unit noise plus the other users'
+interference with one direct solve of the transmit dimension, which the
+sweep keeps at the transmit harmonic count.
 """
 
 from __future__ import annotations
@@ -178,11 +180,6 @@ def _hermitize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(_hermitize(matrix))
-    return (vec * np.sqrt(np.maximum(lam, 0.0))[None, :]) @ vec.conj().T
-
-
 def mu_sum_capacity(
     channels,
     total_power: float,
@@ -200,9 +197,9 @@ def mu_sum_capacity(
     changes by less than ``tol`` bits, or flags the report as not converged
     after ``max_iterations``.
 
-    One linear solve against the full coupled matrix serves all users per
-    iteration; each user's leave-one-out whitening is recovered from it by
-    a low-rank correction in the user's own receive dimension.
+    User k is whitened by W_k = H_k (coupled - own_k)^{-1} H_k^H, where
+    own_k = H_k^H Q_k H_k and coupled = I + sum_j own_j: one direct solve of
+    the transmit dimension per user and iteration.
     """
     channels = [np.ascontiguousarray(h, dtype=complex) for h in channels]
     if not channels:
@@ -214,11 +211,9 @@ def mu_sum_capacity(
         raise ValueError(f"total power must be positive, got {total_power}")
 
     k_users = len(channels)
-    sizes = [h.shape[0] for h in channels]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    stacked = np.vstack(channels)  # (sum N_k, n_tx)
     covariances = [
-        np.eye(n, dtype=complex) * (total_power / (k_users * n)) for n in sizes
+        np.eye(h.shape[0], dtype=complex) * (total_power / (k_users * h.shape[0]))
+        for h in channels
     ]
     identity = np.eye(n_tx, dtype=complex)
     ln2 = math.log(2.0)
@@ -227,8 +222,8 @@ def mu_sum_capacity(
     converged = False
     iterations = 0
     while True:
-        weighted = np.vstack([q @ h for q, h in zip(covariances, channels)])
-        coupled = _hermitize(identity + stacked.conj().T @ weighted)
+        own = [h.conj().T @ (q @ h) for q, h in zip(covariances, channels)]
+        coupled = _hermitize(identity + sum(own))
         history.append(float(np.linalg.slogdet(coupled)[1] / ln2))
         if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
             converged = True
@@ -237,17 +232,9 @@ def mu_sum_capacity(
             break
         iterations += 1
 
-        solved = np.linalg.solve(coupled, stacked.conj().T)  # (n_tx, sum N_k)
         eigvals, eigvecs = [], []
-        for k, (h, q) in enumerate(zip(channels, covariances)):
-            block = solved[:, bounds[k] : bounds[k + 1]]
-            base = _hermitize(h @ block)  # H (coupled)^-1 H^H
-            # Remove the user's own contribution from the whitening:
-            # (coupled - H^H Q H)^-1 reduces to a correction of size N_k.
-            root = _psd_sqrt(q)
-            cross = root @ base @ root
-            small = np.eye(h.shape[0], dtype=complex) - cross
-            whitened = base + base @ root @ np.linalg.solve(small, root @ base)
+        for h, own_k in zip(channels, own):
+            whitened = h @ np.linalg.solve(coupled - own_k, h.conj().T)
             lam, vec = np.linalg.eigh(_hermitize(whitened))
             eigvals.append(np.maximum(lam, 0.0))
             eigvecs.append(vec)

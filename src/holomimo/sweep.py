@@ -259,7 +259,7 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
     if jobs <= 1 or len(tasks) <= 1:
         chunks = [_evaluate_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             chunks = list(pool.map(_evaluate_chunk, tasks))
     per_realization = [pairs for chunk in chunks for pairs in chunk]
 

@@ -26,6 +26,7 @@ from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
 from .lattice import (
     SpectralLattice,
+    VarianceTable,
     build_lattice,
     build_variance_table,
     harmonic_angles,

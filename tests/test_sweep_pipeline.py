@@ -199,3 +199,28 @@ def test_converged_rows_do_not_warn(tmp_path, capsys):
     path.write_text(json.dumps({**BASE, "users": 2, "realizations": 1}))
     assert main(["capacity", "mu", "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_pool_starts_one_worker_per_chunk(monkeypatch):
+    # Forked pools start all their workers on the first submit, so asking
+    # for more than there are chunks would start idle processes.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+    config = config_from_dict({**BASE, "realizations": 3})
+    result = run_sweep(config, jobs=64)
+    assert started == [3]
+    assert render(result, "csv") == render(run_sweep(config, jobs=1), "csv")
