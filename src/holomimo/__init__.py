@@ -30,6 +30,7 @@ from .lattice import (
     SpectralLattice,
     VarianceTable,
     build_lattice,
+    build_lattices,
     build_variance_table,
     enumerate_lattice,
     harmonic_angles,
@@ -44,7 +45,6 @@ from .spectrum import (
     load_cdl_table,
     rotate_spectrum,
     spectra_from_cdl,
-    spectrum_value,
     vmf_density,
 )
 from .sweep import SweepResult, SweepRow, emit, render, run_sweep

@@ -18,17 +18,21 @@ tensor Gauss-Legendre quadrature: a tile is accepted when its 12- and
 24-point estimates agree within 1e-6 relative + 1e-15 absolute, and is
 otherwise bisected four ways, up to depth _MAX_DEPTH.
 
-The rule is evaluated level by level: all pending tiles of all cells of a
-lattice take one bisection step together, a few tiles per batch, and the
-accepted tiles' estimates are summed per cell with np.bincount.  Nodes are
-direction-cosine unit vectors, so the spectrum's VMF exponents are plain
-dot products.  A VMF term is skipped on a tile when it is below exp(-40) of
-its largest value on the upper hemisphere at every node, which a spherical
-cap around the tile's nodes shows: if the angle from the cap's centre to the
-term's mean exceeds the cap's radius by d, no node's dot product with the
-mean exceeds cos(d).  The largest value is the term's peak when its mean is
-on or above the horizon, and its value at the horizon otherwise, so a
-cluster behind the aperture keeps the tail that reaches the hemisphere.
+The rule is evaluated level by level for all spectra of one aperture: all
+pending tiles of all cells take one bisection step together, a few tiles per
+batch, and each spectrum's accepted tiles' estimates are summed per cell
+with np.bincount.  A batch's nodes, weights and caps depend only on its
+tiles, so they are computed once for every spectrum that needs them; each
+spectrum meets its tiles in the order a build of it alone would, so its
+sums are the same.  Nodes are direction-cosine unit vectors, so the VMF
+exponents are plain dot products.  A VMF term is skipped on a tile when it
+is below exp(-40) of its largest value on the upper hemisphere at every
+node, which a spherical cap around the tile's nodes shows: if the angle from
+the cap's centre to the term's mean exceeds the cap's radius by d, no node's
+dot product with the mean exceeds cos(d).  The largest value is the term's
+peak when its mean is on or above the horizon, and its value at the horizon
+otherwise, so a cluster behind the aperture keeps the tail that reaches the
+hemisphere.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "harmonic_angles",
     "marginal_integral",
     "build_lattice",
+    "build_lattices",
     "build_variance_table",
     "harmonic_vector",
 ]
@@ -225,19 +230,22 @@ def _tile_nodes(tiles: np.ndarray):
     return points, weights
 
 
-def _cap_bound(points: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Upper bound on the dot product of any node of a tile with each mean.
-
-    The tile's nodes (3, T, m) lie in a spherical cap centred on their
-    normalized mean with radius the largest angle to a node; a node is then
-    at least (angle from centre to mean) - radius away from a mean.  Angles
-    come from chords, which stay accurate for small tiles.  Shape (T, K).
-    """
+def _cap(points: np.ndarray):
+    """Spherical cap around each tile's nodes (3, T, m): centre (3, T), the
+    normalized mean of the nodes, and radius (T,), the largest angle to a
+    node.  Angles come from chords, which stay accurate for small tiles."""
     centre = points.sum(axis=2)
     centre /= np.sqrt((centre * centre).sum(axis=0))
     offset = points - centre[:, :, None]
     chord = np.sqrt((offset * offset).sum(axis=0).max(axis=1))
-    radius = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
+    return centre, 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
+
+
+def _cap_bound(cap, means: np.ndarray) -> np.ndarray:
+    """Upper bound on the dot product of any node of a tile with each mean:
+    a node in the tile's _cap is at least (angle from the cap's centre to
+    the mean) - radius away from a mean.  Shape (T, K)."""
+    centre, radius = cap
     to_mean = np.sqrt(((centre.T[:, None, :] - means) ** 2).sum(axis=2))
     distance = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * to_mean))
     return np.cos(np.maximum(0.0, distance - radius[:, None]))
@@ -250,16 +258,16 @@ def _hemisphere_peaks(means: np.ndarray) -> np.ndarray:
     return np.where(means[:, 2] >= 0.0, 1.0, np.hypot(means[:, 0], means[:, 1]))
 
 
-def _node_values(mixture, peaks: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
     """Spectrum at the nodes (3, T, m) of T tiles, shape (T, m).
 
-    A VMF term is skipped on a tile where the cap bound puts
-    alpha * (dot - peak) below -_CULL_EXPONENT at every node, ``peaks``
-    being the terms' _hemisphere_peaks.
-    """
+    A VMF term is skipped on a tile that is not ``pending`` (T,), or where
+    the cap bound puts alpha * (dot - peak) below -_CULL_EXPONENT at every
+    node, ``peaks`` being the terms' _hemisphere_peaks."""
     means, alphas, coefs, constant = mixture
     values = np.full(points.shape[1:], constant)
-    active = alphas * (_cap_bound(points, means) - peaks) >= -_CULL_EXPONENT
+    active = alphas * (_cap_bound(cap, means) - peaks) >= -_CULL_EXPONENT
+    active &= pending[:, None]
     for k in np.flatnonzero(active.any(axis=0)):
         rows = active[:, k]
         if rows.all():
@@ -270,15 +278,16 @@ def _node_values(mixture, peaks: np.ndarray, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _cell_integrals(spectrum: AngularPowerSpectrum, cells) -> np.ndarray:
-    """Adaptive cell integrals of A^2 / sqrt(1 - u^2 - v^2), one per cell.
+def _cell_integrals(spectra, cells) -> np.ndarray:
+    """Adaptive cell integrals of A^2 / sqrt(1 - u^2 - v^2), shape
+    (len(spectra), len(cells)); ``cells`` lists each cell's strips.
 
-    ``cells`` lists each cell's strips.  Every strip starts as one tile over
-    t in [0, 1].  All pending tiles of all cells advance one level at a
-    time: each gets a coarse and a fine tensor Gauss-Legendre estimate; a
-    tile whose estimates agree within the tolerance adds its fine estimate
-    to its cell, and every other tile is bisected in v and t into four
-    tiles of the next level.  Tiles are evaluated _BATCH_TILES at a time.
+    Every strip starts as one tile over t in [0, 1], pending for every
+    spectrum.  A level gives each tile a coarse and a fine estimate per
+    spectrum it is pending for, _BATCH_TILES tiles at a time with nodes and
+    caps shared by all spectra.  Where the two agree, the fine estimate goes
+    to that spectrum's cell; a tile some spectrum rejects is bisected in v
+    and t into four tiles of the next level, pending for those spectra.
     """
     owner = np.array(
         [i for i, strips in enumerate(cells) for _ in strips], dtype=np.intp
@@ -286,29 +295,38 @@ def _cell_integrals(spectrum: AngularPowerSpectrum, cells) -> np.ndarray:
     tiles = np.array(
         [strip + (0.0, 1.0) for strips in cells for strip in strips], dtype=float
     ).reshape(-1, 6)
-    totals = np.zeros(len(cells))
-    mixture = spectrum.mixture_arrays
-    peaks = _hemisphere_peaks(mixture[0])
+    pending = np.ones((len(spectra), len(tiles)), dtype=bool)
+    totals = np.zeros((len(spectra), len(cells)))
+    mixtures = [spectrum.mixture_arrays for spectrum in spectra]
+    peaks = [_hemisphere_peaks(mixture[0]) for mixture in mixtures]
     n_coarse = _N_COARSE * _N_COARSE
     depth = 0
-    while len(tiles):
-        coarse = np.empty(len(tiles))
-        fine = np.empty(len(tiles))
+    while pending.any():
+        coarse, fine = np.zeros((2, *pending.shape))
         for start in range(0, len(tiles), _BATCH_TILES):
             batch = slice(start, start + _BATCH_TILES)
             points, weights = _tile_nodes(tiles[batch])
-            weighted = _node_values(mixture, peaks, points) * weights
-            coarse[batch] = weighted[:, :n_coarse].sum(axis=1)
-            fine[batch] = weighted[:, n_coarse:].sum(axis=1)
+            cap = _cap(points)
+            need = pending[:, batch]
+            for u in np.flatnonzero(need.any(axis=1)):
+                weighted = _node_values(mixtures[u], peaks[u], points, cap, need[u])
+                weighted *= weights
+                coarse[u, batch] = weighted[:, :n_coarse].sum(axis=1)
+                fine[u, batch] = weighted[:, n_coarse:].sum(axis=1)
         done = np.abs(fine - coarse) <= _TILE_RTOL * np.abs(fine) + _TILE_ATOL
-        totals += np.bincount(owner[done], weights=fine[done], minlength=len(cells))
-        if done.all():
-            break
-        if depth >= _MAX_DEPTH:
+        done &= pending
+        for u, accepted in enumerate(done):
+            totals[u] += np.bincount(
+                owner[accepted], weights=fine[u, accepted], minlength=len(cells)
+            )
+        refine = pending & ~done
+        if depth >= _MAX_DEPTH and refine.any():
             raise QuadratureNotConverged(
                 f"cell quadrature not converged after depth {depth}"
             )
-        tiles, owner = _quarter(tiles[~done]), np.repeat(owner[~done], 4)
+        split = refine.any(axis=0)
+        tiles, owner = _quarter(tiles[split]), np.repeat(owner[split], 4)
+        pending = np.repeat(refine[:, split], 4, axis=1)
         depth += 1
     return np.maximum(totals, 0.0)
 
@@ -338,7 +356,7 @@ def marginal_integral(
     for in-ellipse harmonics whose cell lies entirely outside the disk.
     """
     strips = _cell_strips(index, aperture_x, aperture_y)
-    return float(_cell_integrals(spectrum, [strips])[0])
+    return float(_cell_integrals([spectrum], [strips])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,16 +381,18 @@ def build_lattice(
     aperture_x: float, aperture_y: float, spectrum: AngularPowerSpectrum
 ) -> SpectralLattice:
     """Enumerate the lattice and compute every cell integral."""
-    indices = enumerate_lattice(aperture_x, aperture_y)
-    integrals = _cell_integrals(
-        spectrum, [_cell_strips(idx, aperture_x, aperture_y) for idx in indices]
-    )
-    return SpectralLattice(
-        aperture_x=aperture_x,
-        aperture_y=aperture_y,
-        indices=tuple(indices),
-        marginal_integrals=integrals,
-    )
+    return build_lattices(aperture_x, aperture_y, [spectrum])[0]
+
+
+def build_lattices(
+    aperture_x: float, aperture_y: float, spectra
+) -> list[SpectralLattice]:
+    """``build_lattice`` of each spectrum, in one quadrature pass that
+    computes each tile's nodes once for all spectra that need it."""
+    indices = tuple(enumerate_lattice(aperture_x, aperture_y))
+    strips = [_cell_strips(index, aperture_x, aperture_y) for index in indices]
+    integrals = _cell_integrals(spectra, strips)
+    return [SpectralLattice(aperture_x, aperture_y, indices, row) for row in integrals]
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,6 @@ __all__ = [
     "AngularPowerSpectrum",
     "CdlClusterRow",
     "vmf_density",
-    "spectrum_value",
     "concentration_from_spread",
     "spectra_from_cdl",
     "load_cdl_table",
@@ -150,29 +149,6 @@ def vmf_density(component: VmfComponent, elevation, azimuth):
         azimuth - component.mean_azimuth
     ) + np.cos(elevation) * math.cos(component.mean_elevation)
     out = a * np.exp(a * (dot - 1.0)) / (2.0 * math.pi * (1.0 - math.exp(-2.0 * a)))
-    return out if out.ndim else float(out)
-
-
-def spectrum_value(spectrum: AngularPowerSpectrum, elevation, azimuth):
-    """Spectrum value A^2 at (elevation, azimuth); vectorized over arrays.
-
-    The mixture is evaluated in one batch: the exponent of every component
-    is the 3-D dot product of the evaluation direction with the component's
-    mean direction, so all components reduce to a single matrix product.
-    """
-    elevation = np.asarray(elevation, dtype=float)
-    azimuth = np.asarray(azimuth, dtype=float)
-    elevation, azimuth = np.broadcast_arrays(elevation, azimuth)
-    means, alphas, coefs, constant = spectrum.mixture_arrays
-    sin_t = np.sin(elevation)
-    points = np.stack(
-        [sin_t * np.cos(azimuth), sin_t * np.sin(azimuth), np.cos(elevation)],
-        axis=-1,
-    )
-    out = np.full(elevation.shape, constant)
-    if means.size:
-        dots = points.reshape(-1, 3) @ means.T
-        out = out + (np.exp(alphas * (dots - 1.0)) @ coefs).reshape(elevation.shape)
     return out if out.ndim else float(out)
 
 

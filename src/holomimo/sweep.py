@@ -4,12 +4,13 @@ A sweep evaluates the mean and standard deviation of capacity over channel
 realizations for every spacing in the scenario.  Realizations are the outer
 loop and spacings the inner one: the users dropped in a realization, and the
 lattices of their rotated spectra, do not depend on the spacing, so they are
-built once per realization and shared by every spacing.  The plans' bases
-and R factors do not depend on the users, so there is one plan per spacing
-and each user carries only its own variance table.  Realizations use
-counter-based random streams keyed by (seed, realization index), so results
-are bitwise identical regardless of how many worker processes are used;
-aggregation assembles per-realization values in index order before reducing.
+built once per realization, in one quadrature pass per aperture for all
+users, and shared by every spacing.  The plans' bases and R factors do not
+depend on the users, so there is one plan per spacing and each user carries
+only its own variance table.  Realizations use counter-based random streams
+keyed by (seed, realization index), so results are bitwise identical
+regardless of how many worker processes are used; aggregation assembles
+per-realization values in index order before reducing.
 
 Capacity is evaluated on harmonic-domain channels
 (``synthesis.sample_harmonic_channel``), which have the singular values and
@@ -40,7 +41,7 @@ from .coupling import (
     load_sparams_file,
 )
 from .geometry import build_planar_array
-from .lattice import build_lattice, build_variance_table
+from .lattice import build_lattice, build_lattices, build_variance_table
 from .spectrum import (
     AngularPowerSpectrum,
     load_cdl_table,
@@ -142,23 +143,25 @@ class Scenario:
             mode = f"relative_eta={efficiency['eta']:.9g}"
         return mode, self.config.spectrum_spec["kind"], self.config.pattern_spec["kind"]
 
-    def user_lattices(self, drop):
-        """(departure, arrival) lattices of a dropped user's rotated spectra.
+    def realization_lattices(self, drops):
+        """(departure, arrival) lattices of each dropped user's rotated spectra.
 
-        The sector azimuth rotates the departure spectrum; the terminal
-        orientation rotates the arrival spectrum.  A spectrum that rotation
-        hands back unchanged (isotropic) keeps its unrotated lattice.
-        """
-        config = self.config
-        bs_spectrum, ue_spectrum = self.spectra
-        bs = rotate_spectrum(bs_spectrum, math.radians(drop.azimuth_deg))
-        ue = rotate_spectrum(ue_spectrum, math.radians(drop.orientation_deg))
-        return (
-            self.bs_lattice if bs is bs_spectrum
-            else build_lattice(config.bs_aperture, config.bs_aperture, bs),
-            self.ue_lattice if ue is ue_spectrum
-            else build_lattice(config.ue_aperture, config.ue_aperture, ue),
-        )
+        The sector azimuth rotates the departure spectrum and the terminal
+        orientation the arrival spectrum, each end's in one ``build_lattices``
+        pass.  A spectrum that rotation hands back unchanged (isotropic) keeps
+        the unrotated lattice, which is looked up only then."""
+        ends = []
+        for end, spectrum, angles in (
+            ("bs", self.spectra[0], [drop.azimuth_deg for drop in drops]),
+            ("ue", self.spectra[1], [drop.orientation_deg for drop in drops]),
+        ):
+            aperture = getattr(self.config, f"{end}_aperture")
+            rotated = [rotate_spectrum(spectrum, math.radians(a)) for a in angles]
+            changed = [s for s in rotated if s is not spectrum]
+            built = iter(build_lattices(aperture, aperture, changed))
+            ends.append([getattr(self, f"{end}_lattice") if s is spectrum
+                         else next(built) for s in rotated])
+        return list(zip(*ends))
 
     def plans(self, bs_lattice, ue_lattice):
         """Synthesis plans at every spacing for one lattice pair.
@@ -219,7 +222,7 @@ def _evaluate(scenario: Scenario, r: int):
     drops = drop_users(config.users, _drop_seed(config.seed, r))
     # Every lattice of the realization comes before any plan or QR work,
     # which would leave BLAS threads spinning through the Python quadrature.
-    lattices = [scenario.user_lattices(drop) for drop in drops]
+    lattices = scenario.realization_lattices(drops)
     user_plans = [scenario.plans(*pair) for pair in lattices]
     budget = 10.0 ** (config.snr_db / 10.0)
     out = []

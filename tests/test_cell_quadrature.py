@@ -5,7 +5,8 @@ all cells one bisection level at a time, with direction-cosine unit-vector
 nodes and VMF terms culled per tile by a spherical-cap bound.  The recursive
 per-tile rule below, with its angle round trip through ``spectrum_value``
 and no culling, is the oracle: every cell must agree within the adaptive
-rule's own tolerance.
+rule's own tolerance.  ``build_lattices`` runs the same rule for several
+spectra in one pass; each of its lattices must equal the solo build.
 """
 
 import json
@@ -21,6 +22,7 @@ from holomimo import (
     AngularPowerSpectrum,
     VmfComponent,
     build_lattice,
+    build_lattices,
     build_variance_table,
     concentration_from_spread,
     enumerate_lattice,
@@ -28,11 +30,11 @@ from holomimo import (
     marginal_integral,
     rotate_spectrum,
     spectra_from_cdl,
-    spectrum_value,
 )
 from holomimo.cli import main
 from holomimo.config import bundled_cdl_path
 from holomimo.errors import QuadratureNotConverged
+from spectrum_oracle import spectrum_value
 
 ISO = AngularPowerSpectrum.isotropic()
 CDL_BS, CDL_UE = spectra_from_cdl(
@@ -162,6 +164,74 @@ def test_marginal_integral_is_the_lattice_cell(index, aperture):
     )
 
 
+# Spectra that stop refining at different depths, so a shared pass holds
+# tiles that only some of them still need.  Spreads stay at 5 degrees and
+# above, clear of the narrow clusters a wide tile can miss.
+MIXED_DEPTHS = [
+    ISO,
+    *(rotate_spectrum(CDL_BS, a) for a in (-2.5, -0.4, 1.1)),
+    *(rotate_spectrum(CDL_UE, a) for a in (0.3, 2.9)),
+    single_vmf(5.0, 0.3, 0.8),
+    single_vmf(12.0, -1.9, 1.2),
+    single_vmf(20.0, 2.2, 0.2),
+    single_vmf(8.0, 1.0, 0.5 * math.pi + 0.2),
+]
+
+
+@pytest.mark.parametrize("aperture_x,aperture_y", [(1.0, 1.0), (2.5, 1.5), (4.0, 4.0)])
+def test_batched_lattices_equal_solo_builds(aperture_x, aperture_y):
+    batched = build_lattices(aperture_x, aperture_y, MIXED_DEPTHS)
+    assert len(batched) == len(MIXED_DEPTHS)
+    for lattice, spectrum in zip(batched, MIXED_DEPTHS):
+        solo = build_lattice(aperture_x, aperture_y, spectrum)
+        assert lattice.indices == solo.indices
+        np.testing.assert_allclose(
+            lattice.marginal_integrals, solo.marginal_integrals, rtol=1e-13, atol=0.0
+        )
+
+
+def test_copies_of_a_spectrum_share_every_tile(monkeypatch):
+    spectrum = rotate_spectrum(CDL_BS, 0.7)
+    rows = []
+    original = lat._tile_nodes
+
+    def recording(tiles):
+        rows.append(tiles.copy())
+        return original(tiles)
+
+    monkeypatch.setattr(lat, "_tile_nodes", recording)
+    (one,) = build_lattices(2.0, 2.0, [spectrum])
+    once = np.vstack(rows)
+    rows.clear()
+    five = build_lattices(2.0, 2.0, [spectrum] * 5)
+    np.testing.assert_array_equal(np.vstack(rows), once)
+    for lattice in five:
+        np.testing.assert_array_equal(lattice.marginal_integrals, one.marginal_integrals)
+
+
+def test_tiles_a_spectrum_accepted_get_no_vmf_term(monkeypatch):
+    original = lat._node_values
+    skipped = []
+
+    def checking(mixture, peaks, points, cap, pending):
+        values = original(mixture, peaks, points, cap, pending)
+        # A tile the spectrum no longer needs keeps the constant term alone.
+        assert np.all(values[~pending] == mixture[3])
+        skipped.append((~pending).sum())
+        return values
+
+    monkeypatch.setattr(lat, "_node_values", checking)
+    # The four children of a tile share their pending flags, so a batch of
+    # four tiles is needed by a spectrum as a whole; six mixes siblings.
+    monkeypatch.setattr(lat, "_BATCH_TILES", 6)
+    build_lattices(4.0, 4.0, MIXED_DEPTHS)
+    assert sum(skipped) > 0
+
+
+def test_no_spectra_build_no_lattices():
+    assert build_lattices(2.0, 2.0, []) == []
+
+
 def random_tiles(rng, count):
     """Tiles of random position and size, down to depth-14 widths."""
     u0 = rng.uniform(-1.0, 1.0, count)
@@ -192,7 +262,7 @@ def test_cap_bound_dominates_every_node_dot_product():
         near /= np.linalg.norm(near, axis=1, keepdims=True)
         all_means = np.vstack([means, near])
         largest = np.einsum("itm,ki->tkm", points, all_means).max(axis=2)
-        bound = lat._cap_bound(points, all_means)
+        bound = lat._cap_bound(lat._cap(points), all_means)
         assert np.all(bound >= largest)
         # No node beats a mean's largest dot product over the hemisphere.
         assert np.all(largest <= lat._hemisphere_peaks(all_means) + 1e-15)
@@ -233,6 +303,14 @@ def test_depth_cap_raises(monkeypatch):
     monkeypatch.setattr(lat, "_MAX_DEPTH", 0)
     with pytest.raises(QuadratureNotConverged, match="depth 0"):
         build_lattice(4.0, 4.0, CONCENTRATED)
+
+
+def test_depth_cap_raises_when_one_of_several_spectra_never_converges(monkeypatch):
+    monkeypatch.setattr(lat, "_MAX_DEPTH", 3)
+    others = [ISO, rotate_spectrum(CDL_UE, 0.3), single_vmf(20.0, 0.3, 0.8)]
+    assert len(build_lattices(4.0, 4.0, others)) == 3
+    with pytest.raises(QuadratureNotConverged, match="depth 3"):
+        build_lattices(4.0, 4.0, [*others[:2], CONCENTRATED, others[2]])
 
 
 def test_depth_cap_exits_4_without_traceback(tmp_path, monkeypatch, capsys):

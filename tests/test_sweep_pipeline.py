@@ -119,8 +119,18 @@ def test_rotated_lattices_are_built_once_per_user_and_realization(monkeypatch):
 
         return wrapped
 
+    def counting_spectra(original):
+        def wrapped(aperture_x, aperture_y, spectra):
+            calls.extend((aperture_x, aperture_y) for _ in spectra)
+            return original(aperture_x, aperture_y, spectra)
+
+        return wrapped
+
     monkeypatch.setattr(
         sweep_module, "build_lattice", counting(sweep_module.build_lattice)
+    )
+    monkeypatch.setattr(
+        sweep_module, "build_lattices", counting_spectra(sweep_module.build_lattices)
     )
     # Plans must reuse the sweep's lattices, never build their own.
     monkeypatch.setattr(synthesis, "build_lattice", counting(synthesis.build_lattice))

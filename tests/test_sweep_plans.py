@@ -76,7 +76,7 @@ def test_user_plans_equal_plans_built_on_their_own_lattices():
                          ue_aperture=1.5)
     scenario = resolve_scenario(config)
     drops = drop_users(config.users, _drop_seed(config.seed, 1))
-    lattices = [scenario.user_lattices(drop) for drop in drops]
+    lattices = scenario.realization_lattices(drops)
     user_plans = [scenario.plans(*pair) for pair in lattices]
     source, bs_mode, ue_mode = scenario._coupling_sources
     for s, spacing in enumerate(config.spacing_list):
@@ -107,8 +107,9 @@ def test_user_plans_equal_plans_built_on_their_own_lattices():
 
 def test_rotation_invariant_spectra_keep_the_unrotated_lattices():
     scenario = resolve_scenario(make_config())
-    for drop in drop_users(4, 3):
-        bs_lattice, ue_lattice = scenario.user_lattices(drop)
+    pairs = scenario.realization_lattices(drop_users(4, 3))
+    assert len(pairs) == 4
+    for bs_lattice, ue_lattice in pairs:
         assert bs_lattice is scenario.bs_lattice
         assert ue_lattice is scenario.ue_lattice
 
@@ -122,7 +123,14 @@ def test_cdl_multi_user_sweep_builds_no_unrotated_lattice(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "resolve_scenario", capturing)
     calls = count_calls(monkeypatch, sweep_module, "build_lattice")
+    batches = count_calls(monkeypatch, sweep_module, "build_lattices")
     run_sweep(make_config(spectrum_spec=CDL))
     unrotated = scenarios[0].spectra
-    assert len(calls) == 2 * BASE["users"] * BASE["realizations"]
-    assert not any(args[2] is spectrum for args in calls for spectrum in unrotated)
+    assert not calls
+    built = [spectrum for args in batches for spectrum in args[2]]
+    assert len(built) == 2 * BASE["users"] * BASE["realizations"]
+    assert not any(s is spectrum for s in built for spectrum in unrotated)
+    # Rotation changes every CDL spectrum, so the unrotated lattices are
+    # never evaluated.
+    assert "bs_lattice" not in scenarios[0].__dict__
+    assert "ue_lattice" not in scenarios[0].__dict__
