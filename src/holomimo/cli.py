@@ -71,7 +71,8 @@ def _print_or_emit(result, out, fmt):
             print(
                 f"warning: spacing {row.spacing_wl:.9g}: {row.not_converged} of "
                 f"{row.realizations} realizations stopped before the "
-                f"multi-user solver converged",
+                f"multi-user solver certified its optimality gap within "
+                f"max_iterations",
                 file=sys.stderr,
             )
 

@@ -26,6 +26,7 @@ __all__ = [
     "DimensionMismatch",
     "EmptyGains",
     "ZeroChannel",
+    "NonFiniteChannel",
 ]
 
 
@@ -120,3 +121,7 @@ class EmptyGains(NumericalError):
 
 class ZeroChannel(NumericalError):
     """Channel matrix is numerically zero; capacity undefined."""
+
+
+class NonFiniteChannel(NumericalError):
+    """Channel matrix has NaN or infinite entries; capacity undefined."""
