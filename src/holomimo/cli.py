@@ -133,6 +133,14 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _check_counts(args) -> None:
+    """Reject a negative realization index and fewer than one worker."""
+    if getattr(args, "realization", 0) < 0:
+        raise ConfigError(f"--realization must be >= 0, got {args.realization}")
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -142,6 +150,7 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
+        _check_counts(args)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

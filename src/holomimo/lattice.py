@@ -25,14 +25,16 @@ with np.bincount.  A batch's nodes, weights and caps depend only on its
 tiles, so they are computed once for every spectrum that needs them; each
 spectrum meets its tiles in the order a build of it alone would, so its
 sums are the same.  Nodes are direction-cosine unit vectors, so the VMF
-exponents are plain dot products.  A VMF term is skipped on a tile when it
-is below exp(-40) of its largest value on the upper hemisphere at every
-node, which a spherical cap around the tile's nodes shows: if the angle from
-the cap's centre to the term's mean exceeds the cap's radius by d, no node's
-dot product with the mean exceeds cos(d).  The largest value is the term's
-peak when its mean is on or above the horizon, and its value at the horizon
-otherwise, so a cluster behind the aperture keeps the tail that reaches the
-hemisphere.
+exponents are plain dot products: a spectrum is evaluated on each tile of
+a batch with one matrix product and one exp over the clusters that survive
+there, so a tile's temporaries hold its own clusters alone.  A VMF term
+is skipped on a tile when it is below exp(-40) of its largest value on the
+upper hemisphere at every node, which a spherical cap around the tile's
+nodes shows: if the angle from the cap's centre to the term's mean exceeds
+the cap's radius by d, no node's dot product with the mean exceeds cos(d).
+The largest value is the term's peak when its mean is on or above the
+horizon, and its value at the horizon otherwise, so a cluster behind the
+aperture keeps the tail that reaches the hemisphere.
 """
 
 from __future__ import annotations
@@ -263,18 +265,22 @@ def _node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray
 
     A VMF term is skipped on a tile that is not ``pending`` (T,), or where
     the cap bound puts alpha * (dot - peak) below -_CULL_EXPONENT at every
-    node, ``peaks`` being the terms' _hemisphere_peaks."""
+    node, ``peaks`` being the terms' _hemisphere_peaks.
+
+    Each tile's surviving terms are evaluated at its nodes with one matrix
+    product and one exp, and added onto the constant in term order."""
     means, alphas, coefs, constant = mixture
     values = np.full(points.shape[1:], constant)
     active = alphas * (_cap_bound(cap, means) - peaks) >= -_CULL_EXPONENT
     active &= pending[:, None]
-    for k in np.flatnonzero(active.any(axis=0)):
-        rows = active[:, k]
-        if rows.all():
-            rows = slice(None)
-        nodes = points[:, rows]
-        dots = (means[k] @ nodes.reshape(3, -1)).reshape(nodes.shape[1:])
-        values[rows] += coefs[k] * np.exp(alphas[k] * (dots - 1.0))
+    for tile in np.flatnonzero(active.any(axis=1)):
+        terms = np.flatnonzero(active[tile])
+        exponents = means[terms] @ points[:, tile]
+        exponents -= 1.0
+        exponents *= alphas[terms, None]
+        np.exp(exponents, out=exponents)
+        exponents *= coefs[terms, None]
+        exponents.sum(axis=0, initial=constant, out=values[tile])
     return values
 
 

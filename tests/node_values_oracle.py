@@ -1,0 +1,31 @@
+"""Spectrum at a tile batch's nodes, one VMF cluster at a time.
+
+``holomimo.lattice._node_values`` forms the exponents of all clusters that
+survive the cull on a tile with one matrix product and one ``exp``; this
+per-cluster loop, which gathers each cluster's surviving tiles and scatters
+its terms back, is the tests' oracle for it.
+"""
+
+import numpy as np
+
+import holomimo.lattice as lat
+
+
+def node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
+    """Spectrum at the nodes (3, T, m) of T tiles, shape (T, m).
+
+    A VMF term is skipped on a tile that is not ``pending`` (T,), or where
+    the cap bound puts alpha * (dot - peak) below -_CULL_EXPONENT at every
+    node, ``peaks`` being the terms' _hemisphere_peaks."""
+    means, alphas, coefs, constant = mixture
+    values = np.full(points.shape[1:], constant)
+    active = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
+    active &= pending[:, None]
+    for k in np.flatnonzero(active.any(axis=0)):
+        rows = active[:, k]
+        if rows.all():
+            rows = slice(None)
+        nodes = points[:, rows]
+        dots = (means[k] @ nodes.reshape(3, -1)).reshape(nodes.shape[1:])
+        values[rows] += coefs[k] * np.exp(alphas[k] * (dots - 1.0))
+    return values

@@ -6,17 +6,25 @@ nodes and VMF terms culled per tile by a spherical-cap bound.  The recursive
 per-tile rule below, with its angle round trip through ``spectrum_value``
 and no culling, is the oracle: every cell must agree within the adaptive
 rule's own tolerance.  ``build_lattices`` runs the same rule for several
-spectra in one pass; each of its lattices must equal the solo build.
+spectra in one pass; each of its lattices must equal the solo build.  A
+tile's node values come from one matrix product over the clusters that
+survive on it; the per-cluster loop in ``node_values_oracle`` is their
+oracle.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holomimo
 import holomimo.lattice as lat
 from holomimo import (
     AngularPowerSpectrum,
@@ -34,6 +42,8 @@ from holomimo import (
 from holomimo.cli import main
 from holomimo.config import bundled_cdl_path
 from holomimo.errors import QuadratureNotConverged
+from holomimo.spectrum import _ISOTROPIC_ALPHA
+from node_values_oracle import node_values
 from spectrum_oracle import spectrum_value
 
 ISO = AngularPowerSpectrum.isotropic()
@@ -190,6 +200,15 @@ def test_batched_lattices_equal_solo_builds(aperture_x, aperture_y):
         )
 
 
+def test_batched_lattices_are_bitwise_solo_builds():
+    # A spectrum's batches in a shared pass also hold tiles of other
+    # spectra; its node values, and so its cells, must not notice.
+    spectra = [*MIXED_DEPTHS, *(rotate_spectrum(CDL_BS, a) for a in (-1.7, 0.9, 2.6))]
+    for lattice, spectrum in zip(build_lattices(4.0, 4.0, spectra), spectra):
+        solo = build_lattice(4.0, 4.0, spectrum)
+        assert lattice.marginal_integrals.tobytes() == solo.marginal_integrals.tobytes()
+
+
 def test_copies_of_a_spectrum_share_every_tile(monkeypatch):
     spectrum = rotate_spectrum(CDL_BS, 0.7)
     rows = []
@@ -266,6 +285,101 @@ def test_cap_bound_dominates_every_node_dot_product():
         assert np.all(bound >= largest)
         # No node beats a mean's largest dot product over the hemisphere.
         assert np.all(largest <= lat._hemisphere_peaks(all_means) + 1e-15)
+
+
+def random_batch(rng):
+    """A batch of tiles, each a cell strip bisected 0 to 10 times."""
+    aperture = rng.uniform(0.5, 4.0)
+    indices = enumerate_lattice(aperture, aperture)
+    tiles = []
+    while len(tiles) < lat._BATCH_TILES:
+        index = indices[rng.integers(len(indices))]
+        strips = lat._cell_strips(index, aperture, aperture)
+        if not strips:
+            continue
+        tile = np.array([strips[rng.integers(len(strips))] + (0.0, 1.0)])
+        for _ in range(rng.integers(0, 11)):
+            tile = lat._quarter(tile)[rng.integers(4), None]
+        tiles.append(tile[0])
+    return np.array(tiles)
+
+
+def random_mixture(rng, with_constant):
+    """1-25 VMF clusters with means anywhere on the sphere and alpha from 5
+    up to a random ceiling of at most 5e4; ``with_constant`` adds a
+    component below the isotropic limit, which enters the mixture as its
+    constant term."""
+    count = rng.integers(1, 26)
+    weights = rng.uniform(0.1, 1.0, count + with_constant)
+    weights /= weights.sum()
+    ceiling = rng.uniform(0.0, 4.0)
+    components = [
+        VmfComponent(w, rng.uniform(-math.pi, math.pi), math.acos(rng.uniform(-1, 1)),
+                     5.0 * 10.0 ** rng.uniform(0.0, ceiling))
+        for w in weights[:count]
+    ]
+    if with_constant:
+        components.append(VmfComponent(weights[count], 0.0, 1.0, 0.5 * _ISOTROPIC_ALPHA))
+    return AngularPowerSpectrum.mixture(components).mixture_arrays
+
+
+def test_node_values_match_the_per_cluster_loop():
+    rng = np.random.default_rng(10)
+    for draw in range(240):
+        mixture = random_mixture(rng, with_constant=draw % 4 == 0)
+        means, alphas, _coefs, constant = mixture
+        assert (constant > 0.0) == (draw % 4 == 0)
+        peaks = lat._hemisphere_peaks(means)
+        points, _weights = lat._tile_nodes(random_batch(rng))
+        cap = lat._cap(points)
+        pending = rng.random(lat._BATCH_TILES) < (0.0, 0.5, 1.0)[draw % 3]
+        got = lat._node_values(mixture, peaks, points, cap, pending)
+        expected = node_values(mixture, peaks, points, cap, pending)
+        # Both round each dot product to about an ulp of 1, in a different
+        # order, and exp(alpha * (dot - 1)) turns that into alpha ulps of
+        # relative change: 1e-13 up to alpha ~ 110, ~1e-11 at alpha 5e4.
+        rtol = max(1e-13, 4.0 * np.finfo(float).eps * alphas.max())
+        np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0)
+        survivors = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
+        bare = ~pending | ~survivors.any(axis=1)
+        assert np.all(got[bare] == constant)
+        assert np.all(expected[bare] == constant)
+
+
+def test_lattices_do_not_depend_on_the_blas_thread_count():
+    # Rotated CDL-B lattices of both link ends, built here with the default
+    # BLAS threads and in a single-threaded child process.
+    script = """
+import sys
+import numpy as np
+from holomimo import build_lattices, load_cdl_table, rotate_spectrum, spectra_from_cdl
+from holomimo.config import bundled_cdl_path
+ends = spectra_from_cdl(load_cdl_table(bundled_cdl_path())[0], asd_deg=10.0, asa_deg=20.0)
+for aperture, spectrum in zip((4.0, 1.0), ends):
+    rotated = [rotate_spectrum(spectrum, a) for a in np.linspace(-2.0, 2.5, 5)]
+    for lattice in build_lattices(aperture, aperture, rotated):
+        sys.stdout.write(lattice.marginal_integrals.tobytes().hex() + "\\n")
+"""
+    package_root = str(Path(holomimo.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        ),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    single_threaded = proc.stdout.split()
+    here = []
+    for aperture, spectrum in ((4.0, CDL_BS), (1.0, CDL_UE)):
+        rotated = [rotate_spectrum(spectrum, a) for a in np.linspace(-2.0, 2.5, 5)]
+        here += [lattice.marginal_integrals.tobytes().hex()
+                 for lattice in build_lattices(aperture, aperture, rotated)]
+    assert len(here) == 10
+    assert single_threaded == here
 
 
 @pytest.mark.parametrize(

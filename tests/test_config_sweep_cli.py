@@ -424,5 +424,28 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert spec_name in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["synth", "--out", "h.csv", "--realization", "-1"], "--realization"),
+            (["capacity", "su", "--jobs", "0"], "--jobs"),
+            (["capacity", "su", "--jobs", "-3"], "--jobs"),
+            (["sweep", "--preset", "fig3-cdlb", "--jobs", "0"], "--jobs"),
+            (["sweep", "--preset", "fig3-cdlb", "--jobs", "-3"], "--jobs"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "_".join(v[:1] + v[-2:]),
+    )
+    def test_out_of_range_counts_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "h.csv"
+        argv = [str(out) if a == "h.csv" else a for a in argv]
+        if argv[0] != "sweep":
+            argv += ["--config", str(self.write_config(tmp_path))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be >= ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_integral_float_count_is_accepted(self):
         assert make_config(realizations=2.0).realizations == 2
