@@ -35,7 +35,6 @@ from .lattice import (
     enumerate_lattice,
     harmonic_angles,
     harmonic_vector,
-    marginal_integral,
 )
 from .spectrum import (
     AngularPowerSpectrum,
@@ -52,7 +51,6 @@ from .synthesis import (
     ChannelRealization,
     SynthesisPlan,
     build_plan,
-    expected_frobenius,
     sample_channel,
 )
 

@@ -98,6 +98,10 @@ class ScenarioConfig:
             raise ConfigError("realizations must be >= 1")
         if self.users < 1:
             raise ConfigError("users must be >= 1")
+        if self.seed < 0:
+            # Streams key the seed as an unsigned 64-bit word, so -1 would
+            # draw the channels of 2**64 - 1 under a row that says -1.
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for spec_name in ("spectrum_spec", "pattern_spec", "efficiency_spec"):
             spec = getattr(self, spec_name)
             if not isinstance(spec, dict) or "kind" not in spec:

@@ -61,7 +61,6 @@ __all__ = [
     "VarianceTable",
     "enumerate_lattice",
     "harmonic_angles",
-    "marginal_integral",
     "build_lattice",
     "build_lattices",
     "build_variance_table",
@@ -347,22 +346,6 @@ def _quarter(tiles: np.ndarray) -> np.ndarray:
     return np.stack(
         [np.stack((u0, u1, *child), axis=1) for child in children], axis=1
     ).reshape(-1, 6)
-
-
-def marginal_integral(
-    index,
-    spectrum: AngularPowerSpectrum,
-    aperture_x: float,
-    aperture_y: float,
-) -> float:
-    """Spectrum-weighted solid angle captured by one harmonic's cell.
-
-    Integrates A^2 / sqrt(1 - u^2 - v^2) over the harmonic's direction-cosine
-    cell intersected with the open unit disk (upper hemisphere).  Returns 0
-    for in-ellipse harmonics whose cell lies entirely outside the disk.
-    """
-    strips = _cell_strips(index, aperture_x, aperture_y)
-    return float(_cell_integrals([spectrum], [strips])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)

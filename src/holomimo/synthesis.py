@@ -34,7 +34,7 @@ from .lattice import (
 )
 
 __all__ = ["SynthesisPlan", "ChannelRealization", "build_plan", "sample_channel",
-           "sample_harmonic_channel", "expected_frobenius", "MASK64"]
+           "sample_harmonic_channel", "MASK64"]
 
 # Seeds and counters enter every random stream as unsigned 64-bit words.
 MASK64 = (1 << 64) - 1
@@ -185,19 +185,3 @@ def sample_harmonic_channel(
     scale = np.sqrt(plan.ue_count * plan.bs_count)
     return scale * (plan.ue_r @ coeffs @ plan.bs_r.conj().T)
 
-
-def expected_frobenius(plan: SynthesisPlan) -> float:
-    """Closed-form expected squared Frobenius norm of a realization.
-
-    E||H||^2 = N_R*N_S * sum over harmonic pairs of sigma^2(l, m) *
-    ||Gamma_R psi_R(l)||^2 * ||Gamma_S psi_S(m)||^2; serves as the moment
-    oracle for the sampler.
-    """
-    ue_norms = np.sum(
-        np.abs(plan.ue_amplitudes[:, None] * plan.ue_basis) ** 2, axis=0
-    )
-    bs_norms = np.sum(
-        np.abs(plan.bs_amplitudes[:, None] * plan.bs_basis) ** 2, axis=0
-    )
-    variances = plan.variance_table.variances()
-    return float(plan.ue_count * plan.bs_count * (ue_norms @ variances @ bs_norms))

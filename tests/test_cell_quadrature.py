@@ -35,7 +35,6 @@ from holomimo import (
     concentration_from_spread,
     enumerate_lattice,
     load_cdl_table,
-    marginal_integral,
     rotate_spectrum,
     spectra_from_cdl,
 )
@@ -43,6 +42,7 @@ from holomimo.cli import main
 from holomimo.config import bundled_cdl_path
 from holomimo.errors import QuadratureNotConverged
 from holomimo.spectrum import _ISOTROPIC_ALPHA
+from marginal_integral_oracle import marginal_integral
 from node_values_oracle import node_values
 from spectrum_oracle import spectrum_value
 

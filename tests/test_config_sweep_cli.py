@@ -385,6 +385,7 @@ class TestCli:
             {"users": True},
             {"seed": 0.5},
             {"seed": False},
+            {"seed": -1},
         ],
         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -445,6 +446,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} must be >= ")
         assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_sweep_seed_exits_2(self, tmp_path, capsys):
+        # Streams key the seed modulo 2**64; -1 must not run as 2**64 - 1.
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "--preset", "fig3-cdlb", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_integral_float_count_is_accepted(self):

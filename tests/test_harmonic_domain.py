@@ -23,7 +23,6 @@ from holomimo import (
     build_plan,
     build_planar_array,
     drop_users,
-    expected_frobenius,
     harmonic_angles,
     harmonic_vector,
     load_cdl_table,
@@ -36,6 +35,7 @@ from holomimo import (
 )
 from holomimo.config import bundled_cdl_path
 from holomimo.synthesis import sample_harmonic_channel
+from expected_frobenius_oracle import expected_frobenius
 
 ISO = AngularPowerSpectrum.isotropic()
 CDL_BS, CDL_UE = spectra_from_cdl(

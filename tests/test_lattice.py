@@ -14,9 +14,9 @@ from holomimo import (
     enumerate_lattice,
     harmonic_angles,
     harmonic_vector,
-    marginal_integral,
 )
 from holomimo.errors import DegenerateSpectrum, IndexOutsideEllipse
+from marginal_integral_oracle import marginal_integral
 
 ISO = AngularPowerSpectrum.isotropic()
 TWO_PI = 2.0 * math.pi

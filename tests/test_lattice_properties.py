@@ -12,6 +12,7 @@ from holomimo import (
     AngularPowerSpectrum,
     VmfComponent,
     build_lattice,
+    build_variance_table,
     concentration_from_spread,
     load_cdl_table,
     rotate_spectrum,
@@ -84,6 +85,20 @@ def test_mixture_total_is_invariant_under_azimuth_rotation(
         aperture_x, aperture_y, rotate_spectrum(spectrum, offset)
     ).total_integral
     assert rotated == pytest.approx(base, rel=1e-6, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spectrum=mixtures, offset=azimuths)
+def test_a_1_wavelength_end_normalizes_to_the_broadside_indicator(spectrum, offset):
+    # Only the broadside cell of a 1-wavelength aperture meets the unit disk,
+    # so whatever the rotation, the variance table puts all of that end's
+    # variance on (0, 0); the sweep keeps the unrotated lattice there.
+    ue = build_lattice(1.0, 1.0, rotate_spectrum(spectrum, offset))
+    table = build_variance_table(build_lattice(1.5, 1.5, ISO), ue)
+    indicator = [float(index == (0, 0)) for index in ue.indices]
+    np.testing.assert_allclose(
+        table.variances().sum(axis=1), indicator, rtol=0.0, atol=1e-15
+    )
 
 
 @pytest.mark.xfail(

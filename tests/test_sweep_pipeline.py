@@ -2,6 +2,7 @@
 non-convergence warnings."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,9 @@ def test_rendered_sweep_is_byte_identical_across_jobs(users, spectrum):
     assert rendered(users, spectrum, 1) == rendered(users, spectrum, 2)
 
 
-def test_rotated_lattices_are_built_once_per_user_and_realization(monkeypatch):
+def lattice_builds(monkeypatch, ue_aperture):
+    """(aperture_x, aperture_y) of every lattice a 3-user CDL sweep builds,
+    and its config."""
     from holomimo import synthesis
 
     calls = []
@@ -134,9 +137,22 @@ def test_rotated_lattices_are_built_once_per_user_and_realization(monkeypatch):
     )
     # Plans must reuse the sweep's lattices, never build their own.
     monkeypatch.setattr(synthesis, "build_lattice", counting(synthesis.build_lattice))
-    config = golden_config(users=3, spectrum="cdl")
+    config = replace(golden_config(users=3, spectrum="cdl"), ue_aperture=ue_aperture)
     run_sweep(config)
     assert len(config.spacing_list) == 2
+    return calls, config
+
+
+def test_rotated_lattices_are_built_once_per_user_and_realization(monkeypatch):
+    # Only the broadside cell of a 1-wavelength UE aperture meets the unit
+    # disk, so every user there keeps the one unrotated UE lattice.
+    calls, config = lattice_builds(monkeypatch, ue_aperture=1.0)
+    assert len(calls) == config.users * config.realizations + 1
+    assert calls.count((1.0, 1.0)) == 1
+
+
+def test_both_ends_are_rotated_at_a_2_wavelength_ue(monkeypatch):
+    calls, config = lattice_builds(monkeypatch, ue_aperture=2.0)
     assert len(calls) == 2 * config.users * config.realizations
 
 

@@ -114,7 +114,9 @@ def test_rotation_invariant_spectra_keep_the_unrotated_lattices():
         assert ue_lattice is scenario.ue_lattice
 
 
-def test_cdl_multi_user_sweep_builds_no_unrotated_lattice(monkeypatch):
+def cdl_lattice_builds(monkeypatch, ue_aperture):
+    """(scenario, build_lattice calls, spectra built by build_lattices) of a
+    3-user CDL sweep."""
     scenarios = []
 
     def capturing(config):
@@ -124,13 +126,52 @@ def test_cdl_multi_user_sweep_builds_no_unrotated_lattice(monkeypatch):
     monkeypatch.setattr(sweep_module, "resolve_scenario", capturing)
     calls = count_calls(monkeypatch, sweep_module, "build_lattice")
     batches = count_calls(monkeypatch, sweep_module, "build_lattices")
-    run_sweep(make_config(spectrum_spec=CDL))
-    unrotated = scenarios[0].spectra
-    assert not calls
+    run_sweep(make_config(spectrum_spec=CDL, ue_aperture=ue_aperture))
     built = [spectrum for args in batches for spectrum in args[2]]
-    assert len(built) == 2 * BASE["users"] * BASE["realizations"]
-    assert not any(s is spectrum for s in built for spectrum in unrotated)
-    # Rotation changes every CDL spectrum, so the unrotated lattices are
+    assert not any(s is spectrum for s in built for spectrum in scenarios[0].spectra)
+    # Rotation changes every CDL spectrum, so the unrotated BS lattice is
     # never evaluated.
     assert "bs_lattice" not in scenarios[0].__dict__
-    assert "ue_lattice" not in scenarios[0].__dict__
+    return scenarios[0], calls, built
+
+
+def test_cdl_multi_user_sweep_builds_no_unrotated_lattice(monkeypatch):
+    # A 1-wavelength UE aperture has one cell in the unit disk, which
+    # rotation cannot reweight: its one unrotated lattice serves every user,
+    # and no rotated UE lattice is built.
+    scenario, calls, built = cdl_lattice_builds(monkeypatch, ue_aperture=1.0)
+    assert len(calls) == 1 and calls[0][2] is scenario.spectra[1]
+    assert len(built) == BASE["users"] * BASE["realizations"]
+    for _, ue_lattice in scenario.realization_lattices(drop_users(3, 0)):
+        assert ue_lattice is scenario.ue_lattice
+
+
+def test_cdl_multi_user_sweep_at_a_2_wavelength_ue_rotates_both_ends(monkeypatch):
+    scenario, calls, built = cdl_lattice_builds(monkeypatch, ue_aperture=2.0)
+    assert not calls
+    assert len(built) == 2 * BASE["users"] * BASE["realizations"]
+    assert "ue_lattice" not in scenario.__dict__
+
+
+def test_block_lattices_equal_lattices_built_one_realization_at_a_time(monkeypatch):
+    # Realizations 0-5 span two blocks of the chunk; the per-realization
+    # pass is the oracle for every lattice of the block pass.
+    config = make_config(spectrum_spec=CDL, ue_aperture=2.0)
+    evaluated = []
+    monkeypatch.setattr(
+        sweep_module, "_evaluate",
+        lambda scenario, r, drops, lattices: evaluated.append((r, drops, lattices)),
+    )
+    passes = count_calls(monkeypatch, sweep_module, "build_lattices")
+    sweep_module._evaluate_chunk((resolve_scenario(config), range(6)))
+    assert [r for r, _, _ in evaluated] == list(range(6))
+    # One pass per aperture and block: 4 and then 2 realizations of 3 users.
+    assert [len(args[2]) for args in passes] == [4 * 3] * 2 + [2 * 3] * 2
+    oracle = resolve_scenario(config)
+    for r, drops, lattices in evaluated:
+        assert drops == drop_users(config.users, _drop_seed(config.seed, r))
+        for pair, alone in zip(lattices, oracle.realization_lattices(drops), strict=True):
+            for lattice, reference in zip(pair, alone):
+                np.testing.assert_array_equal(
+                    lattice.marginal_integrals, reference.marginal_integrals
+                )

@@ -10,10 +10,10 @@ from holomimo import (
     build_plan,
     build_planar_array,
     enumerate_lattice,
-    expected_frobenius,
     harmonic_vector,
     sample_channel,
 )
+from expected_frobenius_oracle import expected_frobenius
 
 ISO = AngularPowerSpectrum.isotropic()
 UNIFORM = ElementPattern.uniform()
