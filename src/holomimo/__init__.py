@@ -44,7 +44,6 @@ from .spectrum import (
     load_cdl_table,
     rotate_spectrum,
     spectra_from_cdl,
-    vmf_density,
 )
 from .sweep import SweepResult, SweepRow, emit, render, run_sweep
 from .synthesis import (

@@ -12,7 +12,8 @@ from dataclasses import replace
 
 from .config import PRESET_NAMES, load_config, preset
 from .errors import ConfigError, InputFileError, NumericalError
-from .sweep import emit, render, resolve_scenario, run_sweep
+from .lattice import build_lattice
+from .sweep import emit, one_blas_thread, render, resolve_scenario, run_sweep
 from .synthesis import sample_channel
 
 EXIT_OK = 0
@@ -78,8 +79,12 @@ def _print_or_emit(result, out, fmt):
 
 
 def _cmd_lattice(args) -> int:
+    # The quadrature integrals, also at an end whose sweeps need only the
+    # indicator of its one cell in the unit disk.
     scenario = resolve_scenario(load_config(args.config))
-    lattice = scenario.bs_lattice if args.end == "bs" else scenario.ue_lattice
+    aperture = getattr(scenario.config, f"{args.end}_aperture")
+    spectrum = scenario.spectra[0 if args.end == "bs" else 1]
+    lattice = build_lattice(aperture, aperture, spectrum)
     lines = ["ix,iy,integral"] + [
         f"{idx.ix},{idx.iy},{format(val, '.9g')}"
         for idx, val in zip(lattice.indices, lattice.marginal_integrals)
@@ -142,6 +147,7 @@ def _check_counts(args) -> None:
 
 
 def main(argv=None) -> int:
+    one_blas_thread()
     args = _build_parser().parse_args(argv)
     handlers = {
         "lattice": _cmd_lattice,

@@ -35,6 +35,11 @@ the cap's radius by d, no node's dot product with the mean exceeds cos(d).
 The largest value is the term's peak when its mean is on or above the
 horizon, and its value at the horizon otherwise, so a cluster behind the
 aperture keeps the tail that reaches the hemisphere.
+
+An aperture with one cell in the unit disk (1 wavelength) needs no
+quadrature for a variance table, which normalizes that cell's integral
+away: ``indicator_lattice`` checks in closed form that the spectrum is
+positive somewhere on the hemisphere and puts 1 on that cell.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ __all__ = [
     "build_lattice",
     "build_lattices",
     "build_variance_table",
+    "indicator_lattice",
     "harmonic_vector",
 ]
 
@@ -179,6 +185,14 @@ def _cell_strips(index, aperture_x, aperture_y) -> list[tuple]:
     return [(u0, u1, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
+def _disk_cells(aperture_x: float, aperture_y: float) -> np.ndarray:
+    """1.0 for each harmonic of enumerate_lattice whose cell meets the unit
+    disk, else 0.0."""
+    return np.array([bool(_cell_strips(index, aperture_x, aperture_y))
+                     for index in enumerate_lattice(aperture_x, aperture_y)],
+                    dtype=float)
+
+
 def _tile_nodes(tiles: np.ndarray):
     """Nodes and weights of the coarse and the fine tensor Gauss-Legendre
     rule on each tile.
@@ -257,6 +271,19 @@ def _hemisphere_peaks(means: np.ndarray) -> np.ndarray:
     1 for a mean on or above the horizon, else the sine of its elevation,
     reached at the horizon."""
     return np.where(means[:, 2] >= 0.0, 1.0, np.hypot(means[:, 0], means[:, 1]))
+
+
+def _hemisphere_maximum(spectrum: AngularPowerSpectrum) -> float:
+    """constant + max_k coef_k * exp(alpha_k * (peak_k - 1)), with the terms'
+    _hemisphere_peaks: the largest value on the upper hemisphere of the
+    spectrum's constant plus any one term.
+
+    It is 0 exactly when every term is 0 at its largest, and no quadrature
+    node can exceed that, so the cell integrals then vanish too.  A rotation
+    about broadside keeps every peak, and so this value."""
+    means, alphas, coefs, constant = spectrum.mixture_arrays
+    terms = coefs * np.exp(alphas * (_hemisphere_peaks(means) - 1.0))
+    return constant + terms.max(initial=0.0)
 
 
 def _node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
@@ -382,6 +409,29 @@ def build_lattices(
     strips = [_cell_strips(index, aperture_x, aperture_y) for index in indices]
     integrals = _cell_integrals(spectra, strips)
     return [SpectralLattice(aperture_x, aperture_y, indices, row) for row in integrals]
+
+
+def indicator_lattice(
+    aperture_x: float, aperture_y: float, spectrum: AngularPowerSpectrum
+) -> SpectralLattice:
+    """The lattice of an aperture with one cell in the unit disk, as the
+    variance table sees it: 1 on that cell, 0 on the others.
+
+    The table normalizes each end by its total, and all of a spectrum's
+    hemisphere mass falls in that one cell, so the quadrature's value there
+    reaches the table only through whether it is positive, which
+    _hemisphere_maximum decides without one: DegenerateSpectrum where it is
+    0 in floating point."""
+    indices = tuple(enumerate_lattice(aperture_x, aperture_y))
+    cells = _disk_cells(aperture_x, aperture_y)
+    if cells.sum() != 1.0:
+        raise ValueError(
+            f"aperture ({aperture_x}, {aperture_y}) has {cells.sum():g} cells "
+            f"in the unit disk, not one"
+        )
+    if _hemisphere_maximum(spectrum) == 0.0:
+        raise DegenerateSpectrum("spectrum vanishes on the visible hemisphere")
+    return SpectralLattice(aperture_x, aperture_y, indices, cells)
 
 
 @dataclass(frozen=True, eq=False)

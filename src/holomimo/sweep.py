@@ -9,11 +9,16 @@ a block are dropped first, and the lattices of all of them are built in one
 quadrature pass per aperture before the block's realizations are evaluated
 in index order.  The plans' bases and R factors do not depend on the users,
 so there is one plan per spacing and each user carries only its own
-variance table.  Realizations use counter-based random streams keyed by
-(seed, realization index), and each lattice is bitwise the one its spectrum
-gets alone, so results are bitwise identical regardless of how many worker
-processes are used; aggregation assembles per-realization values in index
-order before reducing.
+variance table.  A link end with one cell in the unit disk (``inert_ends``,
+the presets' 1-wavelength receive aperture) builds no lattice: the variance
+table normalizes any spectrum there to the indicator of that cell, so every
+user shares its ``indicator_lattice``; ``holo lattice`` still integrates
+it.  Processes run OpenBLAS on one thread (``one_blas_thread``).
+Realizations use counter-based random streams keyed by (seed, realization
+index), and each lattice is bitwise the one its spectrum gets alone, so
+results are bitwise identical regardless of how many worker processes are
+used; aggregation assembles per-realization values in index order before
+reducing.
 
 Capacity is evaluated on harmonic-domain channels
 (``synthesis.sample_harmonic_channel``), which have the singular values and
@@ -24,6 +29,7 @@ not on the user's rotated spectrum.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -45,11 +51,11 @@ from .coupling import (
 )
 from .geometry import build_planar_array
 from .lattice import (
-    _cell_strips,
+    _disk_cells,
     build_lattice,
     build_lattices,
     build_variance_table,
-    enumerate_lattice,
+    indicator_lattice,
 )
 from .spectrum import (
     AngularPowerSpectrum,
@@ -118,13 +124,20 @@ class Scenario:
 
     @cached_property
     def bs_lattice(self):
-        aperture = self.config.bs_aperture
-        return build_lattice(aperture, aperture, self.spectra[0])
+        return self._lattice("bs", self.spectra[0])
 
     @cached_property
     def ue_lattice(self):
-        aperture = self.config.ue_aperture
-        return build_lattice(aperture, aperture, self.spectra[1])
+        return self._lattice("ue", self.spectra[1])
+
+    def _lattice(self, end, spectrum):
+        """The lattice of an unrotated spectrum that the variance table
+        sees: at an inert end the quadrature-free indicator_lattice, else
+        the quadrature of build_lattice."""
+        aperture = getattr(self.config, f"{end}_aperture")
+        if end in self.inert_ends:
+            return indicator_lattice(aperture, aperture, spectrum)
+        return build_lattice(aperture, aperture, spectrum)
 
     @cached_property
     def _coupling_sources(self):
@@ -159,16 +172,16 @@ class Scenario:
 
     @cached_property
     def inert_ends(self):
-        """Link ends whose normalized variances no user rotation can change.
+        """Link ends whose normalized variances no spectrum can change.
 
-        An aperture with at most one cell that meets the unit disk (at 1
+        An aperture with one cell that meets the unit disk (at 1
         wavelength, the broadside cell) holds the end's whole hemisphere
-        mass there, which azimuth rotation keeps, so the variance table
-        normalizes that end to the same indicator for every user."""
+        mass there, so the variance table normalizes that end to the same
+        indicator for every spectrum and every user rotation."""
         return frozenset(
             end for end, a in (("bs", self.config.bs_aperture),
                                ("ue", self.config.ue_aperture))
-            if sum(bool(_cell_strips(i, a, a)) for i in enumerate_lattice(a, a)) <= 1
+            if _disk_cells(a, a).sum() == 1.0
         )
 
     def realization_lattices(self, drops):
@@ -179,7 +192,7 @@ class Scenario:
         pass.  An inert end (``inert_ends``) and a spectrum that rotation
         hands back unchanged (isotropic) keep the unrotated lattice, which
         is looked up only then; its ``DegenerateSpectrum`` check covers
-        every user, since rotation keeps the hemisphere mass."""
+        every user, since rotation keeps the hemisphere mass and peak."""
         ends = []
         for end, spectrum, angles in (
             ("bs", self.spectra[0], [drop.azimuth_deg for drop in drops]),
@@ -225,6 +238,24 @@ class Scenario:
 def resolve_scenario(config: ScenarioConfig) -> Scenario:
     """Validate a config and return the Scenario that builds its objects."""
     return Scenario(config.validate())
+
+
+def one_blas_thread() -> None:
+    """Run numpy's OpenBLAS on one thread in this process.
+
+    The sweep's matrices are small and its quadrature is Python-paced, so
+    extra BLAS threads only spin, stall the plan QRs and, under ``--jobs``,
+    crowd the workers; and the QRs' rounding depends on the thread count.
+    A no-op when the library does not export the setter."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        setter = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
 
 
 def _chunks(count: int, parts: int):
@@ -305,7 +336,8 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
     if jobs <= 1 or len(tasks) <= 1:
         chunks = [_evaluate_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks),
+                                 initializer=one_blas_thread) as pool:
             chunks = list(pool.map(_evaluate_chunk, tasks))
     per_realization = [pairs for chunk in chunks for pairs in chunk]
 

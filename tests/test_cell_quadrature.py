@@ -347,8 +347,9 @@ def test_node_values_match_the_per_cluster_loop():
 
 
 def test_lattices_do_not_depend_on_the_blas_thread_count():
-    # Rotated CDL-B lattices of both link ends, built here with the default
-    # BLAS threads and in a single-threaded child process.
+    # Rotated CDL-B lattices of both link ends, built here and in child
+    # processes with one and with two BLAS threads (``holo`` runs on one, so
+    # after a CLI test this process may too).
     script = """
 import sys
 import numpy as np
@@ -361,18 +362,22 @@ for aperture, spectrum in zip((4.0, 1.0), ends):
         sys.stdout.write(lattice.marginal_integrals.tobytes().hex() + "\\n")
 """
     package_root = str(Path(holomimo.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        ),
-    }
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    single_threaded = proc.stdout.split()
+    children = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [package_root, os.environ.get("PYTHONPATH")])
+            ),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        children.append(proc.stdout.split())
+    single_threaded, two_threads = children
+    assert two_threads == single_threaded
     here = []
     for aperture, spectrum in ((4.0, CDL_BS), (1.0, CDL_UE)):
         rotated = [rotate_spectrum(spectrum, a) for a in np.linspace(-2.0, 2.5, 5)]

@@ -7,6 +7,8 @@ import shutil
 import pytest
 
 from holomimo import (
+    AngularPowerSpectrum,
+    build_lattice,
     config_from_dict,
     emit,
     load_config,
@@ -372,6 +374,38 @@ class TestCli:
             tmp_path, pattern_spec={"kind": "dipole"}, realizations=1
         )
         assert main(["capacity", "su", "--config", str(config)]) == 4
+
+    @pytest.mark.parametrize("mode,users", [("su", 1), ("mu", 3)])
+    def test_dark_receive_spectrum_exits_4(self, tmp_path, capsys, mode, users):
+        # Arrival clusters 5 and 15 degrees from the antipode with a
+        # 5-degree spread: the 1-wavelength end's spectrum is 0 in floating
+        # point on the whole hemisphere, which no lattice is needed to see.
+        table = tmp_path / "dark.csv"
+        table.write_text(
+            "cluster_id,power_db,aod_deg,zod_deg,aoa_deg,zoa_deg\n"
+            "1,0,20,45,30,175\n2,-3,-40,30,-60,165\n"
+        )
+        spectrum = {"kind": "cdl", "path": str(table), "asd_deg": 10.0,
+                    "asa_deg": 5.0}
+        config = self.write_config(tmp_path, spectrum_spec=spectrum, users=users)
+        assert main(["capacity", mode, "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "vanish" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_lattice_command_integrates_a_1_wavelength_end(self, tmp_path, capsys):
+        # Sweeps see the 1-wavelength end as the indicator of its broadside
+        # cell; ``holo lattice`` still prints the quadrature integrals.
+        config = self.write_config(tmp_path)
+        assert main(["lattice", "--config", str(config), "--end", "ue"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        quadrature = build_lattice(1.0, 1.0, AngularPowerSpectrum.isotropic())
+        assert rows == [
+            [str(index.ix), str(index.iy), format(value, ".9g")]
+            for index, value in zip(quadrature.indices, quadrature.marginal_integrals)
+        ]
+        assert float(rows[2][2]) == pytest.approx(2.0 * math.pi, rel=1e-6)
 
     @pytest.mark.parametrize(
         "overrides",

@@ -2,12 +2,14 @@
 invariance under rotations about broadside."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holomimo.lattice as lat
 from holomimo import (
     AngularPowerSpectrum,
     VmfComponent,
@@ -19,6 +21,7 @@ from holomimo import (
     spectra_from_cdl,
 )
 from holomimo.config import bundled_cdl_path
+from holomimo.errors import DegenerateSpectrum
 
 ISO = AngularPowerSpectrum.isotropic()
 CDL_ROWS = load_cdl_table(bundled_cdl_path())[0]
@@ -92,12 +95,59 @@ def test_mixture_total_is_invariant_under_azimuth_rotation(
 def test_a_1_wavelength_end_normalizes_to_the_broadside_indicator(spectrum, offset):
     # Only the broadside cell of a 1-wavelength aperture meets the unit disk,
     # so whatever the rotation, the variance table puts all of that end's
-    # variance on (0, 0); the sweep keeps the unrotated lattice there.
-    ue = build_lattice(1.0, 1.0, rotate_spectrum(spectrum, offset))
-    table = build_variance_table(build_lattice(1.5, 1.5, ISO), ue)
+    # variance on (0, 0); the sweep gives every user the indicator there.
+    rotated = rotate_spectrum(spectrum, offset)
+    ue = build_lattice(1.0, 1.0, rotated)
+    bs = build_lattice(1.5, 1.5, ISO)
+    if lat._hemisphere_maximum(rotated) == 0.0:
+        # Every term underflows at its hemisphere peak (exp(-1557) for one
+        # 5-degree cluster at elevation 3.0), so no cell keeps any mass.
+        with pytest.raises(DegenerateSpectrum):
+            build_variance_table(bs, ue)
+        return
+    table = build_variance_table(bs, ue)
     indicator = [float(index == (0, 0)) for index in ue.indices]
     np.testing.assert_allclose(
         table.variances().sum(axis=1), indicator, rtol=0.0, atol=1e-15
+    )
+
+
+# Clusters behind the aperture, narrow enough that their tail reaching the
+# hemisphere can underflow.
+behind = st.lists(
+    st.tuples(st.floats(0.1, 1.0), azimuths, st.floats(2.3, math.pi),
+              st.floats(5.0, 7.0)),
+    min_size=1,
+    max_size=3,
+).map(vmf_mixture)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectrum=st.one_of(mixtures, behind), offset=azimuths)
+def test_the_indicator_table_is_the_quadrature_table_at_1_wavelength(spectrum, offset):
+    # The sweep's indicator lattice gives the quadrature's variance table,
+    # and its closed form raises exactly where the quadrature keeps no mass.
+    rotated = rotate_spectrum(spectrum, offset)
+    quadrature = build_lattice(1.0, 1.0, rotated)
+    largest = lat._hemisphere_maximum(rotated)
+    if largest == 0.0:
+        assert quadrature.total_integral == 0.0
+        with pytest.raises(DegenerateSpectrum):
+            lat.indicator_lattice(1.0, 1.0, rotated)
+        return
+    indicator = lat.indicator_lattice(1.0, 1.0, rotated)
+    assert indicator.indices == quadrature.indices
+    if quadrature.total_integral < sys.float_info.min:
+        # On a narrow band the weighted node values underflow before the
+        # spectrum's largest value does, and a subnormal total is too small
+        # for the quadrature's table to normalize.
+        assert largest < 1e-290
+        return
+    bs = build_lattice(1.5, 1.5, ISO)
+    np.testing.assert_allclose(
+        build_variance_table(bs, indicator).variances(),
+        build_variance_table(bs, quadrature).variances(),
+        rtol=0.0, atol=1e-15,
     )
 
 

@@ -13,11 +13,11 @@ from holomimo import (
     load_cdl_table,
     rotate_spectrum,
     spectra_from_cdl,
-    vmf_density,
 )
 from holomimo.config import bundled_cdl_path
 from holomimo.errors import EmptyTable, MalformedTableFile, SpreadOutOfRange
 from spectrum_oracle import spectrum_value
+from vmf_density_oracle import vmf_density
 
 # Frozen from direct high-precision evaluation of the density formula.
 VMF_A1_AT_MEAN = 0.18406549961659598

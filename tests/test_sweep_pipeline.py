@@ -2,8 +2,13 @@
 non-convergence warnings."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -145,10 +150,11 @@ def lattice_builds(monkeypatch, ue_aperture):
 
 def test_rotated_lattices_are_built_once_per_user_and_realization(monkeypatch):
     # Only the broadside cell of a 1-wavelength UE aperture meets the unit
-    # disk, so every user there keeps the one unrotated UE lattice.
+    # disk, so every user there keeps one indicator lattice, which takes no
+    # quadrature.
     calls, config = lattice_builds(monkeypatch, ue_aperture=1.0)
-    assert len(calls) == config.users * config.realizations + 1
-    assert calls.count((1.0, 1.0)) == 1
+    assert len(calls) == config.users * config.realizations
+    assert calls.count((1.0, 1.0)) == 0
 
 
 def test_both_ends_are_rotated_at_a_2_wavelength_ue(monkeypatch):
@@ -233,8 +239,9 @@ def test_pool_starts_one_worker_per_chunk(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             started.append(max_workers)
+            assert initializer is sweep_module.one_blas_thread
 
         def __enter__(self):
             return self
@@ -250,3 +257,51 @@ def test_pool_starts_one_worker_per_chunk(monkeypatch):
     result = run_sweep(config, jobs=64)
     assert started == [3]
     assert render(result, "csv") == render(run_sweep(config, jobs=1), "csv")
+
+
+def test_one_blas_thread_sets_one_thread_where_the_setter_exists(monkeypatch):
+    setter = Mock()
+    library = SimpleNamespace(scipy_openblas_set_num_threads64_=setter)
+    monkeypatch.setattr(sweep_module.ctypes, "CDLL", lambda path: library)
+    sweep_module.one_blas_thread()
+    setter.assert_called_once_with(1)
+    assert setter.argtypes == [sweep_module.ctypes.c_int]
+
+
+@pytest.mark.parametrize("missing", [AttributeError, OSError])
+def test_one_blas_thread_is_a_no_op_without_the_setter(monkeypatch, missing):
+    def unavailable(path):
+        if missing is OSError:
+            raise OSError(f"cannot load {path}")
+        return object()
+
+    monkeypatch.setattr(sweep_module.ctypes, "CDLL", unavailable)
+    sweep_module.one_blas_thread()
+
+
+def test_holo_runs_numpys_openblas_on_one_thread():
+    # In a fresh process with two BLAS threads, so the check does not depend
+    # on what earlier tests did to this one.
+    script = """
+import ctypes, sys
+from numpy.linalg import _umath_linalg
+library = ctypes.CDLL(_umath_linalg.__file__)
+try:
+    threads = library.scipy_openblas_get_num_threads64_
+except AttributeError:
+    sys.exit(3)
+before = threads()
+from holomimo.cli import main
+main(["sweep", "--preset", "fig3-isotropic", "--realizations", "1"])
+print(before, threads())
+"""
+    package_root = str(Path(sweep_module.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    if proc.returncode == 3:
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread getter")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["2", "1"]

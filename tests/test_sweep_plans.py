@@ -61,12 +61,16 @@ def test_one_plan_per_spacing(monkeypatch, overrides):
 
 
 def test_isotropic_multi_user_sweep_builds_two_lattices(monkeypatch):
+    # One quadrature at the 1.5-wavelength BS end and one indicator at the
+    # 1-wavelength UE end, which has a single cell in the unit disk.
     from holomimo import synthesis
 
     calls = count_calls(monkeypatch, sweep_module, "build_lattice")
     calls += count_calls(monkeypatch, synthesis, "build_lattice")
+    indicators = count_calls(monkeypatch, sweep_module, "indicator_lattice")
     run_sweep(make_config())
-    assert len(calls) == 2
+    assert [args[:2] for args in calls] == [(1.5, 1.5)]
+    assert [args[:2] for args in indicators] == [(1.0, 1.0)]
 
 
 def test_user_plans_equal_plans_built_on_their_own_lattices():
@@ -136,12 +140,13 @@ def cdl_lattice_builds(monkeypatch, ue_aperture):
 
 
 def test_cdl_multi_user_sweep_builds_no_unrotated_lattice(monkeypatch):
-    # A 1-wavelength UE aperture has one cell in the unit disk, which
-    # rotation cannot reweight: its one unrotated lattice serves every user,
-    # and no rotated UE lattice is built.
+    # A 1-wavelength UE aperture has one cell in the unit disk, which no
+    # spectrum can reweight: one indicator lattice serves every user, and no
+    # UE lattice goes through the quadrature.
     scenario, calls, built = cdl_lattice_builds(monkeypatch, ue_aperture=1.0)
-    assert len(calls) == 1 and calls[0][2] is scenario.spectra[1]
+    assert not calls
     assert len(built) == BASE["users"] * BASE["realizations"]
+    assert scenario.ue_lattice.marginal_integrals.tolist() == [0, 0, 1, 0, 0]
     for _, ue_lattice in scenario.realization_lattices(drop_users(3, 0)):
         assert ue_lattice is scenario.ue_lattice
 
