@@ -14,10 +14,6 @@ from .config import ScenarioConfig, config_from_dict, load_config, preset
 from .coupling import (
     CouplingProfile,
     ElementPattern,
-    FromSParams,
-    HannanLimited,
-    RelativeEta,
-    SParameterMatrix,
     build_coupling_profile,
     efficiency_from_sparams,
     hannan_limit,

@@ -6,7 +6,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -16,20 +16,6 @@ from .spectrum import concentration_from_spread
 
 __all__ = ["ScenarioConfig", "load_config", "config_from_dict", "preset",
            "PRESET_NAMES", "bundled_cdl_path"]
-
-_TOP_FIELDS = {
-    "carrier_ghz",
-    "bs_aperture",
-    "ue_aperture",
-    "spacing_list",
-    "spectrum_spec",
-    "pattern_spec",
-    "efficiency_spec",
-    "snr_db",
-    "realizations",
-    "users",
-    "seed",
-}
 
 _SPEC_FIELDS = {
     "spectrum_spec": {
@@ -132,12 +118,21 @@ class ScenarioConfig:
             eta = self.efficiency_spec["eta"]
             if not 0.0 <= eta <= 1.0:
                 raise ConfigError(f"relative efficiency {eta} outside [0, 1]")
+        if self.efficiency_spec["kind"] == "sparams" and len(self.spacing_list) > 1:
+            # An S-parameter file has one order, which fits one element count.
+            raise ConfigError(
+                f"efficiency_spec kind 'sparams' needs exactly one spacing, "
+                f"got {len(self.spacing_list)}"
+            )
         return self
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["spacing_list"] = list(self.spacing_list)
         return d
+
+
+_TOP_FIELDS = {f.name for f in fields(ScenarioConfig)}
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -203,7 +198,7 @@ def load_config(path) -> ScenarioConfig:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)

@@ -3,9 +3,11 @@
 Dense element packing distorts each element's embedded radiation pattern and
 lowers its efficiency.  Patterns are either ideal (uniform), an analytic
 broadside dipole, or gridded complex gains loaded from files produced by
-electromagnetic solvers.  Efficiencies come from S-parameter row power sums,
-from the spacing-limited bound of a dense array, or from a relative level
-against the half-wavelength reference.
+electromagnetic solvers.  An efficiency is a plain number per element: a
+fraction of the half-wavelength reference ``HALF_WAVE_EFFICIENCY``, the
+spacing-limited bound ``hannan_limit``, or the S-parameter row power sums of
+``efficiency_from_sparams``; ``build_coupling_profile`` pairs them with the
+patterns of one array.
 """
 
 from __future__ import annotations
@@ -30,11 +32,7 @@ from .geometry import ArrayGeometry
 
 __all__ = [
     "ElementPattern",
-    "SParameterMatrix",
     "CouplingProfile",
-    "RelativeEta",
-    "HannanLimited",
-    "FromSParams",
     "load_pattern_file",
     "load_sparams_file",
     "efficiency_from_sparams",
@@ -166,7 +164,7 @@ def _read_rows(path, columns, file_kind_error):
                     rows.append([float(x) for x in rec])
                 except ValueError as exc:
                     raise file_kind_error(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise file_kind_error(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
@@ -248,22 +246,8 @@ def load_pattern_file(path) -> list[ElementPattern]:
     return patterns
 
 
-@dataclass(frozen=True, eq=False)
-class SParameterMatrix:
-    """Scattering matrix of an array's ports (dimensionless, linear)."""
-
-    entries: np.ndarray  # (N, N) complex
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    def row_power_sums(self) -> np.ndarray:
-        return np.sum(np.abs(self.entries) ** 2, axis=1)
-
-
-def load_sparams_file(path) -> SParameterMatrix:
-    """Load a full S-parameter matrix from CSV ``row,col,re,im``."""
+def load_sparams_file(path) -> np.ndarray:
+    """Load a full (N, N) complex S-parameter matrix from CSV ``row,col,re,im``."""
     rows = _read_rows(path, _SPARAM_COLUMNS, MalformedSParameterFile)
     values: dict[tuple[int, int], complex] = {}
     for rec in rows:
@@ -282,12 +266,12 @@ def load_sparams_file(path) -> SParameterMatrix:
     entries = np.empty((order, order), dtype=complex)
     for (row, col), value in values.items():
         entries[row, col] = value
-    return SParameterMatrix(entries=entries)
+    return entries
 
 
-def efficiency_from_sparams(sparams: SParameterMatrix) -> np.ndarray:
+def efficiency_from_sparams(sparams: np.ndarray) -> np.ndarray:
     """Per-element efficiency 1 - sum_q |S_pq|^2 from reflected+coupled power."""
-    sums = sparams.row_power_sums()
+    sums = np.sum(np.abs(sparams) ** 2, axis=1)
     if np.any(sums > 1.0 + _PASSIVITY_TOL):
         worst = int(np.argmax(sums))
         raise NonPassive(
@@ -307,29 +291,6 @@ def hannan_limit(spacing_x: float, spacing_y: float) -> float:
     return min(1.0, math.pi * spacing_x * spacing_y)
 
 
-@dataclass(frozen=True)
-class RelativeEta:
-    """Efficiency at a fixed fraction of the half-wavelength reference."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise NonPositiveInput(f"relative efficiency must be in [0, 1], got {self.eta}")
-
-
-@dataclass(frozen=True)
-class HannanLimited:
-    """Efficiency pinned to the spacing-limited bound of the geometry."""
-
-
-@dataclass(frozen=True)
-class FromSParams:
-    """Efficiency estimated from a measured/simulated S-parameter matrix."""
-
-    sparams: SParameterMatrix
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingProfile:
     """Per-element patterns plus efficiencies for one array."""
@@ -341,7 +302,8 @@ class CouplingProfile:
         if np.any(self.efficiencies < 0) or np.any(self.efficiencies > 1):
             raise NonPositiveInput("efficiencies must lie in [0, 1]")
         if len(self.patterns) != len(self.efficiencies):
-            raise DimensionMismatch("patterns and efficiencies length mismatch")
+            raise DimensionMismatch(f"{len(self.efficiencies)} efficiencies for "
+                                    f"{len(self.patterns)} elements")
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -350,12 +312,13 @@ class CouplingProfile:
 
 
 def build_coupling_profile(
-    geometry: ArrayGeometry, pattern_source, efficiency_mode
+    geometry: ArrayGeometry, pattern_source, efficiencies
 ) -> CouplingProfile:
     """Assemble the coupling profile of one array.
 
-    ``pattern_source`` is a shared ElementPattern or a per-element list;
-    ``efficiency_mode`` is RelativeEta, HannanLimited, or FromSParams.
+    ``pattern_source`` is a shared ElementPattern or a per-element list, and
+    ``efficiencies`` one efficiency for every element or one per element;
+    DimensionMismatch when a list's length is not the element count.
     """
     n = geometry.count
     if isinstance(pattern_source, ElementPattern):
@@ -366,18 +329,6 @@ def build_coupling_profile(
             raise DimensionMismatch(
                 f"{len(patterns)} patterns for {n} elements"
             )
-
-    if isinstance(efficiency_mode, RelativeEta):
-        e = np.full(n, efficiency_mode.eta * HALF_WAVE_EFFICIENCY)
-    elif isinstance(efficiency_mode, HannanLimited):
-        e = np.full(n, hannan_limit(geometry.spacing_x, geometry.spacing_y))
-    elif isinstance(efficiency_mode, FromSParams):
-        if efficiency_mode.sparams.order != n:
-            raise DimensionMismatch(
-                f"S-parameter order {efficiency_mode.sparams.order} != {n} elements"
-            )
-        e = efficiency_from_sparams(efficiency_mode.sparams)
-    else:
-        raise TypeError(f"unknown efficiency mode {efficiency_mode!r}")
-
-    return CouplingProfile(patterns=patterns, efficiencies=e)
+    e = np.asarray(efficiencies, dtype=float)
+    return CouplingProfile(patterns=patterns,
+                           efficiencies=np.full(n, e) if e.ndim == 0 else e)

@@ -45,6 +45,7 @@ positive somewhere on the hemisphere and puts 1 on that cell.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -440,26 +441,36 @@ class VarianceTable:
 
     bs_lattice: SpectralLattice
     ue_lattice: SpectralLattice
-    scale: float
+    normalized: np.ndarray  # (n_ue, n_bs), read-only
 
     def variances(self) -> np.ndarray:
         """Variance matrix, shape (n_ue, n_bs), summing to 1."""
-        return self.scale * np.outer(
-            self.ue_lattice.marginal_integrals, self.bs_lattice.marginal_integrals
-        )
+        return self.normalized
 
 
 def build_variance_table(
     bs_lattice: SpectralLattice, ue_lattice: SpectralLattice
 ) -> VarianceTable:
-    """Combine the two link-end lattices into a normalized variance table."""
-    s_bs = bs_lattice.total_integral
-    s_ue = ue_lattice.total_integral
-    if s_bs <= 0.0 or s_ue <= 0.0:
-        raise DegenerateSpectrum("all marginal integrals vanished at one link end")
-    return VarianceTable(
-        bs_lattice=bs_lattice, ue_lattice=ue_lattice, scale=1.0 / (s_bs * s_ue)
-    )
+    """Combine the two link-end lattices into a normalized variance table.
+
+    Each end is scaled by the reciprocal of its own total, not of a product
+    of totals that can overflow.  A total below the smallest normal float is
+    DegenerateSpectrum unless one cell holds it all: that share is exactly 1.
+    """
+    ends = []
+    for lattice in (ue_lattice, bs_lattice):
+        cells, total = lattice.marginal_integrals, lattice.total_integral
+        if total >= sys.float_info.min:
+            ends.append(cells * (1.0 / total))
+        elif total > 0.0 and np.count_nonzero(cells) == 1:
+            ends.append((cells != 0.0).astype(float))
+        else:
+            raise DegenerateSpectrum(
+                f"all marginal integrals vanished at one link end (total {total:.3g})"
+            )
+    normalized = np.outer(*ends)
+    normalized.flags.writeable = False
+    return VarianceTable(bs_lattice, ue_lattice, normalized)
 
 
 def harmonic_vector(index, geometry: ArrayGeometry, sign: int = 1) -> np.ndarray:

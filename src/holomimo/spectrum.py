@@ -245,7 +245,7 @@ def load_cdl_table(path) -> tuple[list[CdlClusterRow], dict]:
                     )
                 except ValueError as exc:
                     raise MalformedTableFile(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedTableFile(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise EmptyTable(f"{path}: no cluster rows")
@@ -255,7 +255,7 @@ def load_cdl_table(path) -> tuple[list[CdlClusterRow], dict]:
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedTableFile(f"cannot read sidecar {sidecar}: {exc}") from exc
     return rows, meta
 

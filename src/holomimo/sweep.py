@@ -41,11 +41,11 @@ import numpy as np
 from .capacity import drop_users, mu_sum_capacity, su_capacity
 from .config import ScenarioConfig
 from .coupling import (
+    HALF_WAVE_EFFICIENCY,
     ElementPattern,
-    FromSParams,
-    HannanLimited,
-    RelativeEta,
     build_coupling_profile,
+    efficiency_from_sparams,
+    hannan_limit,
     load_pattern_file,
     load_sparams_file,
 )
@@ -140,26 +140,29 @@ class Scenario:
         return build_lattice(aperture, aperture, spectrum)
 
     @cached_property
-    def _coupling_sources(self):
-        """(pattern source, departure and arrival efficiency modes)."""
+    def _pattern_source(self):
+        """A shared ElementPattern, or a pattern file's per-element list."""
         pattern = self.config.pattern_spec
         if pattern["kind"] == "uniform":
-            source = ElementPattern.uniform()
-        elif pattern["kind"] == "dipole":
-            source = ElementPattern.dipole()
+            return ElementPattern.uniform()
+        if pattern["kind"] == "dipole":
+            return ElementPattern.dipole()
+        patterns = load_pattern_file(pattern["path"])
+        # A single filed pattern is shared across all elements of both ends.
+        return patterns[0] if len(patterns) == 1 else patterns
+
+    def coupling(self, end, geometry):
+        """The coupling profile of ``end``'s array ``geometry``: the pattern
+        spec's patterns and the efficiency spec's efficiencies.  A sparams
+        config has one spacing, so each S-parameter file is read once."""
+        spec = self.config.efficiency_spec
+        if spec["kind"] == "relative_eta":
+            efficiencies = spec["eta"] * HALF_WAVE_EFFICIENCY
+        elif spec["kind"] == "hannan":
+            efficiencies = hannan_limit(geometry.spacing_x, geometry.spacing_y)
         else:
-            patterns = load_pattern_file(pattern["path"])
-            # A single filed pattern is shared across all elements of both ends.
-            source = patterns[0] if len(patterns) == 1 else patterns
-        efficiency = self.config.efficiency_spec
-        if efficiency["kind"] == "relative_eta":
-            bs_mode = ue_mode = RelativeEta(eta=efficiency["eta"])
-        elif efficiency["kind"] == "hannan":
-            bs_mode = ue_mode = HannanLimited()
-        else:
-            bs_mode = FromSParams(load_sparams_file(efficiency["bs_path"]))
-            ue_mode = FromSParams(load_sparams_file(efficiency["ue_path"]))
-        return source, bs_mode, ue_mode
+            efficiencies = efficiency_from_sparams(load_sparams_file(spec[f"{end}_path"]))
+        return build_coupling_profile(geometry, self._pattern_source, efficiencies)
 
     @property
     def labels(self):
@@ -217,15 +220,13 @@ class Scenario:
         """
         config = self.config
         if not self._plans:
-            source, bs_mode, ue_mode = self._coupling_sources
             for spacing in config.spacing_list:
                 bs, ue = (build_planar_array(a, a, spacing, spacing)
                           for a in (config.bs_aperture, config.ue_aperture))
                 # The lattices stand in for the spectra, which go unused.
                 self._plans.append(build_plan(
-                    bs, ue, None, None,
-                    build_coupling_profile(bs, source, bs_mode),
-                    build_coupling_profile(ue, source, ue_mode),
+                    bs, ue, None, None, self.coupling("bs", bs),
+                    self.coupling("ue", ue),
                     bs_lattice=bs_lattice, ue_lattice=ue_lattice,
                 ))
         table = self._plans[0].variance_table

@@ -3,6 +3,8 @@
 import json
 import math
 import shutil
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from holomimo import (
 )
 from holomimo.cli import main
 from holomimo.config import PRESET_NAMES, bundled_cdl_path
+from holomimo.coupling import HALF_WAVE_EFFICIENCY
 from holomimo.errors import ConfigError, UnknownPreset
 from holomimo.sweep import CSV_HEADER, SweepResult
 from holomimo.synthesis import sample_harmonic_channel
@@ -140,7 +143,6 @@ class TestSingleUserSweep:
         from holomimo import (
             AngularPowerSpectrum,
             ElementPattern,
-            RelativeEta,
             build_coupling_profile,
             build_plan,
             build_planar_array,
@@ -155,10 +157,11 @@ class TestSingleUserSweep:
         iso = AngularPowerSpectrum.isotropic()
         bs = build_planar_array(2.0, 2.0, 0.5, 0.5)
         ue = build_planar_array(1.0, 1.0, 0.5, 0.5)
+        eta = 1.0 * HALF_WAVE_EFFICIENCY
         plan = build_plan(
             bs, ue, iso, iso,
-            build_coupling_profile(bs, ElementPattern.uniform(), RelativeEta(1.0)),
-            build_coupling_profile(ue, ElementPattern.uniform(), RelativeEta(1.0)),
+            build_coupling_profile(bs, ElementPattern.uniform(), eta),
+            build_coupling_profile(ue, ElementPattern.uniform(), eta),
         )
         # The sweep water-fills the harmonic-domain matrix of the same draw,
         # so it matches that exactly; the element-domain channel has the same
@@ -367,6 +370,37 @@ class TestCli:
         assert main(["capacity", "su", "--config", str(config)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "which, code",
+        [("config", 2), ("cdl-table", 3), ("cdl-sidecar", 3), ("pattern", 3),
+         ("sparams", 3)],
+    )
+    def test_undecodable_file_exits_with_its_code(self, tmp_path, capsys,
+                                                  which, code):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe")
+        table = tmp_path / "cdl.csv"
+        shutil.copyfile(bundled_cdl_path(), table)
+        if which == "cdl-sidecar":
+            table.with_suffix(".json").write_bytes(b"\xff\xfe")
+        cdl = {"kind": "cdl", "path": str(bad if which == "cdl-table" else table),
+               "asd_deg": 10.0, "asa_deg": 20.0}
+        overrides = {
+            "cdl-table": {"spectrum_spec": cdl},
+            "cdl-sidecar": {"spectrum_spec": cdl},
+            "pattern": {"pattern_spec": {"kind": "file", "path": str(bad)}},
+            "sparams": {"efficiency_spec": {"kind": "sparams", "bs_path": str(bad),
+                                            "ue_path": str(bad)}},
+        }.get(which, {})
+        config = self.write_config(tmp_path, **overrides)
+        if which == "config":
+            config.write_bytes(b"\xff\xfe")
+        assert main(["capacity", "su", "--config", str(config)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_numerical_failure_exits_4(self, tmp_path):
         # the broadside-null pattern on a single-mode receive aperture
         # produces an exactly zero channel
@@ -392,6 +426,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "vanish" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_receive_total_below_the_normal_range_exits_4(self, tmp_path, capsys):
+        # One arrival cluster 36.4 degrees behind the horizon with a 5-degree
+        # spread leaves the 2-wavelength end two cells with a subnormal total
+        # (~4e-323), too few bits to split the end's variance between them;
+        # scaling by it once made the variance table infinite.
+        table = tmp_path / "behind.csv"
+        table.write_text(
+            "cluster_id,power_db,aod_deg,zod_deg,aoa_deg,zoa_deg\n"
+            "1,0,20,90,30,143.6\n"
+        )
+        spectrum = {"kind": "cdl", "path": str(table), "asd_deg": 10.0,
+                    "asa_deg": 5.0}
+        config = self.write_config(tmp_path, spectrum_spec=spectrum, ue_aperture=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["capacity", "su", "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "vanished" in captured.err
         assert len(captured.err.splitlines()) == 1
 
     def test_lattice_command_integrates_a_1_wavelength_end(self, tmp_path, capsys):
@@ -420,6 +475,8 @@ class TestCli:
             {"seed": 0.5},
             {"seed": False},
             {"seed": -1},
+            {"efficiency_spec": {"kind": "relative_eta", "eta": 1.2}},
+            {"efficiency_spec": {"kind": "relative_eta", "eta": -0.1}},
         ],
         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -458,6 +515,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert spec_name in captured.err
+
+    def test_sparams_with_several_spacings_exits_2(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        spec = {"kind": "sparams", "bs_path": str(data / "sparams_bs_3x3.csv"),
+                "ue_path": str(data / "sparams_ue_2x2.csv")}
+        config = self.write_config(tmp_path, bs_aperture=1.5, efficiency_spec=spec,
+                                   spacing_list=[0.5, 0.25])
+        assert main(["capacity", "su", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: efficiency_spec kind 'sparams' needs exactly one spacing, got 2\n"
+        )
+
+    def test_sparams_order_unlike_the_element_count_exits_4(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        spec = {"kind": "sparams", "bs_path": str(data / "sparams_ue_2x2.csv"),
+                "ue_path": str(data / "sparams_ue_2x2.csv")}
+        config = self.write_config(tmp_path, bs_aperture=1.5, efficiency_spec=spec)
+        assert main(["capacity", "su", "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 4 efficiencies for 9 elements\n"
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -8,10 +8,6 @@ import pytest
 from holomimo import (
     CouplingProfile,
     ElementPattern,
-    FromSParams,
-    HannanLimited,
-    RelativeEta,
-    SParameterMatrix,
     build_coupling_profile,
     build_planar_array,
     efficiency_from_sparams,
@@ -189,11 +185,11 @@ class TestGriddedPatterns:
 
 class TestSParameters:
     def test_zero_matrix_gives_unit_efficiency(self):
-        s = SParameterMatrix(entries=np.zeros((4, 4), dtype=complex))
+        s = np.zeros((4, 4), dtype=complex)
         np.testing.assert_allclose(efficiency_from_sparams(s), 1.0)
 
     def test_diagonal_half_reflection(self):
-        s = SParameterMatrix(entries=0.5 * np.eye(3, dtype=complex))
+        s = 0.5 * np.eye(3, dtype=complex)
         np.testing.assert_allclose(efficiency_from_sparams(s), 0.75)
 
     def test_non_passive_rejected(self):
@@ -201,7 +197,7 @@ class TestSParameters:
         entries[0, 0] = 0.8
         entries[0, 1] = 0.8  # row power 1.28
         with pytest.raises(NonPassive):
-            efficiency_from_sparams(SParameterMatrix(entries=entries))
+            efficiency_from_sparams(entries)
 
     def test_load_round_trip(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -211,8 +207,8 @@ class TestSParameters:
                 lines.append(f"{i},{j},{0.1 * (i + 1)},{0.05 * j}")
         f.write_text("\n".join(lines) + "\n")
         s = load_sparams_file(f)
-        assert s.order == 2
-        assert s.entries[1, 1] == pytest.approx(0.2 + 0.05j)
+        assert s.shape == (2, 2)
+        assert s[1, 1] == pytest.approx(0.2 + 0.05j)
 
     def test_missing_entries_rejected(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -267,20 +263,26 @@ class TestHannanLimit:
 class TestCouplingProfile:
     def test_full_relative_efficiency(self):
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
-        profile = build_coupling_profile(g, ElementPattern.uniform(), RelativeEta(1.0))
+        profile = build_coupling_profile(
+            g, ElementPattern.uniform(), 1.0 * HALF_WAVE_EFFICIENCY
+        )
         np.testing.assert_allclose(profile.efficiencies, math.pi / 4, rtol=1e-15)
         np.testing.assert_allclose(profile.efficiencies / HALF_WAVE_EFFICIENCY, 1.0)
 
     def test_eighty_percent_relative_efficiency(self):
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
-        profile = build_coupling_profile(g, ElementPattern.uniform(), RelativeEta(0.8))
+        profile = build_coupling_profile(
+            g, ElementPattern.uniform(), 0.8 * HALF_WAVE_EFFICIENCY
+        )
         np.testing.assert_allclose(
             profile.efficiencies, 0.6283185307179586, rtol=1e-12
         )
 
     def test_hannan_limited_eighth_wavelength(self):
         g = build_planar_array(1.0, 1.0, 0.125, 0.125)
-        profile = build_coupling_profile(g, ElementPattern.uniform(), HannanLimited())
+        profile = build_coupling_profile(
+            g, ElementPattern.uniform(), hannan_limit(0.125, 0.125)
+        )
         np.testing.assert_allclose(
             profile.efficiencies / HALF_WAVE_EFFICIENCY, 1.0 / 16.0, rtol=1e-12
         )
@@ -291,7 +293,7 @@ class TestCouplingProfile:
         for spacing in (0.5, 0.25, 0.125, 0.0625):
             g = build_planar_array(2.0, 2.0, spacing, spacing)
             profile = build_coupling_profile(
-                g, ElementPattern.uniform(), HannanLimited()
+                g, ElementPattern.uniform(), hannan_limit(spacing, spacing)
             )
             total = g.count * profile.efficiencies[0]
             if reference is None:
@@ -300,14 +302,18 @@ class TestCouplingProfile:
 
     def test_sparams_mode_checks_dimension(self):
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
-        s = SParameterMatrix(entries=np.zeros((3, 3), dtype=complex))
+        s = np.zeros((3, 3), dtype=complex)
         with pytest.raises(DimensionMismatch):
-            build_coupling_profile(g, ElementPattern.uniform(), FromSParams(s))
+            build_coupling_profile(
+                g, ElementPattern.uniform(), efficiency_from_sparams(s)
+            )
 
     def test_sparams_mode_efficiencies(self):
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
-        s = SParameterMatrix(entries=0.5 * np.eye(4, dtype=complex))
-        profile = build_coupling_profile(g, ElementPattern.uniform(), FromSParams(s))
+        s = 0.5 * np.eye(4, dtype=complex)
+        profile = build_coupling_profile(
+            g, ElementPattern.uniform(), efficiency_from_sparams(s)
+        )
         np.testing.assert_allclose(profile.efficiencies, 0.75)
         np.testing.assert_allclose(
             profile.efficiencies / HALF_WAVE_EFFICIENCY, 0.75 / (math.pi / 4),
@@ -315,14 +321,15 @@ class TestCouplingProfile:
         )
 
     def test_eta_outside_unit_interval_rejected(self):
+        g = build_planar_array(1.0, 1.0, 0.5, 0.5)
         with pytest.raises(NonPositiveInput):
-            RelativeEta(1.2)
+            build_coupling_profile(g, ElementPattern.uniform(), 1.2)
 
     def test_pattern_list_length_checked(self):
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
         with pytest.raises(DimensionMismatch):
             build_coupling_profile(
-                g, [ElementPattern.uniform()] * 3, RelativeEta(1.0)
+                g, [ElementPattern.uniform()] * 3, 1.0 * HALF_WAVE_EFFICIENCY
             )
 
 
@@ -341,7 +348,9 @@ class TestAmplitudeMatrix:
 
     def test_amplitude_is_square_root_of_efficiency(self):
         g = build_planar_array(1.0, 1.0, 0.5, 0.5)
-        profile = build_coupling_profile(g, ElementPattern.uniform(), RelativeEta(1.0))
+        profile = build_coupling_profile(
+            g, ElementPattern.uniform(), 1.0 * HALF_WAVE_EFFICIENCY
+        )
         diag = profile.amplitudes
         np.testing.assert_allclose(diag, 0.8862269254527580, rtol=1e-12)
 

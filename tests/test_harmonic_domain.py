@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from holomimo import (
     AngularPowerSpectrum,
     ElementPattern,
-    RelativeEta,
     build_coupling_profile,
     build_lattice,
     build_plan,
@@ -34,6 +33,7 @@ from holomimo import (
     su_capacity,
 )
 from holomimo.config import bundled_cdl_path
+from holomimo.coupling import HALF_WAVE_EFFICIENCY
 from holomimo.synthesis import sample_harmonic_channel
 from expected_frobenius_oracle import expected_frobenius
 
@@ -49,8 +49,8 @@ def make_plan(bs_aperture, ue_aperture, spacing, bs_spectrum, ue_spectrum,
     ue = build_planar_array(ue_aperture, ue_aperture, spacing, spacing)
     return build_plan(
         bs, ue, bs_spectrum, ue_spectrum,
-        build_coupling_profile(bs, pattern, RelativeEta(eta)),
-        build_coupling_profile(ue, pattern, RelativeEta(eta)),
+        build_coupling_profile(bs, pattern, eta * HALF_WAVE_EFFICIENCY),
+        build_coupling_profile(ue, pattern, eta * HALF_WAVE_EFFICIENCY),
     )
 
 
@@ -91,7 +91,9 @@ class TestVectorizedBasis:
         # off both axes' broadside.
         geometry = build_planar_array(2.0, 1.0, 1.0, 1.0)
         assert geometry.count == 2
-        coupling = build_coupling_profile(geometry, patterns, RelativeEta(1.0))
+        coupling = build_coupling_profile(
+            geometry, patterns, 1.0 * HALF_WAVE_EFFICIENCY
+        )
         lattice = build_lattice(2.0, 1.0, ISO)
         plan = build_plan(geometry, geometry, ISO, ISO, coupling, coupling,
                           bs_lattice=lattice, ue_lattice=lattice)
@@ -106,7 +108,7 @@ class TestVectorizedBasis:
     def test_shared_dipole_pattern_matches_the_loop(self):
         geometry = build_planar_array(2.0, 2.0, 0.5, 0.5)
         coupling = build_coupling_profile(
-            geometry, ElementPattern.dipole(), RelativeEta(1.0)
+            geometry, ElementPattern.dipole(), 1.0 * HALF_WAVE_EFFICIENCY
         )
         lattice = build_lattice(2.0, 2.0, ISO)
         plan = build_plan(geometry, geometry, ISO, ISO, coupling, coupling,

@@ -1,6 +1,8 @@
 """Harmonic lattice, spectral cell integrals, and plane-wave vector tests."""
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,6 +200,48 @@ class TestVarianceTable:
         dead = build_lattice(1.0, 1.0, spec)
         with pytest.raises(DegenerateSpectrum):
             build_variance_table(dead, build_lattice(1.0, 1.0, ISO))
+
+    @staticmethod
+    def scaled(lattice, total):
+        return replace(lattice, marginal_integrals=lattice.marginal_integrals
+                       * (total / lattice.total_integral))
+
+    @pytest.mark.parametrize("total", [1e-160, 1e-200, 1e-300, 1e250])
+    def test_tiny_and_huge_totals_normalize_each_end(self, total):
+        # The product of the two totals would underflow to 0 or overflow.
+        bs, ue = build_lattice(2.0, 2.0, ISO), build_lattice(1.5, 1.5, ISO)
+        reference = build_variance_table(bs, ue).variances()
+        variances = build_variance_table(
+            self.scaled(bs, total), self.scaled(ue, total)
+        ).variances()
+        assert np.all(np.isfinite(variances))
+        assert variances.sum() == pytest.approx(1.0, rel=1e-14)
+        np.testing.assert_allclose(variances, reference, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("end", ["bs", "ue"])
+    def test_subnormal_total_is_degenerate(self, end):
+        lattices = {"bs": build_lattice(2.0, 2.0, ISO),
+                    "ue": build_lattice(1.5, 1.5, ISO)}
+        lattices[end] = self.scaled(lattices[end], sys.float_info.min / 2)
+        with pytest.raises(DegenerateSpectrum, match="vanished"):
+            build_variance_table(lattices["bs"], lattices["ue"])
+
+    def test_subnormal_total_in_one_cell_is_that_cells_indicator(self):
+        bs = build_lattice(2.0, 2.0, ISO)
+        ue = build_lattice(1.5, 1.5, ISO)
+        cells = np.zeros_like(ue.marginal_integrals)
+        cells[3] = 1e-316
+        table = build_variance_table(bs, replace(ue, marginal_integrals=cells))
+        reference = build_variance_table(bs, ue).variances()
+        np.testing.assert_array_equal(np.delete(table.variances(), 3, axis=0), 0.0)
+        np.testing.assert_allclose(table.variances()[3], reference.sum(axis=0),
+                                   rtol=1e-14)
+
+    def test_table_is_computed_once_and_read_only(self):
+        table = build_variance_table(build_lattice(2.0, 2.0, ISO),
+                                     build_lattice(1.0, 1.0, ISO))
+        assert table.variances() is table.variances()
+        assert not table.variances().flags.writeable
 
 
 class TestHarmonicVectors:

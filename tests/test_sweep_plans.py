@@ -6,7 +6,6 @@ import pytest
 
 import holomimo.sweep as sweep_module
 from holomimo import (
-    build_coupling_profile,
     build_plan,
     build_planar_array,
     config_from_dict,
@@ -82,15 +81,14 @@ def test_user_plans_equal_plans_built_on_their_own_lattices():
     drops = drop_users(config.users, _drop_seed(config.seed, 1))
     lattices = scenario.realization_lattices(drops)
     user_plans = [scenario.plans(*pair) for pair in lattices]
-    source, bs_mode, ue_mode = scenario._coupling_sources
     for s, spacing in enumerate(config.spacing_list):
         bs = build_planar_array(1.5, 1.5, spacing, spacing)
         ue = build_planar_array(1.5, 1.5, spacing, spacing)
         for (bs_lattice, ue_lattice), plans in zip(lattices, user_plans):
             reference = build_plan(
                 bs, ue, None, None,
-                build_coupling_profile(bs, source, bs_mode),
-                build_coupling_profile(ue, source, ue_mode),
+                scenario.coupling("bs", bs),
+                scenario.coupling("ue", ue),
                 bs_lattice=bs_lattice, ue_lattice=ue_lattice,
             )
             plan = plans[s]
