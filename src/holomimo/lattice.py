@@ -36,10 +36,14 @@ The largest value is the term's peak when its mean is on or above the
 horizon, and its value at the horizon otherwise, so a cluster behind the
 aperture keeps the tail that reaches the hemisphere.
 
+A spectrum whose largest value on the upper hemisphere is below the
+smallest normal float counts as 0 there: its cell integrals are 0 without
+a quadrature, which could keep at most a subnormal or zero total.
+
 An aperture with one cell in the unit disk (1 wavelength) needs no
 quadrature for a variance table, which normalizes that cell's integral
 away: ``indicator_lattice`` checks in closed form that the spectrum is
-positive somewhere on the hemisphere and puts 1 on that cell.
+not 0 on the hemisphere and puts 1 on that cell.
 """
 
 from __future__ import annotations
@@ -279,12 +283,15 @@ def _hemisphere_maximum(spectrum: AngularPowerSpectrum) -> float:
     _hemisphere_peaks: the largest value on the upper hemisphere of the
     spectrum's constant plus any one term.
 
-    It is 0 exactly when every term is 0 at its largest, and no quadrature
-    node can exceed that, so the cell integrals then vanish too.  A rotation
-    about broadside keeps every peak, and so this value."""
+    A value below the smallest normal float is flushed to 0.  No quadrature
+    node can exceed it, so the cell integrals would be subnormal or 0, and
+    with them whether an end keeps any mass; _cell_integrals gives such a
+    spectrum 0 everywhere.  A rotation about broadside keeps every peak,
+    and so this value."""
     means, alphas, coefs, constant = spectrum.mixture_arrays
     terms = coefs * np.exp(alphas * (_hemisphere_peaks(means) - 1.0))
-    return constant + terms.max(initial=0.0)
+    largest = constant + terms.max(initial=0.0)
+    return largest if largest >= sys.float_info.min else 0.0
 
 
 def _node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
@@ -316,9 +323,9 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
     (len(spectra), len(cells)); ``cells`` lists each cell's strips.
 
     Every strip starts as one tile over t in [0, 1], pending for every
-    spectrum.  A level gives each tile a coarse and a fine estimate per
-    spectrum it is pending for, _BATCH_TILES tiles at a time with nodes and
-    caps shared by all spectra.  Where the two agree, the fine estimate goes
+    spectrum whose _hemisphere_maximum is not 0.  A level gives each tile a
+    coarse and a fine estimate per spectrum it is pending for, _BATCH_TILES
+    tiles at a time with nodes and caps shared by all spectra.  Where the two agree, the fine estimate goes
     to that spectrum's cell; a tile some spectrum rejects is bisected in v
     and t into four tiles of the next level, pending for those spectra.
     """
@@ -329,6 +336,7 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
         [strip + (0.0, 1.0) for strips in cells for strip in strips], dtype=float
     ).reshape(-1, 6)
     pending = np.ones((len(spectra), len(tiles)), dtype=bool)
+    pending[[_hemisphere_maximum(spectrum) == 0.0 for spectrum in spectra]] = False
     totals = np.zeros((len(spectra), len(cells)))
     mixtures = [spectrum.mixture_arrays for spectrum in spectra]
     peaks = [_hemisphere_peaks(mixture[0]) for mixture in mixtures]
@@ -422,7 +430,7 @@ def indicator_lattice(
     hemisphere mass falls in that one cell, so the quadrature's value there
     reaches the table only through whether it is positive, which
     _hemisphere_maximum decides without one: DegenerateSpectrum where it is
-    0 in floating point."""
+    0."""
     indices = tuple(enumerate_lattice(aperture_x, aperture_y))
     cells = _disk_cells(aperture_x, aperture_y)
     if cells.sum() != 1.0:
