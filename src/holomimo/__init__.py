@@ -24,7 +24,6 @@ from .geometry import ArrayGeometry, build_planar_array
 from .lattice import (
     HarmonicIndex,
     SpectralLattice,
-    VarianceTable,
     build_lattice,
     build_lattices,
     build_variance_table,
@@ -42,11 +41,6 @@ from .spectrum import (
     spectra_from_cdl,
 )
 from .sweep import SweepResult, SweepRow, emit, render, run_sweep
-from .synthesis import (
-    ChannelRealization,
-    SynthesisPlan,
-    build_plan,
-    sample_channel,
-)
+from .synthesis import SynthesisPlan, build_plan, sample_channel
 
 __version__ = "0.1.0"

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyGains, NonFiniteChannel, NonPositiveDistance, ZeroChannel
+from .errors import (
+    EmptyGains,
+    NonFiniteChannel,
+    NonPositiveDistance,
+    NumericalError,
+    ZeroChannel,
+)
 from .synthesis import MASK64
 
 __all__ = [
@@ -240,7 +246,14 @@ def mu_sum_capacity(
     iterations = 0
     while True:
         # With coupled = L L^H and Y_k = L^{-1} H_k^H, G_k = Y_k^H Y_k.
-        factor = np.linalg.cholesky(coupled)
+        try:
+            factor = np.linalg.cholesky(coupled)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"multi-user solver: I + sum_k H_k^H Q_k H_k is not positive "
+                f"definite in floating point after {iterations} iterations "
+                f"(power budget {total_power:.3g})"
+            ) from exc
         projected = np.split(
             np.linalg.solve(factor, stacked_adjoint), user_bounds, axis=1
         )

@@ -14,7 +14,7 @@ from .config import PRESET_NAMES, load_config, preset
 from .errors import ConfigError, InputFileError, NumericalError
 from .lattice import build_lattice
 from .sweep import emit, one_blas_thread, render, resolve_scenario, run_sweep
-from .synthesis import sample_channel
+from .synthesis import MASK64, sample_channel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,9 +104,9 @@ def _cmd_synth(args) -> int:
         raise ConfigError(
             f"spacing index {args.spacing_index} outside the configured list"
         )
-    scenario = resolve_scenario(config)
-    plan = scenario.plans(scenario.bs_lattice, scenario.ue_lattice)[args.spacing_index]
-    matrix = sample_channel(plan, config.seed, args.realization).matrix
+    plans, variances = resolve_scenario(config).plans_and_variances()
+    matrix = sample_channel(plans[args.spacing_index], variances, config.seed,
+                            args.realization)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("row,col,re,im\n")
         for i in range(matrix.shape[0]):
@@ -139,9 +139,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _check_counts(args) -> None:
-    """Reject a negative realization index and fewer than one worker."""
-    if getattr(args, "realization", 0) < 0:
-        raise ConfigError(f"--realization must be >= 0, got {args.realization}")
+    """Reject a realization index that is not an unsigned 64-bit word, which
+    the random streams would wrap, and fewer than one worker."""
+    if not 0 <= getattr(args, "realization", 0) <= MASK64:
+        raise ConfigError(
+            f"--realization must be >= 0 and < 2**64, got {args.realization}"
+        )
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 

@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 from .errors import ConfigError, UnknownPreset
 from .geometry import grid_count
 from .spectrum import concentration_from_spread
+from .synthesis import MASK64
 
 __all__ = ["ScenarioConfig", "load_config", "config_from_dict", "preset",
            "PRESET_NAMES", "bundled_cdl_path"]
@@ -64,6 +66,15 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         for name in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db"):
             _require_finite(name, getattr(self, name))
+        try:
+            budget = 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            budget = math.inf
+        if not sys.float_info.min <= budget < math.inf:
+            raise ConfigError(
+                f"snr_db {self.snr_db} gives a power budget outside the "
+                f"normal float range"
+            )
         if self.carrier_ghz <= 0:
             raise ConfigError(f"carrier_ghz must be positive, got {self.carrier_ghz}")
         for name, aperture in (
@@ -84,10 +95,12 @@ class ScenarioConfig:
             raise ConfigError("realizations must be >= 1")
         if self.users < 1:
             raise ConfigError("users must be >= 1")
+        # Streams key the seed as an unsigned 64-bit word, so -1 would draw
+        # the channels of 2**64 - 1, and 2**64 those of 0, under its own row.
         if self.seed < 0:
-            # Streams key the seed as an unsigned 64-bit word, so -1 would
-            # draw the channels of 2**64 - 1 under a row that says -1.
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.seed > MASK64:
+            raise ConfigError(f"seed must be < 2**64, got {self.seed}")
         for spec_name in ("spectrum_spec", "pattern_spec", "efficiency_spec"):
             spec = getattr(self, spec_name)
             if not isinstance(spec, dict) or "kind" not in spec:

@@ -68,7 +68,6 @@ from .spectrum import AngularPowerSpectrum
 __all__ = [
     "HarmonicIndex",
     "SpectralLattice",
-    "VarianceTable",
     "enumerate_lattice",
     "harmonic_angles",
     "build_lattice",
@@ -443,23 +442,12 @@ def indicator_lattice(
     return SpectralLattice(aperture_x, aperture_y, indices, cells)
 
 
-@dataclass(frozen=True, eq=False)
-class VarianceTable:
-    """Separable per-harmonic-pair variances, normalized to unit total."""
-
-    bs_lattice: SpectralLattice
-    ue_lattice: SpectralLattice
-    normalized: np.ndarray  # (n_ue, n_bs), read-only
-
-    def variances(self) -> np.ndarray:
-        """Variance matrix, shape (n_ue, n_bs), summing to 1."""
-        return self.normalized
-
-
 def build_variance_table(
     bs_lattice: SpectralLattice, ue_lattice: SpectralLattice
-) -> VarianceTable:
-    """Combine the two link-end lattices into a normalized variance table.
+) -> np.ndarray:
+    """The separable variances of one link's harmonic pairs: a read-only
+    (n_ue, n_bs) array, summing to 1, of the two lattices' normalized cell
+    integrals.
 
     Each end is scaled by the reciprocal of its own total, not of a product
     of totals that can overflow.  A total below the smallest normal float is
@@ -476,9 +464,9 @@ def build_variance_table(
             raise DegenerateSpectrum(
                 f"all marginal integrals vanished at one link end (total {total:.3g})"
             )
-    normalized = np.outer(*ends)
-    normalized.flags.writeable = False
-    return VarianceTable(bs_lattice, ue_lattice, normalized)
+    variances = np.outer(*ends)
+    variances.flags.writeable = False
+    return variances
 
 
 def harmonic_vector(index, geometry: ArrayGeometry, sign: int = 1) -> np.ndarray:

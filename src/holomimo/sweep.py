@@ -7,13 +7,15 @@ lattices of their rotated spectra, do not depend on the spacing, so they are
 shared by every spacing.  Realizations go in blocks of _BLOCK: the users of
 a block are dropped first, and the lattices of all of them are built in one
 quadrature pass per aperture before the block's realizations are evaluated
-in index order.  The plans' bases and R factors do not depend on the users,
-so there is one plan per spacing and each user carries only its own
-variance table.  A link end with one cell in the unit disk (``inert_ends``,
-the presets' 1-wavelength receive aperture) builds no lattice: the variance
-table normalizes any spectrum there to the indicator of that cell, so every
-user shares its ``indicator_lattice``; ``holo lattice`` still integrates
-it.  Processes run OpenBLAS on one thread (``one_blas_thread``).
+in index order.  A synthesis plan's bases and R factors do not depend on
+the users, so there is one plan per spacing (``Scenario.plans``); each user
+carries only its own variances (``build_variance_table`` of its two
+lattices), which serve every spacing.  A link end with one cell in the unit
+disk (``inert_ends``, the presets' 1-wavelength receive aperture) builds no
+lattice: the variance table normalizes any spectrum there to the indicator
+of that cell, so every user shares its ``indicator_lattice``; ``holo
+lattice`` still integrates it.  Processes run OpenBLAS on one thread
+(``one_blas_thread``).
 Realizations use counter-based random streams keyed by (seed, realization
 index), and each lattice is bitwise the one its spectrum gets alone, so
 results are bitwise identical regardless of how many worker processes are
@@ -33,7 +35,7 @@ import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -101,16 +103,14 @@ class SweepResult:
 class Scenario:
     """A validated config turned into the objects that synthesis needs.
 
-    A plan's bases and R factors belong to a spacing: they depend on the
-    arrays and the apertures' harmonic index sets, which every lattice of an
-    aperture shares.  Its variance table belongs to a lattice pair, so a
-    dropped user carries one table for all spacings.  Each part is built on
-    first use and then kept: ``holo lattice`` reads no pattern or S-parameter
-    file.
+    A synthesis plan belongs to a spacing: its bases and R factors depend on
+    the arrays and the apertures' harmonic index sets, not on any spectrum.
+    The variances belong to the lattice pair of one user, who keeps them for
+    all spacings.  Each part is built on first use and then kept:
+    ``holo lattice`` reads no pattern or S-parameter file.
     """
 
     config: ScenarioConfig
-    _plans: list = field(default_factory=list, init=False, repr=False)
 
     @cached_property
     def spectra(self):
@@ -211,29 +211,27 @@ class Scenario:
                          else next(built) for s in rotated])
         return list(zip(*ends))
 
-    def plans(self, bs_lattice, ue_lattice):
-        """Synthesis plans at every spacing for one lattice pair.
-
-        The first call builds the plans of all spacings on its pair; later
-        pairs share their bases and R factors and get their own variance
-        table.
-        """
+    @cached_property
+    def plans(self):
+        """The synthesis plan of each spacing, shared by every user.  It is
+        read before any variance table is built, so that a pattern or
+        S-parameter file fails before a degenerate spectrum does."""
         config = self.config
-        if not self._plans:
-            for spacing in config.spacing_list:
-                bs, ue = (build_planar_array(a, a, spacing, spacing)
-                          for a in (config.bs_aperture, config.ue_aperture))
-                # The lattices stand in for the spectra, which go unused.
-                self._plans.append(build_plan(
-                    bs, ue, None, None, self.coupling("bs", bs),
-                    self.coupling("ue", ue),
-                    bs_lattice=bs_lattice, ue_lattice=ue_lattice,
-                ))
-        table = self._plans[0].variance_table
-        if table.bs_lattice is bs_lattice and table.ue_lattice is ue_lattice:
-            return self._plans
-        table = build_variance_table(bs_lattice, ue_lattice)
-        return [replace(plan, variance_table=table) for plan in self._plans]
+        plans = []
+        for spacing in config.spacing_list:
+            bs, ue = (build_planar_array(a, a, spacing, spacing)
+                      for a in (config.bs_aperture, config.ue_aperture))
+            plans.append(build_plan(bs, ue, self.coupling("bs", bs),
+                                    self.coupling("ue", ue)))
+        return plans
+
+    def plans_and_variances(self):
+        """(plans, variances of the unrotated lattice pair), which a single
+        user's channels and ``holo synth`` draw on.  The lattices come
+        first, then the plans, then the table: a config that is bad in
+        more than one way fails at the first of them."""
+        lattices = self.bs_lattice, self.ue_lattice
+        return self.plans, build_variance_table(*lattices)
 
 
 def resolve_scenario(config: ScenarioConfig) -> Scenario:
@@ -278,14 +276,15 @@ def _evaluate(scenario: Scenario, r: int, drops, lattices):
     """(value_bits, converged) at every spacing for multi-user realization
     ``r``, whose users are ``drops`` with their lattice pairs."""
     config = scenario.config
-    user_plans = [scenario.plans(*pair) for pair in lattices]
+    plans = scenario.plans
+    tables = [build_variance_table(*pair) for pair in lattices]
     budget = 10.0 ** (config.snr_db / 10.0)
     out = []
-    for s in range(len(config.spacing_list)):
+    for plan in plans:
         channels = [
-            sample_harmonic_channel(plans[s], config.seed, (r << 32) | k)
+            sample_harmonic_channel(plan, variances, config.seed, (r << 32) | k)
             * 10.0 ** (drop.snr_db / 20.0)
-            for k, (drop, plans) in enumerate(zip(drops, user_plans))
+            for k, (drop, variances) in enumerate(zip(drops, tables))
         ]
         report = mu_sum_capacity(channels, budget)
         out.append((report.value_bits, report.converged))
@@ -298,9 +297,9 @@ def _evaluate_chunk(args):
     scenario, indices = args
     config = scenario.config
     if config.users == 1:
-        plans = scenario.plans(scenario.bs_lattice, scenario.ue_lattice)
+        plans, variances = scenario.plans_and_variances()
         return [
-            [(su_capacity(sample_harmonic_channel(plan, config.seed, r),
+            [(su_capacity(sample_harmonic_channel(plan, variances, config.seed, r),
                           config.snr_db).value_bits, True) for plan in plans]
             for r in indices
         ]
@@ -308,8 +307,6 @@ def _evaluate_chunk(args):
     for start in range(0, len(indices), _BLOCK):
         block = indices[start:start + _BLOCK]
         drops = [drop_users(config.users, _drop_seed(config.seed, r)) for r in block]
-        # Every lattice of the block comes before any plan or QR work, which
-        # would leave BLAS threads spinning through the Python quadrature.
         lattices = scenario.realization_lattices([d for ds in drops for d in ds])
         for k, (r, users) in enumerate(zip(block, drops)):
             pairs = lattices[k * config.users:(k + 1) * config.users]

@@ -1,9 +1,15 @@
 """Channel synthesis: pattern-modified harmonic bases and Monte Carlo draws.
 
-A synthesis plan freezes everything deterministic about a link: the two
-pattern-modified harmonic bases, the normalized variance table, and the
-per-element efficiency amplitudes.  Realizations are then pure functions of
-(plan, seed, realization_index): every Fourier coefficient is drawn from a
+A synthesis plan freezes everything deterministic about an array pair: the
+two pattern-modified harmonic bases and the per-element efficiency
+amplitudes.  It takes the harmonic indices of each aperture from
+``enumerate_lattice`` and no spectrum, so one plan serves every user of a
+spacing.  The separable variances sigma^2(l, m) belong to the propagation
+one user sees; ``lattice.build_variance_table`` makes them from the user's
+two lattices, and the samplers take them next to the plan.
+
+Realizations are pure functions of (plan, variances, seed,
+realization_index): every Fourier coefficient is drawn from a
 counter-based random stream keyed by seed and realization index, so draws
 are bitwise reproducible regardless of evaluation order or parallelism.
 
@@ -24,16 +30,9 @@ import numpy as np
 
 from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
-from .lattice import (
-    SpectralLattice,
-    VarianceTable,
-    build_lattice,
-    build_variance_table,
-    harmonic_angles,
-    harmonic_vector,
-)
+from .lattice import enumerate_lattice, harmonic_angles, harmonic_vector
 
-__all__ = ["SynthesisPlan", "ChannelRealization", "build_plan", "sample_channel",
+__all__ = ["SynthesisPlan", "build_plan", "sample_channel",
            "sample_harmonic_channel", "MASK64"]
 
 # Seeds and counters enter every random stream as unsigned 64-bit words.
@@ -41,21 +40,12 @@ MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One sampled channel matrix (receive x transmit elements)."""
-
-    matrix: np.ndarray
-    realization_index: int
-    seed: int
-
-
-@dataclass(frozen=True, eq=False)
 class SynthesisPlan:
-    """Deterministic ingredients of the channel distribution for one link."""
+    """Deterministic ingredients of the channel distribution for one array
+    pair."""
 
     bs_basis: np.ndarray  # (N_S, n_S), transmit harmonics x element gains
     ue_basis: np.ndarray  # (N_R, n_R), receive harmonics x element gains
-    variance_table: VarianceTable
     bs_amplitudes: np.ndarray  # (N_S,) sqrt of element efficiencies
     ue_amplitudes: np.ndarray  # (N_R,)
     bs_r: np.ndarray  # (min(N_S, n_S), n_S), R of the QR of amplitudes * bs_basis
@@ -71,19 +61,18 @@ class SynthesisPlan:
 
 
 def _modified_basis(
-    geometry: ArrayGeometry,
-    lattice: SpectralLattice,
-    coupling: CouplingProfile,
-    sign: int,
+    geometry: ArrayGeometry, coupling: CouplingProfile, sign: int
 ) -> np.ndarray:
-    """Stack harmonic vectors, each weighted by the per-element pattern gain
-    evaluated at that harmonic's propagation angles."""
+    """Stack the aperture's harmonic vectors, each weighted by the
+    per-element pattern gain evaluated at that harmonic's propagation
+    angles."""
+    indices = enumerate_lattice(geometry.aperture_x, geometry.aperture_y)
     vectors = np.column_stack(
-        [harmonic_vector(index, geometry, sign) for index in lattice.indices]
+        [harmonic_vector(index, geometry, sign) for index in indices]
     )
     theta, phi = np.array(
-        [harmonic_angles(index, lattice.aperture_x, lattice.aperture_y)
-         for index in lattice.indices]
+        [harmonic_angles(index, geometry.aperture_x, geometry.aperture_y)
+         for index in indices]
     ).T
     patterns = coupling.patterns
     if all(p is patterns[0] for p in patterns):
@@ -96,36 +85,17 @@ def _modified_basis(
 def build_plan(
     bs_geometry: ArrayGeometry,
     ue_geometry: ArrayGeometry,
-    bs_spectrum,
-    ue_spectrum,
     bs_coupling: CouplingProfile,
     ue_coupling: CouplingProfile,
-    bs_lattice: SpectralLattice | None = None,
-    ue_lattice: SpectralLattice | None = None,
 ) -> SynthesisPlan:
-    """Assemble bases, variance table, and amplitudes into a sampling plan.
-
-    The spectral lattices (which depend only on aperture and spectrum, not
-    on element spacing) are computed from the spectra unless precomputed
-    ones are passed in, which lets spacing sweeps reuse them.
-    """
-    if bs_lattice is None:
-        bs_lattice = build_lattice(
-            bs_geometry.aperture_x, bs_geometry.aperture_y, bs_spectrum
-        )
-    if ue_lattice is None:
-        ue_lattice = build_lattice(
-            ue_geometry.aperture_x, ue_geometry.aperture_y, ue_spectrum
-        )
-    bs_basis = _modified_basis(bs_geometry, bs_lattice, bs_coupling, sign=-1)
-    ue_basis = _modified_basis(ue_geometry, ue_lattice, ue_coupling, sign=+1)
-    table = build_variance_table(bs_lattice, ue_lattice)
+    """Assemble the bases, amplitudes and R factors of an array pair."""
+    bs_basis = _modified_basis(bs_geometry, bs_coupling, sign=-1)
+    ue_basis = _modified_basis(ue_geometry, ue_coupling, sign=+1)
     bs_amplitudes = bs_coupling.amplitudes
     ue_amplitudes = ue_coupling.amplitudes
     return SynthesisPlan(
         bs_basis=bs_basis,
         ue_basis=ue_basis,
-        variance_table=table,
         bs_amplitudes=bs_amplitudes,
         ue_amplitudes=ue_amplitudes,
         bs_r=np.linalg.qr(bs_amplitudes[:, None] * bs_basis, mode="r"),
@@ -133,7 +103,7 @@ def build_plan(
     )
 
 
-def _coefficients(plan: SynthesisPlan, seed: int, realization_index: int):
+def _coefficients(variances: np.ndarray, seed: int, realization_index: int):
     """Fourier coefficients C of one realization.
 
     Each coefficient is circularly-symmetric complex Gaussian with the
@@ -145,43 +115,38 @@ def _coefficients(plan: SynthesisPlan, seed: int, realization_index: int):
         [seed & MASK64, realization_index & MASK64], dtype=np.uint64
     )
     rng = np.random.Generator(np.random.Philox(key=key))
-    variances = plan.variance_table.variances()
     z = rng.standard_normal(size=(*variances.shape, 2))
     return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(variances / 2.0)
 
 
 def sample_channel(
-    plan: SynthesisPlan, seed: int, realization_index: int
-) -> ChannelRealization:
+    plan: SynthesisPlan, variances: np.ndarray, seed: int, realization_index: int
+) -> np.ndarray:
     """Draw one channel realization in the element domain.
 
     H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H, receive x transmit
     elements, where s = sqrt(N_R*N_S) is the front factor of the series
-    expansion.
+    expansion and C has the (n_R, n_S) ``variances``.
     """
-    coeffs = _coefficients(plan, seed, realization_index)
-    matrix = np.sqrt(plan.ue_count * plan.bs_count) * (
+    coeffs = _coefficients(variances, seed, realization_index)
+    return np.sqrt(plan.ue_count * plan.bs_count) * (
         (plan.ue_amplitudes[:, None] * plan.ue_basis)
         @ coeffs
         @ (plan.bs_basis.conj().T * plan.bs_amplitudes[None, :])
     )
-    return ChannelRealization(
-        matrix=matrix, realization_index=realization_index, seed=seed
-    )
 
 
 def sample_harmonic_channel(
-    plan: SynthesisPlan, seed: int, realization_index: int
+    plan: SynthesisPlan, variances: np.ndarray, seed: int, realization_index: int
 ) -> np.ndarray:
     """Draw the same realization as ``sample_channel`` in harmonic
     coordinates: M = s * R_R C R_S^H.
 
     M has the nonzero singular values and the sum capacity of the element
     matrix, at (min(N_R, n_R) x min(N_S, n_S)) instead of (N_R x N_S).
-    Channels of several users share transmit coordinates when their plans
-    share the transmit basis, as plans on the same array do.
+    Channels of several users are in shared transmit coordinates when they
+    are drawn on the same plan.
     """
-    coeffs = _coefficients(plan, seed, realization_index)
+    coeffs = _coefficients(variances, seed, realization_index)
     scale = np.sqrt(plan.ue_count * plan.bs_count)
     return scale * (plan.ue_r @ coeffs @ plan.bs_r.conj().T)
-

@@ -5,8 +5,9 @@ import numpy as np
 from holomimo import SynthesisPlan
 
 
-def expected_frobenius(plan: SynthesisPlan) -> float:
-    """Closed-form expected squared Frobenius norm of a realization.
+def expected_frobenius(plan: SynthesisPlan, variances: np.ndarray) -> float:
+    """Closed-form expected squared Frobenius norm of a realization drawn on
+    ``plan`` with ``variances``.
 
     E||H||^2 = N_R*N_S * sum over harmonic pairs of sigma^2(l, m) *
     ||Gamma_R psi_R(l)||^2 * ||Gamma_S psi_S(m)||^2; serves as the moment
@@ -18,5 +19,4 @@ def expected_frobenius(plan: SynthesisPlan) -> float:
     bs_norms = np.sum(
         np.abs(plan.bs_amplitudes[:, None] * plan.bs_basis) ** 2, axis=0
     )
-    variances = plan.variance_table.variances()
     return float(plan.ue_count * plan.bs_count * (ue_norms @ variances @ bs_norms))

@@ -42,7 +42,7 @@ def announce(number, text):
 
 
 def iso_unit_plan(bs_ap, ue_ap, spacing, bs_pattern=None, ue_pattern=None):
-    """Plan with isotropic spectra and unit element efficiencies."""
+    """(plan with unit element efficiencies, isotropic variances)."""
     iso = hm.AngularPowerSpectrum.isotropic()
     uniform = hm.ElementPattern.uniform()
     bs = hm.build_planar_array(bs_ap, bs_ap, spacing, spacing)
@@ -54,7 +54,9 @@ def iso_unit_plan(bs_ap, ue_ap, spacing, bs_pattern=None, ue_pattern=None):
             efficiencies=np.ones(geometry.count),
         )
 
-    return hm.build_plan(bs, ue, iso, iso, unit(bs, bs_pattern), unit(ue, ue_pattern))
+    variances = hm.build_variance_table(hm.build_lattice(bs_ap, bs_ap, iso),
+                                        hm.build_lattice(ue_ap, ue_ap, iso))
+    return hm.build_plan(bs, ue, unit(bs, bs_pattern), unit(ue, ue_pattern)), variances
 
 
 def sweep_mean_se(config):
@@ -140,25 +142,24 @@ def test_criterion_04_harmonic_orthonormality(spacing):
 
 def test_criterion_05_moment_checks():
     start = time.time()
-    plan = iso_unit_plan(2.0, 1.0, 0.5)
-    target = expected_frobenius(plan)
+    plan, variances = iso_unit_plan(2.0, 1.0, 0.5)
+    target = expected_frobenius(plan, variances)
     assert target == pytest.approx(plan.bs_count * plan.ue_count, abs=1e-9)
     draws = 2000
     mean = np.mean(
         [
-            np.linalg.norm(hm.sample_channel(plan, SEED, r).matrix) ** 2
+            np.linalg.norm(hm.sample_channel(plan, variances, SEED, r)) ** 2
             for r in range(draws)
         ]
     )
     assert abs(mean - target) <= 0.05 * target
 
-    toy = iso_unit_plan(2.0, 2.0, 1.0)  # 2x2 elements at both ends
-    variances = toy.variance_table.variances()
+    toy, variances = iso_unit_plan(2.0, 2.0, 1.0)  # 2x2 elements at both ends
     g_r = toy.ue_amplitudes[:, None] * toy.ue_basis
     g_s = toy.bs_amplitudes[:, None] * toy.bs_basis
     scale = toy.ue_count * toy.bs_count
     samples = np.stack(
-        [hm.sample_channel(toy, SEED + 1, r).matrix for r in range(20000)]
+        [hm.sample_channel(toy, variances, SEED + 1, r) for r in range(20000)]
     )
     for (a, b), (c, d) in [((0, 0), (0, 0)), ((0, 1), (2, 3)), ((1, 1), (1, 1))]:
         oracle = scale * np.sum(
@@ -261,20 +262,20 @@ def test_criterion_10_scattering_ordering():
 def test_criterion_11_pattern_distortion_penalty():
     realizations = 100
     for spacing in (0.5, 0.25, 0.125):
-        uniform_plan = iso_unit_plan(4.0, 1.0, spacing)
-        dipole_plan = iso_unit_plan(
+        uniform_plan, variances = iso_unit_plan(4.0, 1.0, spacing)
+        dipole_plan, _ = iso_unit_plan(
             4.0, 1.0, spacing, bs_pattern=hm.ElementPattern.dipole()
         )
         u_vals, d_vals = [], []
         for r in range(realizations):
             u_vals.append(
                 hm.su_capacity(
-                    hm.sample_channel(uniform_plan, SEED, r).matrix, 0.0
+                    hm.sample_channel(uniform_plan, variances, SEED, r), 0.0
                 ).value_bits
             )
             d_vals.append(
                 hm.su_capacity(
-                    hm.sample_channel(dipole_plan, SEED, r).matrix, 0.0
+                    hm.sample_channel(dipole_plan, variances, SEED, r), 0.0
                 ).value_bits
             )
         u_mean, d_mean = np.mean(u_vals), np.mean(d_vals)

@@ -402,8 +402,8 @@ def test_culling_skips_only_negligible_terms(monkeypatch, asd_deg, rotation):
     )
     bs = rotate_spectrum(bs, rotation)
     culled = build_lattice(4.0, 4.0, bs)
-    table = build_variance_table(culled, build_lattice(1.0, 1.0, ue))
-    assert table.variances().sum() == pytest.approx(1.0, rel=1e-12)
+    variances = build_variance_table(culled, build_lattice(1.0, 1.0, ue))
+    assert variances.sum() == pytest.approx(1.0, rel=1e-12)
     monkeypatch.setattr(lat, "_CULL_EXPONENT", math.inf)
     full = build_lattice(4.0, 4.0, bs)
     assert culled.total_integral == pytest.approx(full.total_integral, rel=1e-9)

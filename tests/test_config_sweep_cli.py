@@ -146,6 +146,7 @@ class TestSingleUserSweep:
             build_coupling_profile,
             build_plan,
             build_planar_array,
+            build_variance_table,
         )
 
         config = make_config(realizations=1)
@@ -159,16 +160,20 @@ class TestSingleUserSweep:
         ue = build_planar_array(1.0, 1.0, 0.5, 0.5)
         eta = 1.0 * HALF_WAVE_EFFICIENCY
         plan = build_plan(
-            bs, ue, iso, iso,
+            bs, ue,
             build_coupling_profile(bs, ElementPattern.uniform(), eta),
             build_coupling_profile(ue, ElementPattern.uniform(), eta),
         )
+        variances = build_variance_table(build_lattice(2.0, 2.0, iso),
+                                         build_lattice(1.0, 1.0, iso))
         # The sweep water-fills the harmonic-domain matrix of the same draw,
         # so it matches that exactly; the element-domain channel has the same
         # singular values up to rounding.
-        harmonic = su_capacity(sample_harmonic_channel(plan, config.seed, 0), 0.0)
+        harmonic = su_capacity(
+            sample_harmonic_channel(plan, variances, config.seed, 0), 0.0
+        )
         assert row.mean_bits == harmonic.value_bits
-        element = su_capacity(sample_channel(plan, config.seed, 0).matrix, 0.0)
+        element = su_capacity(sample_channel(plan, variances, config.seed, 0), 0.0)
         assert row.mean_bits == pytest.approx(element.value_bits, rel=1e-12, abs=0.0)
 
     def test_same_seed_bitwise_identical(self):
@@ -449,6 +454,61 @@ class TestCli:
         assert captured.err.startswith("error: ") and "vanished" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["capacity", "su"], ["capacity", "mu"],
+                                         ["synth", "--out", "h.csv"]])
+    def test_a_pattern_file_fails_before_the_variance_table(
+        self, tmp_path, capsys, command
+    ):
+        # The arrival spectrum of test_receive_total_below_the_normal_range
+        # gives the 2-wavelength end a subnormal total, which only the
+        # variance table rejects (exit 4); the plans, and with them an
+        # undecodable pattern file (exit 3), come first.
+        table = tmp_path / "behind.csv"
+        table.write_text(
+            "cluster_id,power_db,aod_deg,zod_deg,aoa_deg,zoa_deg\n"
+            "1,0,20,90,30,143.6\n"
+        )
+        bad = tmp_path / "pattern.csv"
+        bad.write_bytes(b"\xff\xfe")
+        spectrum = {"kind": "cdl", "path": str(table), "asd_deg": 10.0,
+                    "asa_deg": 5.0}
+        argv = [str(tmp_path / a) if a == "h.csv" else a for a in command]
+        for pattern, code in (({"kind": "uniform"}, 4),
+                              ({"kind": "file", "path": str(bad)}, 3)):
+            config = self.write_config(
+                tmp_path, spectrum_spec=spectrum, ue_aperture=2.0,
+                pattern_spec=pattern, users=2 if command[-1] == "mu" else 1,
+            )
+            assert main([*argv, "--config", str(config)]) == code
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+
+    def test_multi_user_solver_breakdown_exits_4(self, tmp_path, capsys):
+        # At 150 dB, I + sum_k H_k^H Q_k H_k loses positive definiteness in
+        # floating point; the same config runs at 100 dB.
+        overrides = {"spacing_list": [0.5, 0.25], "efficiency_spec": {"kind": "hannan"},
+                     "realizations": 2, "users": 2, "seed": 5}
+        config = self.write_config(tmp_path, **overrides, snr_db=100.0)
+        assert main(["capacity", "mu", "--config", str(config)]) == 0
+        capsys.readouterr()
+        config = self.write_config(tmp_path, **overrides, snr_db=150.0)
+        assert main(["capacity", "mu", "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "positive definite" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_lattice_command_reads_no_pattern_or_sparams_file(self, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        config = self.write_config(
+            tmp_path, pattern_spec={"kind": "file", "path": missing},
+            efficiency_spec={"kind": "sparams", "bs_path": missing,
+                             "ue_path": missing},
+        )
+        assert main(["lattice", "--config", str(config)]) == 0
+
     def test_lattice_command_integrates_a_1_wavelength_end(self, tmp_path, capsys):
         # Sweeps see the 1-wavelength end as the indicator of its broadside
         # cell; ``holo lattice`` still prints the quadrature integrals.
@@ -475,6 +535,9 @@ class TestCli:
             {"seed": 0.5},
             {"seed": False},
             {"seed": -1},
+            {"seed": 2**64},
+            {"snr_db": 4000.0},
+            {"snr_db": -4000.0},
             {"efficiency_spec": {"kind": "relative_eta", "eta": 1.2}},
             {"efficiency_spec": {"kind": "relative_eta", "eta": -0.1}},
         ],
@@ -543,6 +606,8 @@ class TestCli:
         "argv, flag",
         [
             (["synth", "--out", "h.csv", "--realization", "-1"], "--realization"),
+            (["synth", "--out", "h.csv", "--realization", str(2**64)],
+             "--realization"),
             (["capacity", "su", "--jobs", "0"], "--jobs"),
             (["capacity", "su", "--jobs", "-3"], "--jobs"),
             (["sweep", "--preset", "fig3-cdlb", "--jobs", "0"], "--jobs"),

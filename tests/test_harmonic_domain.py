@@ -21,8 +21,10 @@ from holomimo import (
     build_lattice,
     build_plan,
     build_planar_array,
+    build_variance_table,
     drop_users,
     harmonic_angles,
+    enumerate_lattice,
     harmonic_vector,
     load_cdl_table,
     load_pattern_file,
@@ -45,22 +47,28 @@ CDL_BS, CDL_UE = spectra_from_cdl(
 
 def make_plan(bs_aperture, ue_aperture, spacing, bs_spectrum, ue_spectrum,
               pattern=ElementPattern.uniform(), eta=1.0):
+    """(plan, variances of the two spectra's lattices)."""
     bs = build_planar_array(bs_aperture, bs_aperture, spacing, spacing)
     ue = build_planar_array(ue_aperture, ue_aperture, spacing, spacing)
-    return build_plan(
-        bs, ue, bs_spectrum, ue_spectrum,
+    plan = build_plan(
+        bs, ue,
         build_coupling_profile(bs, pattern, eta * HALF_WAVE_EFFICIENCY),
         build_coupling_profile(ue, pattern, eta * HALF_WAVE_EFFICIENCY),
     )
+    return plan, build_variance_table(
+        build_lattice(bs_aperture, bs_aperture, bs_spectrum),
+        build_lattice(ue_aperture, ue_aperture, ue_spectrum),
+    )
 
 
-def loop_basis(geometry, lattice, coupling, sign):
+def loop_basis(geometry, coupling, sign):
     """The per-element, per-harmonic loop that built the bases before they
     were vectorized: one scalar ``ElementPattern.gain`` call per element
     and harmonic."""
-    columns = np.empty((geometry.count, lattice.cardinality), dtype=complex)
-    for j, index in enumerate(lattice.indices):
-        theta, phi = harmonic_angles(index, lattice.aperture_x, lattice.aperture_y)
+    indices = enumerate_lattice(geometry.aperture_x, geometry.aperture_y)
+    columns = np.empty((geometry.count, len(indices)), dtype=complex)
+    for j, index in enumerate(indices):
+        theta, phi = harmonic_angles(index, geometry.aperture_x, geometry.aperture_y)
         gains = np.array(
             [coupling.patterns[p].gain(theta, phi)
              for p in range(geometry.count)]
@@ -94,15 +102,13 @@ class TestVectorizedBasis:
         coupling = build_coupling_profile(
             geometry, patterns, 1.0 * HALF_WAVE_EFFICIENCY
         )
-        lattice = build_lattice(2.0, 1.0, ISO)
-        plan = build_plan(geometry, geometry, ISO, ISO, coupling, coupling,
-                          bs_lattice=lattice, ue_lattice=lattice)
+        plan = build_plan(geometry, geometry, coupling, coupling)
         assert plan.bs_basis.shape == (2, 7)
         np.testing.assert_array_equal(
-            plan.bs_basis, loop_basis(geometry, lattice, coupling, -1)
+            plan.bs_basis, loop_basis(geometry, coupling, -1)
         )
         np.testing.assert_array_equal(
-            plan.ue_basis, loop_basis(geometry, lattice, coupling, +1)
+            plan.ue_basis, loop_basis(geometry, coupling, +1)
         )
 
     def test_shared_dipole_pattern_matches_the_loop(self):
@@ -110,11 +116,9 @@ class TestVectorizedBasis:
         coupling = build_coupling_profile(
             geometry, ElementPattern.dipole(), 1.0 * HALF_WAVE_EFFICIENCY
         )
-        lattice = build_lattice(2.0, 2.0, ISO)
-        plan = build_plan(geometry, geometry, ISO, ISO, coupling, coupling,
-                          bs_lattice=lattice, ue_lattice=lattice)
+        plan = build_plan(geometry, geometry, coupling, coupling)
         np.testing.assert_allclose(
-            plan.bs_basis, loop_basis(geometry, lattice, coupling, -1),
+            plan.bs_basis, loop_basis(geometry, coupling, -1),
             rtol=0.0, atol=1e-15,
         )
 
@@ -123,7 +127,7 @@ class TestReducedChannel:
     def test_factors_reproduce_the_weighted_bases(self):
         # At half-wave spacing the 1-wavelength end has 4 elements but 5
         # harmonics, so R_R is 4 x 5.
-        plan = make_plan(4.0, 1.0, 0.5, CDL_BS, CDL_UE, eta=0.8)
+        plan, _ = make_plan(4.0, 1.0, 0.5, CDL_BS, CDL_UE, eta=0.8)
         assert plan.ue_r.shape == (4, 5)
         assert plan.bs_r.shape == (49, 49)
         for r, basis, amplitudes in (
@@ -156,15 +160,15 @@ class TestReducedChannel:
         # apertures under 1.5 wavelengths; both domains then raise.
         assume(not dipole or min(bs_aperture, ue_aperture) == 1.5)
         bs_spectrum, ue_spectrum = (CDL_BS, CDL_UE) if cdl else (ISO, ISO)
-        plan = make_plan(
+        plan, variances = make_plan(
             bs_aperture, ue_aperture, spacing,
             rotate_spectrum(bs_spectrum, bs_angle),
             rotate_spectrum(ue_spectrum, ue_angle),
             pattern=ElementPattern.dipole() if dipole else ElementPattern.uniform(),
             eta=eta,
         )
-        reduced = sample_harmonic_channel(plan, 3, realization)
-        element = sample_channel(plan, 3, realization).matrix
+        reduced = sample_harmonic_channel(plan, variances, 3, realization)
+        element = sample_channel(plan, variances, 3, realization)
         assert reduced.shape[0] <= element.shape[0]
         assert reduced.shape[1] <= element.shape[1]
         assert su_capacity(reduced, snr_db).value_bits == pytest.approx(
@@ -172,16 +176,16 @@ class TestReducedChannel:
         )
 
     def test_mean_squared_norm_matches_expected_frobenius(self):
-        plan = make_plan(
+        plan, variances = make_plan(
             2.0, 1.5, 0.25, rotate_spectrum(CDL_BS, 0.7),
             rotate_spectrum(CDL_UE, -2.0), eta=0.6,
         )
         draws = 2000
         total = sum(
-            np.linalg.norm(sample_harmonic_channel(plan, 2024, r)) ** 2
+            np.linalg.norm(sample_harmonic_channel(plan, variances, 2024, r)) ** 2
             for r in range(draws)
         )
-        assert total / draws == pytest.approx(expected_frobenius(plan), rel=0.05)
+        assert total / draws == pytest.approx(expected_frobenius(plan, variances), rel=0.05)
 
 
 @pytest.mark.parametrize(
@@ -194,14 +198,14 @@ def test_multi_user_sum_capacity_equals_the_element_domain(users, spacing, seed)
     # coordinates only because that basis, and hence R_S, is the same.
     harmonic, element = [], []
     for k, drop in enumerate(drop_users(users, seed)):
-        plan = make_plan(
+        plan, variances = make_plan(
             2.0, 1.5, spacing,
             rotate_spectrum(CDL_BS, math.radians(drop.azimuth_deg)),
             rotate_spectrum(CDL_UE, math.radians(drop.orientation_deg)),
         )
         gain = 10.0 ** (drop.snr_db / 20.0)
-        harmonic.append(gain * sample_harmonic_channel(plan, seed, k))
-        element.append(gain * sample_channel(plan, seed, k).matrix)
+        harmonic.append(gain * sample_harmonic_channel(plan, variances, seed, k))
+        element.append(gain * sample_channel(plan, variances, seed, k))
     budget = 10.0 ** (5.0 / 10.0)
     reduced = mu_sum_capacity(harmonic, budget, tol=1e-9)
     full = mu_sum_capacity(element, budget, tol=1e-9)

@@ -171,22 +171,21 @@ class TestMarginalIntegrals:
 
 class TestVarianceTable:
     def test_normalized_total(self):
-        table = build_variance_table(
+        variances = build_variance_table(
             build_lattice(4.0, 4.0, ISO), build_lattice(1.0, 1.0, ISO)
         )
-        assert table.variances().sum() == pytest.approx(1.0, abs=1e-9)
+        assert variances.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_product_cardinality(self):
         bs = build_lattice(0.5, 0.5, ISO)  # single harmonic
         ue = build_lattice(1.0, 1.0, ISO)  # five harmonics
-        table = build_variance_table(bs, ue)
-        assert table.variances().shape == (5, 1)
-        assert table.variances().size == 5
+        variances = build_variance_table(bs, ue)
+        assert variances.shape == (5, 1)
+        assert variances.size == 5
 
     def test_central_pair_is_largest(self):
         lattice = build_lattice(1.0, 1.0, ISO)
-        table = build_variance_table(lattice, lattice)
-        variances = table.variances()
+        variances = build_variance_table(lattice, lattice)
         center_ue = lattice.indices.index((0, 0))
         center_bs = lattice.indices.index((0, 0))
         assert variances[center_ue, center_bs] == variances.max()
@@ -210,10 +209,10 @@ class TestVarianceTable:
     def test_tiny_and_huge_totals_normalize_each_end(self, total):
         # The product of the two totals would underflow to 0 or overflow.
         bs, ue = build_lattice(2.0, 2.0, ISO), build_lattice(1.5, 1.5, ISO)
-        reference = build_variance_table(bs, ue).variances()
+        reference = build_variance_table(bs, ue)
         variances = build_variance_table(
             self.scaled(bs, total), self.scaled(ue, total)
-        ).variances()
+        )
         assert np.all(np.isfinite(variances))
         assert variances.sum() == pytest.approx(1.0, rel=1e-14)
         np.testing.assert_allclose(variances, reference, rtol=1e-14, atol=0.0)
@@ -231,17 +230,16 @@ class TestVarianceTable:
         ue = build_lattice(1.5, 1.5, ISO)
         cells = np.zeros_like(ue.marginal_integrals)
         cells[3] = 1e-316
-        table = build_variance_table(bs, replace(ue, marginal_integrals=cells))
-        reference = build_variance_table(bs, ue).variances()
-        np.testing.assert_array_equal(np.delete(table.variances(), 3, axis=0), 0.0)
-        np.testing.assert_allclose(table.variances()[3], reference.sum(axis=0),
+        variances = build_variance_table(bs, replace(ue, marginal_integrals=cells))
+        reference = build_variance_table(bs, ue)
+        np.testing.assert_array_equal(np.delete(variances, 3, axis=0), 0.0)
+        np.testing.assert_allclose(variances[3], reference.sum(axis=0),
                                    rtol=1e-14)
 
     def test_table_is_computed_once_and_read_only(self):
-        table = build_variance_table(build_lattice(2.0, 2.0, ISO),
-                                     build_lattice(1.0, 1.0, ISO))
-        assert table.variances() is table.variances()
-        assert not table.variances().flags.writeable
+        variances = build_variance_table(build_lattice(2.0, 2.0, ISO),
+                                         build_lattice(1.0, 1.0, ISO))
+        assert not variances.flags.writeable
 
 
 class TestHarmonicVectors:

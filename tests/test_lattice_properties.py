@@ -105,10 +105,10 @@ def test_a_1_wavelength_end_normalizes_to_the_broadside_indicator(spectrum, offs
         with pytest.raises(DegenerateSpectrum):
             build_variance_table(bs, ue)
         return
-    table = build_variance_table(bs, ue)
+    variances = build_variance_table(bs, ue)
     indicator = [float(index == (0, 0)) for index in ue.indices]
     np.testing.assert_allclose(
-        table.variances().sum(axis=1), indicator, rtol=0.0, atol=1e-15
+        variances.sum(axis=1), indicator, rtol=0.0, atol=1e-15
     )
 
 
@@ -145,8 +145,8 @@ def test_the_indicator_table_is_the_quadrature_table_at_1_wavelength(spectrum, o
         return
     bs = build_lattice(1.5, 1.5, ISO)
     np.testing.assert_allclose(
-        build_variance_table(bs, indicator).variances(),
-        build_variance_table(bs, quadrature).variances(),
+        build_variance_table(bs, indicator),
+        build_variance_table(bs, quadrature),
         rtol=0.0, atol=1e-15,
     )
 

@@ -116,8 +116,6 @@ def test_rendered_sweep_is_byte_identical_across_jobs(users, spectrum):
 def lattice_builds(monkeypatch, ue_aperture):
     """(aperture_x, aperture_y) of every lattice a 3-user CDL sweep builds,
     and its config."""
-    from holomimo import synthesis
-
     calls = []
 
     def counting(original):
@@ -140,8 +138,6 @@ def lattice_builds(monkeypatch, ue_aperture):
     monkeypatch.setattr(
         sweep_module, "build_lattices", counting_spectra(sweep_module.build_lattices)
     )
-    # Plans must reuse the sweep's lattices, never build their own.
-    monkeypatch.setattr(synthesis, "build_lattice", counting(synthesis.build_lattice))
     config = replace(golden_config(users=3, spectrum="cdl"), ue_aperture=ue_aperture)
     run_sweep(config)
     assert len(config.spacing_list) == 2
@@ -176,8 +172,8 @@ def test_synth_writes_the_channel_the_sweep_samples(tmp_path, monkeypatch):
     sampled = {}
     original = sweep_module.sample_harmonic_channel
 
-    def recording(plan, seed, index):
-        matrix = original(plan, seed, index)
+    def recording(plan, variances, seed, index):
+        matrix = original(plan, variances, seed, index)
         sampled.setdefault(index, []).append(matrix)
         return matrix
 

@@ -1,13 +1,15 @@
 """One plan per spacing: sweep users share bases and R factors and differ
-only in their variance tables."""
+only in their variances."""
 
 import numpy as np
 import pytest
 
 import holomimo.sweep as sweep_module
 from holomimo import (
+    CapacityReport,
     build_plan,
     build_planar_array,
+    build_variance_table,
     config_from_dict,
     drop_users,
     run_sweep,
@@ -62,49 +64,49 @@ def test_one_plan_per_spacing(monkeypatch, overrides):
 def test_isotropic_multi_user_sweep_builds_two_lattices(monkeypatch):
     # One quadrature at the 1.5-wavelength BS end and one indicator at the
     # 1-wavelength UE end, which has a single cell in the unit disk.
-    from holomimo import synthesis
-
     calls = count_calls(monkeypatch, sweep_module, "build_lattice")
-    calls += count_calls(monkeypatch, synthesis, "build_lattice")
     indicators = count_calls(monkeypatch, sweep_module, "indicator_lattice")
     run_sweep(make_config())
     assert [args[:2] for args in calls] == [(1.5, 1.5)]
     assert [args[:2] for args in indicators] == [(1.0, 1.0)]
 
 
-def test_user_plans_equal_plans_built_on_their_own_lattices():
-    # Each user's plan at each spacing is bitwise the plan ``build_plan``
-    # makes from scratch on that user's rotated lattices.
+def test_user_plans_equal_plans_built_on_their_own_lattices(monkeypatch):
+    # The plan of each spacing is bitwise the plan ``build_plan`` makes from
+    # scratch, and every user of a realization draws on it with the
+    # variances of that user's own rotated lattices.
     config = make_config(spectrum_spec=CDL, pattern_spec={"kind": "dipole"},
                          ue_aperture=1.5)
     scenario = resolve_scenario(config)
     drops = drop_users(config.users, _drop_seed(config.seed, 1))
     lattices = scenario.realization_lattices(drops)
-    user_plans = [scenario.plans(*pair) for pair in lattices]
     for s, spacing in enumerate(config.spacing_list):
         bs = build_planar_array(1.5, 1.5, spacing, spacing)
         ue = build_planar_array(1.5, 1.5, spacing, spacing)
-        for (bs_lattice, ue_lattice), plans in zip(lattices, user_plans):
-            reference = build_plan(
-                bs, ue, None, None,
-                scenario.coupling("bs", bs),
-                scenario.coupling("ue", ue),
-                bs_lattice=bs_lattice, ue_lattice=ue_lattice,
-            )
-            plan = plans[s]
-            for name in ("bs_basis", "ue_basis", "bs_amplitudes",
-                         "ue_amplitudes", "bs_r", "ue_r"):
-                np.testing.assert_array_equal(
-                    getattr(plan, name), getattr(reference, name)
-                )
-                # One array per spacing, shared by every user.
-                assert getattr(plan, name) is getattr(user_plans[0][s], name)
+        reference = build_plan(bs, ue, scenario.coupling("bs", bs),
+                               scenario.coupling("ue", ue))
+        for name in ("bs_basis", "ue_basis", "bs_amplitudes",
+                     "ue_amplitudes", "bs_r", "ue_r"):
             np.testing.assert_array_equal(
-                plan.variance_table.variances(),
-                reference.variance_table.variances(),
+                getattr(scenario.plans[s], name), getattr(reference, name)
             )
-            assert plan.variance_table.bs_lattice is bs_lattice
-            assert plan.variance_table.ue_lattice is ue_lattice
+    draws = []
+
+    def recording(plan, variances, seed, index):
+        draws.append((plan, variances))
+        return np.zeros((1, 1))
+
+    monkeypatch.setattr(sweep_module, "sample_harmonic_channel", recording)
+    monkeypatch.setattr(sweep_module, "mu_sum_capacity",
+                        lambda channels, budget: CapacityReport(0.0))
+    sweep_module._evaluate(scenario, 1, drops, lattices)
+    assert len(draws) == len(config.spacing_list) * config.users
+    for k, (plan, variances) in enumerate(draws):
+        s, user = divmod(k, config.users)
+        assert plan is scenario.plans[s]
+        np.testing.assert_array_equal(variances, build_variance_table(*lattices[user]))
+        # One table per user, shared by every spacing.
+        assert variances is draws[user][1]
 
 
 def test_rotation_invariant_spectra_keep_the_unrotated_lattices():

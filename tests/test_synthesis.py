@@ -7,8 +7,10 @@ from holomimo import (
     AngularPowerSpectrum,
     CouplingProfile,
     ElementPattern,
+    build_lattice,
     build_plan,
     build_planar_array,
+    build_variance_table,
     enumerate_lattice,
     harmonic_vector,
     sample_channel,
@@ -39,17 +41,20 @@ def scaled_profile(geometry, efficiency, pattern=UNIFORM):
 
 def simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.5, bs_eff=None, ue_eff=None,
                 bs_pattern=UNIFORM, ue_pattern=UNIFORM):
+    """(plan, isotropic variances) of a bs_ap x ue_ap wavelength link."""
     bs = build_planar_array(bs_ap, bs_ap, spacing, spacing)
     ue = build_planar_array(ue_ap, ue_ap, spacing, spacing)
     bs_cp = unit_profile(bs, bs_pattern) if bs_eff is None else scaled_profile(bs, bs_eff, bs_pattern)
     ue_cp = unit_profile(ue, ue_pattern) if ue_eff is None else scaled_profile(ue, ue_eff, ue_pattern)
-    return build_plan(bs, ue, ISO, ISO, bs_cp, ue_cp)
+    variances = build_variance_table(build_lattice(bs_ap, bs_ap, ISO),
+                                     build_lattice(ue_ap, ue_ap, ISO))
+    return build_plan(bs, ue, bs_cp, ue_cp), variances
 
 
 class TestBases:
     def test_uniform_patterns_reduce_to_plain_harmonics(self):
         bs = build_planar_array(2.0, 2.0, 0.25, 0.25)
-        plan = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.25)
+        plan, _ = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.25)
         idx = enumerate_lattice(2.0, 2.0)
         plain = np.column_stack([harmonic_vector(i, bs, -1) for i in idx])
         np.testing.assert_allclose(plan.bs_basis, plain, atol=1e-12)
@@ -57,17 +62,17 @@ class TestBases:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_half_wavelength_apertures_are_single_column(self):
-        plan = simple_plan(bs_ap=0.5, ue_ap=0.5, spacing=0.5)
+        plan, _ = simple_plan(bs_ap=0.5, ue_ap=0.5, spacing=0.5)
         assert plan.bs_basis.shape == (1, 1)
         assert plan.ue_basis.shape == (1, 1)
 
     def test_column_count_equals_lattice_cardinality(self):
-        plan = simple_plan(bs_ap=4.0, ue_ap=1.0, spacing=0.5)
+        plan, _ = simple_plan(bs_ap=4.0, ue_ap=1.0, spacing=0.5)
         assert plan.bs_basis.shape == (64, 49)
         assert plan.ue_basis.shape == (4, 5)
 
     def test_dipole_nulls_broadside_column(self):
-        plan = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.5, ue_pattern=ElementPattern.dipole())
+        plan, _ = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.5, ue_pattern=ElementPattern.dipole())
         ue_idx = enumerate_lattice(1.0, 1.0)
         broadside = ue_idx.index((0, 0))
         np.testing.assert_array_equal(plan.ue_basis[:, broadside], 0.0)
@@ -75,64 +80,64 @@ class TestBases:
 
 class TestSampling:
     def test_zero_efficiency_gives_zero_matrix(self):
-        plan = simple_plan(bs_eff=0.0, ue_eff=0.0)
-        h = sample_channel(plan, 1, 0).matrix
+        plan, variances = simple_plan(bs_eff=0.0, ue_eff=0.0)
+        h = sample_channel(plan, variances, 1, 0)
         np.testing.assert_array_equal(h, 0.0)
 
     def test_single_harmonic_lattices_give_rank_one(self):
-        plan = simple_plan(bs_ap=0.5, ue_ap=0.5, spacing=0.25)
+        plan, variances = simple_plan(bs_ap=0.5, ue_ap=0.5, spacing=0.25)
         for r in range(5):
-            h = sample_channel(plan, 3, r).matrix
+            h = sample_channel(plan, variances, 3, r)
             s = np.linalg.svd(h, compute_uv=False)
             assert s[0] > 0
             assert np.all(s[1:] < 1e-12 * s[0])
 
     def test_bitwise_determinism(self):
-        plan = simple_plan()
-        a = sample_channel(plan, 123456789, 17).matrix
-        b = sample_channel(plan, 123456789, 17).matrix
+        plan, variances = simple_plan()
+        a = sample_channel(plan, variances, 123456789, 17)
+        b = sample_channel(plan, variances, 123456789, 17)
         assert np.array_equal(a, b)
 
     def test_different_indices_differ(self):
-        plan = simple_plan()
-        a = sample_channel(plan, 1, 0).matrix
-        b = sample_channel(plan, 1, 1).matrix
-        c = sample_channel(plan, 2, 0).matrix
+        plan, variances = simple_plan()
+        a = sample_channel(plan, variances, 1, 0)
+        b = sample_channel(plan, variances, 1, 1)
+        c = sample_channel(plan, variances, 2, 0)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_amplitude_scaling_is_exact_in_binary(self):
         # Quarter efficiency at both ends scales amplitudes by 1/2 each,
         # hence every realization by exactly 1/4 in floating point.
-        full = simple_plan()
-        quarter = simple_plan(bs_eff=0.25, ue_eff=0.25)
-        a = sample_channel(full, 9, 4).matrix
-        b = sample_channel(quarter, 9, 4).matrix
+        full, variances = simple_plan()
+        quarter, _ = simple_plan(bs_eff=0.25, ue_eff=0.25)
+        a = sample_channel(full, variances, 9, 4)
+        b = sample_channel(quarter, variances, 9, 4)
         assert np.array_equal(b, 0.25 * a)
 
 
 class TestMoments:
     def test_expected_frobenius_unit_case(self):
-        plan = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.5)
-        assert expected_frobenius(plan) == pytest.approx(16 * 4, abs=1e-9)
+        plan, variances = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.5)
+        assert expected_frobenius(plan, variances) == pytest.approx(16 * 4, abs=1e-9)
 
     def test_expected_frobenius_quarter_efficiencies(self):
-        plan = simple_plan(bs_eff=0.25, ue_eff=0.25)
-        assert expected_frobenius(plan) == pytest.approx(
+        plan, variances = simple_plan(bs_eff=0.25, ue_eff=0.25)
+        assert expected_frobenius(plan, variances) == pytest.approx(
             16 * 4 * 0.0625, rel=1e-12
         )
 
     def test_expected_frobenius_zero_receive_end(self):
-        plan = simple_plan(ue_eff=0.0)
-        assert expected_frobenius(plan) == 0.0
+        plan, variances = simple_plan(ue_eff=0.0)
+        assert expected_frobenius(plan, variances) == 0.0
 
     def test_sample_mean_matches_expectation(self):
-        plan = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.5)
-        target = expected_frobenius(plan)
+        plan, variances = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.5)
+        target = expected_frobenius(plan, variances)
         draws = 2000
         total = 0.0
         for r in range(draws):
-            h = sample_channel(plan, 2024, r).matrix
+            h = sample_channel(plan, variances, 2024, r)
             total += np.linalg.norm(h) ** 2
         assert total / draws == pytest.approx(target, rel=0.05)
 
@@ -140,9 +145,8 @@ class TestMoments:
         # 2x2-element toy arrays; the oracle expands the synthesis formula
         # entry by entry: Cov(H_ab, H_cd) = N_R*N_S * sum sigma^2 *
         # g_R(l)_a g_R(l)_c^* g_S(m)_b^* g_S(m)_d.
-        plan = simple_plan(bs_ap=2.0, ue_ap=2.0, spacing=1.0)
+        plan, variances = simple_plan(bs_ap=2.0, ue_ap=2.0, spacing=1.0)
         assert plan.bs_count == 4 and plan.ue_count == 4
-        variances = plan.variance_table.variances()
         g_r = plan.ue_amplitudes[:, None] * plan.ue_basis
         g_s = plan.bs_amplitudes[:, None] * plan.bs_basis
         scale = plan.ue_count * plan.bs_count
@@ -163,7 +167,7 @@ class TestMoments:
         draws = 20000
         samples = np.empty((draws, 4, 4), dtype=complex)
         for r in range(draws):
-            samples[r] = sample_channel(plan, 77, r).matrix
+            samples[r] = sample_channel(plan, variances, 77, r)
         pairs = [((0, 0), (0, 0)), ((0, 0), (1, 1)), ((1, 2), (3, 0)), ((2, 2), (2, 2))]
         for (a, b), (c, d) in pairs:
             sample_cov = np.mean(samples[:, a, b] * np.conj(samples[:, c, d]))
@@ -171,10 +175,10 @@ class TestMoments:
             assert abs(sample_cov - expected) <= 0.10 * max(abs(expected), 0.3)
 
     def test_mean_is_zero(self):
-        plan = simple_plan(bs_ap=1.0, ue_ap=1.0, spacing=0.5)
+        plan, variances = simple_plan(bs_ap=1.0, ue_ap=1.0, spacing=0.5)
         draws = 4000
         acc = np.zeros((plan.ue_count, plan.bs_count), dtype=complex)
         for r in range(draws):
-            acc += sample_channel(plan, 5, r).matrix
+            acc += sample_channel(plan, variances, 5, r)
         assert np.abs(acc / draws).max() < 0.1
 
