@@ -4,10 +4,10 @@ Single-user capacity water-fills the channel's squared singular values under
 a total power budget with unit noise per receive element.  Multi-user
 downlink sum capacity is computed through the dual multiple-access channel
 under a sum power constraint by simultaneous per-user water-filling with a
-monotone step search, stopping on a certified duality gap.  Each user is
-whitened by unit noise plus the other users' interference with one direct
-solve of the transmit dimension, which the sweep keeps at the transmit
-harmonic count.
+monotone step search, stopping on a certified duality gap.  Each iteration
+takes one solve of the transmit dimension, which the sweep keeps at the
+transmit harmonic count, and whitens every user by unit noise plus the
+other users' interference with one solve of its receive dimension.
 """
 
 from __future__ import annotations
@@ -111,8 +111,11 @@ def waterfill(gains, total_power: float) -> tuple[PowerAllocation, float]:
     powers = np.zeros_like(g)
     powers[usable] = powers_pos
 
-    capacity = float(np.sum(np.log2(1.0 + powers * g)))
-    return PowerAllocation(powers=powers, water_level=float(mu)), capacity
+    with np.errstate(over="ignore"):  # p*g past the float maximum
+        rates = np.log2(1.0 + powers * g)
+    huge = np.isinf(rates)  # log2(1 + p*g) = log2(p) + log2(g + 1/p) there
+    rates[huge] = np.log2(powers[huge]) + np.log2(g[huge] + 1.0 / powers[huge])
+    return PowerAllocation(powers=powers, water_level=float(mu)), float(np.sum(rates))
 
 
 def su_capacity(channel: np.ndarray, snr_db: float) -> CapacityReport:
@@ -186,7 +189,11 @@ def drop_users(count: int, seed: int) -> list[UserDrop]:
 
 
 def _hermitize(matrix: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrix + matrix.conj().T)
+    return 0.5 * (matrix + _adjoint(matrix))
+
+
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    return matrix.conj().swapaxes(-1, -2)
 
 
 def mu_sum_capacity(
@@ -213,11 +220,12 @@ def mu_sum_capacity(
     G_k = H_k coupled^{-1} H_k^H the rate's gradient, bounds how far the
     sum rate lies below the sum capacity and is reported as ``gap_bits``.
 
-    User k is whitened by W_k = H_k (coupled - own_k)^{-1} H_k^H, where
-    own_k = H_k^H Q_k H_k and coupled = I + sum_j own_j: one direct solve of
-    the transmit dimension per user and iteration, and one more for the gap.
+    Users are stacked, padded with zero rows (no gain, so no power) to the
+    largest receive count.  One solve gives every Y_k = L^{-1} H_k^H, with
+    coupled = L L^H and G_k = Y_k^H Y_k, and the Woodbury identity turns
+    W_k = H_k (coupled - H_k^H Q_k H_k)^{-1} H_k^H into G_k (I - Q_k G_k)^{-1}.
     """
-    channels = [np.ascontiguousarray(h, dtype=complex) for h in channels]
+    channels = [np.asarray(h, dtype=complex) for h in channels]
     if not channels:
         raise ValueError("need at least one user channel")
     n_tx = channels[0].shape[1]
@@ -229,87 +237,74 @@ def mu_sum_capacity(
         raise NonFiniteChannel("a user channel has NaN or infinite entries")
 
     k_users = len(channels)
-    covariances = [
-        np.eye(h.shape[0], dtype=complex) * (total_power / (k_users * h.shape[0]))
-        for h in channels
-    ]
-    stacked_adjoint = np.concatenate(channels).conj().T
-    user_bounds = np.cumsum([h.shape[0] for h in channels])[:-1]
-    identity = np.eye(n_tx, dtype=complex)
+    r_max = max(h.shape[0] for h in channels)
+    stacked = np.zeros((k_users, r_max, n_tx), dtype=complex)
+    covariances = np.zeros((k_users, r_max, r_max), dtype=complex)
+    for k, h in enumerate(channels):
+        rows = h.shape[0]
+        stacked[k, :rows] = h
+        covariances[k, range(rows), range(rows)] = total_power / (k_users * rows)
+    columns = stacked.reshape(-1, n_tx).conj().T  # every H_k^H, side by side
     ln2 = math.log(2.0)
-
-    own = [h.conj().T @ (q @ h) for q, h in zip(covariances, channels)]
-    coupled = _hermitize(identity + sum(own))
-    rate = float(np.linalg.slogdet(coupled)[1] / ln2)
-    history = [rate]
-    converged = False
     iterations = 0
-    while True:
-        # With coupled = L L^H and Y_k = L^{-1} H_k^H, G_k = Y_k^H Y_k.
-        try:
-            factor = np.linalg.cholesky(coupled)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"multi-user solver: I + sum_k H_k^H Q_k H_k is not positive "
-                f"definite in floating point after {iterations} iterations "
-                f"(power budget {total_power:.3g})"
-            ) from exc
-        projected = np.split(
-            np.linalg.solve(factor, stacked_adjoint), user_bounds, axis=1
-        )
-        gradients = [y.conj().T @ y for y in projected]
-        gap = (
-            total_power * max(np.linalg.eigvalsh(g)[-1] for g in gradients)
-            - sum(np.trace(g @ q).real for g, q in zip(gradients, covariances))
-        ) / ln2
-        if gap <= tol:
-            converged = True
-            break
-        if iterations >= max_iterations:
-            break
-        iterations += 1
-
-        eigvals, eigvecs = [], []
-        for h, own_k in zip(channels, own):
-            whitened = h @ np.linalg.solve(coupled - own_k, h.conj().T)
-            lam, vec = np.linalg.eigh(_hermitize(whitened))
-            eigvals.append(np.maximum(lam, 0.0))
-            eigvecs.append(vec)
-
-        pooled = np.concatenate(eigvals)
-        allocation, _ = waterfill(pooled, total_power)
-        responses = []
-        offset = 0
-        for lam, vec in zip(eigvals, eigvecs):
-            p = allocation.powers[offset : offset + lam.size]
-            offset += lam.size
-            responses.append((vec * p[None, :]) @ vec.conj().T)
-
-        # A step t changes the rate by sum(log1p(t*mu)) nats, mu the
-        # eigenvalues of L^{-1} (sum_k H_k^H (W_k - Q_k) H_k) L^{-H}: exact
-        # to the rounding of the change itself, not of the rate.
-        mu = np.linalg.eigvalsh(
-            sum(
-                y @ (w - q) @ y.conj().T
-                for y, w, q in zip(projected, responses, covariances)
+    # Overflow, a NaN or a failed factorization all mean that a coupled
+    # matrix has lost positive definiteness in floating point.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            coupled = _hermitize(
+                np.eye(n_tx) + columns @ (covariances @ stacked).reshape(-1, n_tx)
             )
-        )
-        step = 1.0
-        gain = np.log1p(mu).sum()
-        while gain < 0.0 and step > 1.0 / k_users:
-            step = max(step / 2.0, 1.0 / k_users)
-            gain = np.log1p(step * mu).sum()
-        covariances = [q + step * (w - q) for q, w in zip(covariances, responses)]
-        own = [h.conj().T @ (q @ h) for q, h in zip(covariances, channels)]
-        coupled = _hermitize(identity + sum(own))
-        rate += float(gain) / ln2
-        history.append(rate)
+            rate = float(np.linalg.slogdet(coupled)[1] / ln2)
+            history = [rate]
+            while True:
+                factor = np.linalg.cholesky(coupled)
+                flat = np.linalg.solve(factor, columns)  # every Y_k, side by side
+                projected = flat.reshape(n_tx, k_users, r_max).swapaxes(0, 1)
+                gradients = _adjoint(projected) @ projected
+                gap = (
+                    total_power * np.linalg.eigvalsh(gradients)[:, -1].max()
+                    - np.einsum("kij,kji->", gradients, covariances).real
+                ) / ln2
+                if gap <= tol or iterations >= max_iterations:
+                    break
+                iterations += 1
+
+                whitened = np.linalg.solve(
+                    np.eye(r_max) - gradients @ covariances, gradients
+                )
+                lam, vec = np.linalg.eigh(_hermitize(whitened))
+                allocation, _ = waterfill(np.maximum(lam, 0.0).ravel(), total_power)
+                powers = allocation.powers.reshape(k_users, r_max)
+                responses = (vec * powers[:, None, :]) @ _adjoint(vec)
+
+                # A step t changes the rate by sum(log1p(t*mu)) nats, mu the
+                # eigenvalues of L^{-1} (sum_k H_k^H (W_k - Q_k) H_k) L^{-H}:
+                # exact to the rounding of the change itself, not of the rate.
+                change = (responses - covariances) @ _adjoint(projected)
+                mu = np.linalg.eigvalsh(flat @ change.reshape(-1, n_tx))
+                step = 1.0
+                gain = np.log1p(mu).sum()
+                while gain < 0.0 and step > 1.0 / k_users:
+                    step = max(step / 2.0, 1.0 / k_users)
+                    gain = np.log1p(step * mu).sum()
+                covariances = covariances + step * (responses - covariances)
+                coupled = _hermitize(
+                    np.eye(n_tx) + columns @ (covariances @ stacked).reshape(-1, n_tx)
+                )
+                rate += float(gain) / ln2
+                history.append(rate)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise NumericalError(
+            f"multi-user solver: I + sum_k H_k^H Q_k H_k is not positive "
+            f"definite in floating point after {iterations} iterations "
+            f"(power budget {total_power:.3g})"
+        ) from exc
 
     return CapacityReport(
         value_bits=rate,
-        covariances=covariances,
+        covariances=[q[:r, :r] for q, r in zip(covariances, map(len, channels))],
         iterations=iterations,
-        converged=converged,
+        converged=bool(gap <= tol),
         gap_bits=float(gap),
         history=np.array(history),
     )

@@ -100,6 +100,14 @@ class TestWaterfill:
         np.testing.assert_array_equal(alloc.powers, [1.0, 0.0])
         assert (capacity, alloc.water_level) == (1.0, 2.0)
 
+    def test_product_past_the_float_maximum_stays_finite(self):
+        # p*g = 4e308 overflows; log2(p) + log2(g + 1/p) does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc, capacity = waterfill([4.0], 1e308)
+        assert alloc.powers[0] == 1e308
+        assert capacity == math.log2(1e308) + 2.0
+
     @given(
         exponents=st.lists(
             st.floats(min_value=-320.0, max_value=3.0), min_size=1, max_size=8
@@ -454,3 +462,30 @@ def test_overloaded_instances_certify_within_max_iterations(users, shape, seed):
     report = mu_sum_capacity(channels, 30.0)
     assert report.converged
     assert report.gap_bits <= 1e-6
+    expected, _ = explicit_sum_capacity_history(channels, 30.0, tol=1e-6)
+    assert report.iterations == expected.size - 1
+    np.testing.assert_allclose(report.history, expected, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "rows,n_tx,power",
+    [
+        ((5,) * 10, 49, 1e3),
+        ((5,) * 10, 49, 1e6),
+        ((5,) * 10, 49, 1e9),
+        ((3, 4, 1, 4, 3, 5, 1, 1, 3, 4), 16, 1e6),
+    ],
+)
+def test_high_power_instances_certify_near_the_explicit_reference(rows, n_tx, power):
+    # Ten users of the presets' harmonic shape far above their 0 dB
+    # reference, and ten users of mixed row counts that the solver pads with
+    # zero rows.  Near the stop a step changes the rate by a few ulps of it,
+    # so the two solvers may take different iteration counts.
+    rng = np.random.default_rng(30)
+    channels = [random_complex(rng, (r, n_tx)) for r in rows]
+    tol = 1e-6
+    report = mu_sum_capacity(channels, power, tol=tol)
+    expected, steps = explicit_sum_capacity_history(channels, power, tol=tol)
+    assert report.converged and report.gap_bits <= tol
+    assert len(steps) < 1000  # the reference stopped on its gap, too
+    assert report.value_bits == pytest.approx(expected[-1], rel=0.0, abs=2 * tol)

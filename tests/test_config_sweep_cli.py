@@ -295,6 +295,33 @@ class TestCli:
         assert out[0] == CSV_HEADER
         assert len(out) == 2
 
+    def test_capacity_at_the_top_of_the_snr_range_is_finite_or_an_error(
+        self, tmp_path, capsys
+    ):
+        # 3082 dB is a budget of 1.6e308: the budget times a channel gain
+        # overflows, and so does I + sum_k H_k^H Q_k H_k.
+        config = self.write_config(
+            tmp_path, bs_aperture=1.5, snr_db=3082.0, realizations=2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["capacity", "su", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row = dict(zip(CSV_HEADER.split(","), captured.out.splitlines()[1].split(",")))
+        assert math.isfinite(float(row["mean_bits"]))
+        assert math.isfinite(float(row["std_bits"]))
+        config = self.write_config(
+            tmp_path, bs_aperture=1.5, snr_db=3082.0, realizations=2, users=2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["capacity", "mu", "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_capacity_mu_requires_multiple_users(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         assert main(["capacity", "mu", "--config", str(config)]) == 2
