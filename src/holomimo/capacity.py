@@ -1,7 +1,8 @@
 """Capacity evaluation: water-filling, multi-user sum capacity, user drops.
 
 Single-user capacity water-fills the channel's squared singular values under
-a total power budget with unit noise per receive element.  Multi-user
+a total power budget with unit noise per receive element; a stack of
+channels takes one batched SVD and water-fills every row at once.  Multi-user
 downlink sum capacity is computed through the dual multiple-access channel
 under a sum power constraint by simultaneous per-user water-filling with a
 monotone step search, stopping on a certified duality gap.  Each iteration
@@ -30,7 +31,9 @@ __all__ = [
     "PowerAllocation",
     "CapacityReport",
     "UserDrop",
+    "waterfill_rows",
     "waterfill",
+    "su_capacities",
     "su_capacity",
     "uma_pathloss_delta_db",
     "drop_users",
@@ -64,76 +67,100 @@ class CapacityReport:
     history: np.ndarray | None = field(default=None, repr=False)
 
 
-def waterfill(gains, total_power: float) -> tuple[PowerAllocation, float]:
-    """Optimal power allocation over parallel channels.
+def waterfill_rows(gains, total_power: float):
+    """Optimal power allocation over the parallel channels of each row.
 
-    Returns powers p_i = max(0, mu - 1/g_i) with the water level mu chosen
-    so the powers sum to the budget, and the capacity sum log2(1 + p_i*g_i).
-    The active set is found exactly: gains are sorted descending and the
-    closed-form water level for each active-set size is tested for
-    consistency.  Nonpositive gains, and gains so small that 1/g overflows
-    (which no finite water level reaches), receive zero power.
+    ``gains`` is (rows, n), and every row is water-filled on its own against
+    the whole budget.  Returns the powers (rows, n), p_i = max(0, mu - 1/g_i)
+    with the row's water level mu chosen so its powers sum to the budget,
+    the water levels (rows,) and the capacities sum_i log2(1 + p_i*g_i)
+    (rows,).  The active set is found exactly: a row's reciprocals are
+    sorted ascending, the closed-form water level of every active-set size
+    comes from their running sum, and the active set ends before the first
+    size whose level fails the consistency test.  Nonpositive gains, and
+    gains so small that 1/g overflows (which no finite water level
+    reaches), receive zero power and take no part in the test.
     """
-    g = np.atleast_1d(np.asarray(gains, dtype=float))
-    if g.size == 0:
+    g = np.asarray(gains, dtype=float)
+    rows, n = g.shape
+    if n == 0:
         raise EmptyGains("no channel gains")
     if total_power <= 0:
         raise ValueError(f"total power must be positive, got {total_power}")
     usable = g > 1.0 / _FLOAT_MAX  # exactly the gains with a finite 1/g
-    if not usable.any():
+    counts = usable.sum(axis=-1)
+    if not counts.all():
         raise EmptyGains("no positive channel gains with a finite reciprocal")
 
-    gp = g[usable]
-    order = np.argsort(gp)[::-1]
-    inv = 1.0 / gp[order]
+    order = np.argsort(np.where(usable, g, -np.inf), axis=-1)[:, ::-1]
+    row = np.arange(rows)
+    ranks = np.arange(n)
+    sorted_usable = ranks < counts[:, None]
+    with np.errstate(divide="ignore", over="ignore"):  # unusable: set below
+        inv = 1.0 / g[row[:, None], order]
+    inv[~sorted_usable] = np.inf
     # Reciprocals near the float maximum could overflow their running sum.
     # A power-of-two scale is exact (short of subnormals), so results match.
-    scale = 1.0
-    if inv[-1] > _FLOAT_MAX / (2 * inv.size):
-        scale = 0.5 ** (inv.size.bit_length() + 1)
-    cumulative = np.cumsum(inv * scale)
-    power = total_power * scale
+    scale = np.ones(rows)
+    for k in np.flatnonzero(inv[row, counts - 1] > _FLOAT_MAX / (2 * counts)):
+        scale[k] = 0.5 ** (int(counts[k]).bit_length() + 1)
+    cumulative = np.cumsum(inv * scale[:, None], axis=-1)
     # Largest k with (P + sum_{i<=k} 1/g_i)/k >= 1/g_k keeps all k powers
-    # nonnegative; the condition fails monotonically beyond the optimum.
-    k = 1
-    mu = power + cumulative[0]
-    for trial in range(2, inv.size + 1):
-        trial_mu = (power + cumulative[trial - 1]) / trial
-        if trial_mu < inv[trial - 1] * scale:
-            break
-        k, mu = trial, trial_mu
-    mu /= scale
+    # nonnegative; the condition fails monotonically beyond the optimum, so
+    # the active set ends before the first size that fails.
+    levels = (total_power * scale[:, None] + cumulative) / (ranks + 1)
+    fails = (levels < inv * scale[:, None]) | ~sorted_usable
+    sizes = np.where(fails.any(axis=-1), fails.argmax(axis=-1), n)
+    mu = levels[row, sizes - 1] / scale
 
-    powers_sorted = np.zeros_like(inv)
-    powers_sorted[:k] = mu - inv[:k]
-    powers_pos = np.empty_like(inv)
-    powers_pos[order] = powers_sorted
-    powers = np.zeros_like(g)
-    powers[usable] = powers_pos
+    powers = np.zeros(g.shape)
+    powers[row[:, None], order] = np.subtract(
+        mu[:, None], inv, out=np.zeros(g.shape), where=ranks < sizes[:, None]
+    )
 
     with np.errstate(over="ignore"):  # p*g past the float maximum
         rates = np.log2(1.0 + powers * g)
     huge = np.isinf(rates)  # log2(1 + p*g) = log2(p) + log2(g + 1/p) there
     rates[huge] = np.log2(powers[huge]) + np.log2(g[huge] + 1.0 / powers[huge])
-    return PowerAllocation(powers=powers, water_level=float(mu)), float(np.sum(rates))
+    return powers, mu, rates.sum(axis=-1)
+
+
+def waterfill(gains, total_power: float) -> tuple[PowerAllocation, float]:
+    """Water-filling of one gain vector: the one-row case of
+    ``waterfill_rows``, returning the allocation and the capacity."""
+    g = np.asarray(gains, dtype=float).reshape(1, -1)
+    powers, mu, capacities = waterfill_rows(g, total_power)
+    allocation = PowerAllocation(powers=powers[0], water_level=float(mu[0]))
+    return allocation, float(capacities[0])
+
+
+def su_capacities(channels: np.ndarray, snr_db: float):
+    """Single-user capacities of a stack of channel matrices.
+
+    ``channels`` is (rows, receive, transmit); each matrix's squared
+    singular values are water-filled on their own (``waterfill_rows``), with
+    unit noise power per receive element and the total transmit power
+    budget 10^(snr_db/10).  Returns the powers per singular value, the
+    water levels and the capacities in bits.  A zero singular value gets no
+    power.  One bad matrix fails the whole stack.
+    """
+    channels = np.asarray(channels)
+    if not np.isfinite(channels).all():
+        raise NonFiniteChannel("channel has NaN or infinite entries")
+    singular = np.linalg.svd(channels, compute_uv=False)
+    if not singular.shape[-1] or (singular < 1e-300).all(axis=-1).any():
+        raise ZeroChannel("all singular values are numerically zero")
+    return waterfill_rows(singular ** 2, 10.0 ** (snr_db / 10.0))
 
 
 def su_capacity(channel: np.ndarray, snr_db: float) -> CapacityReport:
-    """Single-user capacity of a channel matrix by water-filling its modes.
-
-    Unit noise power per receive element; the total transmit power budget is
-    10^(snr_db/10).
-    """
-    channel = np.asarray(channel)
-    if not np.isfinite(channel).all():
-        raise NonFiniteChannel("channel has NaN or infinite entries")
-    singular = np.linalg.svd(channel, compute_uv=False)
-    if not singular.size or np.all(singular < 1e-300):
-        raise ZeroChannel("all singular values are numerically zero")
-    gains = singular[singular > 0.0] ** 2
-    budget = 10.0 ** (snr_db / 10.0)
-    allocation, capacity = waterfill(gains, budget)
-    return CapacityReport(value_bits=capacity, allocation=allocation)
+    """Single-user capacity of one channel matrix by water-filling its
+    modes: the one-matrix case of ``su_capacities``."""
+    powers, mu, capacities = su_capacities(np.asarray(channel)[None], snr_db)
+    return CapacityReport(
+        value_bits=float(capacities[0]),
+        allocation=PowerAllocation(powers=powers[0], water_level=float(mu[0])),
+    )
 
 
 def uma_pathloss_delta_db(distance_m: float) -> float:

@@ -1,29 +1,34 @@
 """Experiment orchestration: Monte Carlo sweeps and result emission.
 
 A sweep evaluates the mean and standard deviation of capacity over channel
-realizations for every spacing in the scenario.  Realizations are the outer
-loop and spacings the inner one: the users dropped in a realization, and the
-lattices of their rotated spectra, do not depend on the spacing, so they are
-shared by every spacing.  Realizations go in blocks of _BLOCK: the users of
-a block are dropped first, and the lattices of all of them are built in one
-quadrature pass per aperture before the block's realizations are evaluated
-in index order.  A synthesis plan's bases and R factors do not depend on
-the users, so there is one plan per spacing (``Scenario.plans``); each user
-carries only its own variances (``build_variance_table`` of its two
-lattices), which serve every spacing.  A link end with one cell in the unit
-disk (``inert_ends``, the presets' 1-wavelength receive aperture) builds no
-lattice: the variance table normalizes any spectrum there to the indicator
-of that cell, so every user shares its ``indicator_lattice``; ``holo
-lattice`` still integrates it.  Processes run OpenBLAS on one thread
-(``one_blas_thread``).
+realizations for every spacing in the scenario.  The users dropped in a
+realization, the lattices of their rotated spectra and their Fourier
+coefficients do not depend on the spacing, so each is made once per
+realization and shared by every spacing.  A single user's realizations go
+in stacks of _SU_BLOCK: each realization's coefficients are drawn once from
+its own stream, and each spacing maps the whole stack through its plan,
+takes one stacked SVD and water-fills every row at once
+(``su_capacities``).  Multi-user realizations go in blocks of _BLOCK: the
+users of a block are dropped first, and the lattices of all of them are
+built in one quadrature pass per aperture before the block's realizations
+are evaluated in index order.  A synthesis plan's bases and R factors do
+not depend on the users, so there is one plan per spacing
+(``Scenario.plans``); each user carries only its own variances
+(``build_variance_table`` of its two lattices), which serve every spacing.
+A link end with one cell in the unit disk (``inert_ends``, the presets'
+1-wavelength receive aperture) builds no lattice: the variance table
+normalizes any spectrum there to the indicator of that cell, so every user
+shares its ``indicator_lattice``; ``holo lattice`` still integrates it.
+Processes run OpenBLAS on one thread (``one_blas_thread``).
 Realizations use counter-based random streams keyed by (seed, realization
-index), and each lattice is bitwise the one its spectrum gets alone, so
-results are bitwise identical regardless of how many worker processes are
-used; aggregation assembles per-realization values in index order before
+index), each lattice is bitwise the one its spectrum gets alone, and each
+row of a stack is computed on its own, so results are bitwise identical
+regardless of how many worker processes are used or where a block starts;
+aggregation assembles per-realization values in index order before
 reducing.
 
 Capacity is evaluated on harmonic-domain channels
-(``synthesis.sample_harmonic_channel``), which have the singular values and
+(``synthesis.harmonic_channels``), which have the singular values and
 sum capacity of the element matrices.  All users share transmit coordinates
 because the transmit basis depends on the array and the lattice index set,
 not on the user's rotated spectrum.
@@ -40,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import drop_users, mu_sum_capacity, su_capacity
+from .capacity import drop_users, mu_sum_capacity, su_capacities
 from .config import ScenarioConfig
 from .coupling import (
     HALF_WAVE_EFFICIENCY,
@@ -65,7 +70,7 @@ from .spectrum import (
     rotate_spectrum,
     spectra_from_cdl,
 )
-from .synthesis import MASK64, build_plan, sample_harmonic_channel
+from .synthesis import MASK64, build_plan, draw_coefficients, harmonic_channels
 
 __all__ = ["SweepRow", "SweepResult", "Scenario", "resolve_scenario",
            "run_sweep", "render", "emit"]
@@ -76,6 +81,13 @@ CSV_HEADER = "spacing_wl,efficiency_mode,spectrum,pattern,mean_bits,std_bits,rea
 # blocks share more tile geometry but hold more tiles at once: at 40 per
 # pass the fig4 peak RSS grew by 6%, at 4 by 0.3%.
 _BLOCK = 4
+# Single-user realizations evaluated as one stack.  Every row is computed
+# on its own, so the size changes no value, only the memory the stacked
+# draws, channels and SVD workspaces hold: on fig3-cdlb at 200 realizations
+# (42.5 MB peak RSS one realization at a time) stacks of 32 added 0.1-0.3
+# MB, stacks of 64 0.4 MB and one stack of all 200 2.5 MB (6%), for the
+# same speed.
+_SU_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -274,18 +286,19 @@ def _drop_seed(seed: int, realization: int) -> int:
 
 def _evaluate(scenario: Scenario, r: int, drops, lattices):
     """(value_bits, converged) at every spacing for multi-user realization
-    ``r``, whose users are ``drops`` with their lattice pairs."""
+    ``r``, whose users are ``drops`` with their lattice pairs.  Each user's
+    coefficients are drawn once and mapped through every spacing's plan."""
     config = scenario.config
-    plans = scenario.plans
-    tables = [build_variance_table(*pair) for pair in lattices]
+    plans = scenario.plans  # a bad pattern file fails before the variances
+    coefficients = np.stack([
+        draw_coefficients(build_variance_table(*pair), config.seed, (r << 32) | k)
+        for k, pair in enumerate(lattices)
+    ])
+    amplitudes = np.array([10.0 ** (drop.snr_db / 20.0) for drop in drops])
     budget = 10.0 ** (config.snr_db / 10.0)
     out = []
     for plan in plans:
-        channels = [
-            sample_harmonic_channel(plan, variances, config.seed, (r << 32) | k)
-            * 10.0 ** (drop.snr_db / 20.0)
-            for k, (drop, variances) in enumerate(zip(drops, tables))
-        ]
+        channels = harmonic_channels(plan, coefficients) * amplitudes[:, None, None]
         report = mu_sum_capacity(channels, budget)
         out.append((report.value_bits, report.converged))
     return out
@@ -296,14 +309,21 @@ def _evaluate_chunk(args):
     chunk, in index order."""
     scenario, indices = args
     config = scenario.config
+    out = []
     if config.users == 1:
         plans, variances = scenario.plans_and_variances()
-        return [
-            [(su_capacity(sample_harmonic_channel(plan, variances, config.seed, r),
-                          config.snr_db).value_bits, True) for plan in plans]
-            for r in indices
-        ]
-    out = []
+        for start in range(0, len(indices), _SU_BLOCK):
+            coefficients = np.stack([
+                draw_coefficients(variances, config.seed, r)
+                for r in indices[start:start + _SU_BLOCK]
+            ])
+            values = [
+                su_capacities(harmonic_channels(plan, coefficients),
+                              config.snr_db)[2].tolist()
+                for plan in plans
+            ]
+            out.extend([(v, True) for v in pairs] for pairs in zip(*values))
+        return out
     for start in range(0, len(indices), _BLOCK):
         block = indices[start:start + _BLOCK]
         drops = [drop_users(config.users, _drop_seed(config.seed, r)) for r in block]

@@ -12,6 +12,9 @@ Realizations are pure functions of (plan, variances, seed,
 realization_index): every Fourier coefficient is drawn from a
 counter-based random stream keyed by seed and realization index, so draws
 are bitwise reproducible regardless of evaluation order or parallelism.
+The coefficients (``draw_coefficients``) do not depend on the plan, so one
+draw serves every spacing, and ``harmonic_channels`` maps a whole stack of
+draws through a plan at once.
 
 ``sample_channel`` returns the element-domain channel
 H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H.  The plan also keeps the R
@@ -32,8 +35,8 @@ from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
 from .lattice import enumerate_lattice, harmonic_angles, harmonic_vector
 
-__all__ = ["SynthesisPlan", "build_plan", "sample_channel",
-           "sample_harmonic_channel", "MASK64"]
+__all__ = ["SynthesisPlan", "build_plan", "draw_coefficients", "sample_channel",
+           "harmonic_channels", "sample_harmonic_channel", "MASK64"]
 
 # Seeds and counters enter every random stream as unsigned 64-bit words.
 MASK64 = (1 << 64) - 1
@@ -103,7 +106,7 @@ def build_plan(
     )
 
 
-def _coefficients(variances: np.ndarray, seed: int, realization_index: int):
+def draw_coefficients(variances: np.ndarray, seed: int, realization_index: int):
     """Fourier coefficients C of one realization.
 
     Each coefficient is circularly-symmetric complex Gaussian with the
@@ -128,12 +131,20 @@ def sample_channel(
     elements, where s = sqrt(N_R*N_S) is the front factor of the series
     expansion and C has the (n_R, n_S) ``variances``.
     """
-    coeffs = _coefficients(variances, seed, realization_index)
+    coeffs = draw_coefficients(variances, seed, realization_index)
     return np.sqrt(plan.ue_count * plan.bs_count) * (
         (plan.ue_amplitudes[:, None] * plan.ue_basis)
         @ coeffs
         @ (plan.bs_basis.conj().T * plan.bs_amplitudes[None, :])
     )
+
+
+def harmonic_channels(plan: SynthesisPlan, coefficients: np.ndarray) -> np.ndarray:
+    """M = s * R_R C R_S^H of a coefficient array C, or of each array of a
+    stack (..., n_R, n_S): every matrix of the stack is the product it
+    would be alone."""
+    scale = np.sqrt(plan.ue_count * plan.bs_count)
+    return scale * (plan.ue_r @ coefficients @ plan.bs_r.conj().T)
 
 
 def sample_harmonic_channel(
@@ -147,6 +158,5 @@ def sample_harmonic_channel(
     Channels of several users are in shared transmit coordinates when they
     are drawn on the same plan.
     """
-    coeffs = _coefficients(variances, seed, realization_index)
-    scale = np.sqrt(plan.ue_count * plan.bs_count)
-    return scale * (plan.ue_r @ coeffs @ plan.bs_r.conj().T)
+    coeffs = draw_coefficients(variances, seed, realization_index)
+    return harmonic_channels(plan, coeffs)

@@ -15,6 +15,7 @@ from holomimo import (
     uma_pathloss_delta_db,
     waterfill,
 )
+from holomimo.capacity import su_capacities, waterfill_rows
 from holomimo.errors import (
     EmptyGains,
     NonFiniteChannel,
@@ -22,8 +23,15 @@ from holomimo.errors import (
     ZeroChannel,
 )
 from sum_capacity_oracle import averaged_sum_capacity
+from waterfill_oracle import waterfill as waterfill_oracle
 
 UMA_100M_DB = -11.764252230548385  # -39.08 * log10(2), frozen
+
+# Zero, subnormal, tiny, and ordinary gains.
+GAIN = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-320.0, max_value=5.0).map(lambda e: 10.0 ** e),
+)
 
 
 def random_complex(rng, shape):
@@ -147,6 +155,46 @@ class TestWaterfill:
         )
 
 
+    @given(
+        gains=st.integers(min_value=1, max_value=20).flatmap(
+            lambda n: st.lists(st.lists(GAIN, min_size=n, max_size=n),
+                               min_size=1, max_size=4)
+        ),
+        budget=st.floats(min_value=-3.0, max_value=300.0).map(lambda e: 10.0 ** e),
+    )
+    # Zero gains, whose infinite reciprocal must stay out of the active set.
+    @example(gains=[[1.0, 0.0, 0.5], [0.0, 2.0, 0.0]], budget=10.0)
+    @example(gains=[[0.0, 3.0, 0.0, 0.0]], budget=1e-3)
+    # Gains at or below 1/DBL_MAX, whose reciprocal overflows.
+    @example(gains=[[1.0, 1e-320, 5e-309, 2.2e-308]], budget=1.0)
+    # Reciprocals near DBL_MAX: their running sum is rescaled by 2^-k.
+    @example(gains=[[1e-307] * 8, [1.0, 1e-308] + [0.0] * 6], budget=1e3)
+    @example(gains=[[1e-308, 1.2e-308, 1.0]], budget=1e-3)
+    # p*g past DBL_MAX: the rate is log2(p) + log2(g + 1/p).
+    @example(gains=[[4.0, 1.0], [1e-300, 2.0]], budget=1e308)
+    # Rows whose active sets have 1, 2 and 3 gains.
+    @example(gains=[[1.0, 1e-3, 1e-6], [1.0, 0.5, 1e-6], [1.0, 1.0, 1.0]], budget=1.0)
+    # More than 8 gains per row, where numpy sums pairwise.
+    @example(gains=[list(np.geomspace(10.0, 1e-3, 12)),
+                    list(np.geomspace(1e-3, 10.0, 12))], budget=5.0)
+    @example(gains=[[0.3] * 9 + [0.0] * 8], budget=2.0)
+    def test_rows_equal_the_per_trial_oracle(self, gains, budget):
+        gains = np.array(gains)
+        expected = []
+        for row in gains:
+            try:
+                expected.append(waterfill_oracle(row, budget))
+            except EmptyGains:
+                with pytest.raises(EmptyGains):
+                    waterfill_rows(gains, budget)
+                return
+        powers, levels, capacities = waterfill_rows(gains, budget)
+        for k, (allocation, capacity) in enumerate(expected):
+            assert powers[k].tobytes() == allocation.powers.tobytes()
+            expected_scalars = np.array([allocation.water_level, capacity])
+            assert np.array([levels[k], capacities[k]]).tobytes() == expected_scalars.tobytes()
+
+
 class TestSingleUserCapacity:
     def test_scalar_unit_channel(self):
         report = su_capacity(np.array([[1.0]]), 0.0)
@@ -187,6 +235,23 @@ class TestSingleUserCapacity:
             boosted = base.copy()
             boosted[mode, mode] *= 1.3
             assert su_capacity(boosted, 3.0).value_bits >= reference
+
+    def test_zero_singular_value_gets_no_power(self):
+        report = su_capacity(np.diag([1.0, 0.0]), 0.0)
+        np.testing.assert_array_equal(report.allocation.powers, [1.0, 0.0])
+        assert report.value_bits == 1.0
+
+    def test_stack_equals_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(10)
+        stack = random_complex(rng, (7, 5, 12))
+        stack[2, 3:] = 0.0  # rank 3
+        stack[4] *= 1e-3
+        powers, levels, capacities = su_capacities(stack, 6.0)
+        for k, h in enumerate(stack):
+            report = su_capacity(h, 6.0)
+            assert capacities[k] == report.value_bits
+            assert levels[k] == report.allocation.water_level
+            np.testing.assert_array_equal(powers[k], report.allocation.powers)
 
     def test_zero_channel_rejected(self):
         with pytest.raises(ZeroChannel):

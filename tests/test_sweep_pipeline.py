@@ -169,17 +169,18 @@ def test_synth_writes_the_channel_the_sweep_samples(tmp_path, monkeypatch):
     path.write_text(json.dumps(data))
     spacing_index, realization = 1, 2
 
-    sampled = {}
-    original = sweep_module.sample_harmonic_channel
+    sampled = []
+    original = sweep_module.harmonic_channels
 
-    def recording(plan, variances, seed, index):
-        matrix = original(plan, variances, seed, index)
-        sampled.setdefault(index, []).append(matrix)
-        return matrix
+    def recording(plan, coefficients):
+        matrices = original(plan, coefficients)
+        sampled.append(matrices)
+        return matrices
 
-    monkeypatch.setattr(sweep_module, "sample_harmonic_channel", recording)
+    monkeypatch.setattr(sweep_module, "harmonic_channels", recording)
     run_sweep(config_from_dict(data))
-    reduced = sampled[realization][spacing_index]
+    # The sweep's 4 realizations form one stack per spacing.
+    reduced = sampled[spacing_index][realization]
 
     out = tmp_path / "h.csv"
     assert main(

@@ -90,23 +90,32 @@ def test_user_plans_equal_plans_built_on_their_own_lattices(monkeypatch):
             np.testing.assert_array_equal(
                 getattr(scenario.plans[s], name), getattr(reference, name)
             )
-    draws = []
+    draws, maps = [], []
+    draw = sweep_module.draw_coefficients
 
-    def recording(plan, variances, seed, index):
-        draws.append((plan, variances))
-        return np.zeros((1, 1))
+    def drawing(variances, seed, index):
+        draws.append((variances, index))
+        return draw(variances, seed, index)
 
-    monkeypatch.setattr(sweep_module, "sample_harmonic_channel", recording)
+    def mapping(plan, coefficients):
+        maps.append((plan, coefficients))
+        return np.zeros((config.users, 1, 1))
+
+    monkeypatch.setattr(sweep_module, "draw_coefficients", drawing)
+    monkeypatch.setattr(sweep_module, "harmonic_channels", mapping)
     monkeypatch.setattr(sweep_module, "mu_sum_capacity",
                         lambda channels, budget: CapacityReport(0.0))
     sweep_module._evaluate(scenario, 1, drops, lattices)
-    assert len(draws) == len(config.spacing_list) * config.users
-    for k, (plan, variances) in enumerate(draws):
-        s, user = divmod(k, config.users)
-        assert plan is scenario.plans[s]
+    # One draw per user, on the table of the user's own lattices.
+    assert [index for _, index in draws] == [(1 << 32) | k for k in range(config.users)]
+    for user, (variances, _) in enumerate(draws):
         np.testing.assert_array_equal(variances, build_variance_table(*lattices[user]))
-        # One table per user, shared by every spacing.
-        assert variances is draws[user][1]
+    # Every spacing maps the same draws through its own plan.
+    assert len(maps) == len(config.spacing_list)
+    for s, (plan, coefficients) in enumerate(maps):
+        assert plan is scenario.plans[s]
+        assert coefficients is maps[0][1]
+        assert coefficients.shape[0] == config.users
 
 
 def test_rotation_invariant_spectra_keep_the_unrotated_lattices():
