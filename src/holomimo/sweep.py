@@ -204,19 +204,21 @@ class Scenario:
 
         The sector azimuth rotates the departure spectrum and the terminal
         orientation the arrival spectrum, each end's in one ``build_lattices``
-        pass.  An inert end (``inert_ends``) and a spectrum that rotation
-        hands back unchanged (isotropic) keep the unrotated lattice, which
-        is looked up only then; its ``DegenerateSpectrum`` check covers
-        every user, since rotation keeps the hemisphere mass and peak."""
+        pass.  An inert end (``inert_ends``) rotates nothing, and it and a
+        spectrum that rotation hands back unchanged (isotropic) keep the
+        unrotated lattice, which is looked up only then; its
+        ``DegenerateSpectrum`` check covers every user, since rotation keeps
+        the hemisphere mass and peak."""
         ends = []
         for end, spectrum, angles in (
             ("bs", self.spectra[0], [drop.azimuth_deg for drop in drops]),
             ("ue", self.spectra[1], [drop.orientation_deg for drop in drops]),
         ):
+            if end in self.inert_ends:
+                ends.append([getattr(self, f"{end}_lattice")] * len(angles))
+                continue
             aperture = getattr(self.config, f"{end}_aperture")
-            rotated = [spectrum if end in self.inert_ends
-                       else rotate_spectrum(spectrum, math.radians(a))
-                       for a in angles]
+            rotated = [rotate_spectrum(spectrum, math.radians(a)) for a in angles]
             changed = [s for s in rotated if s is not spectrum]
             built = iter(build_lattices(aperture, aperture, changed))
             ends.append([getattr(self, f"{end}_lattice") if s is spectrum

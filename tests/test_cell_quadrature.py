@@ -9,7 +9,9 @@ rule's own tolerance.  ``build_lattices`` runs the same rule for several
 spectra in one pass; each of its lattices must equal the solo build.  A
 tile's node values come from one matrix product over the clusters that
 survive on it; the per-cluster loop in ``node_values_oracle`` is their
-oracle.
+oracle.  The pass computes each chunk's nodes, caps and cull once for all
+spectra; ``cell_integrals_oracle`` computes them per batch of four tiles and
+per spectrum, and every lattice must be bitwise its result.
 """
 
 import json
@@ -17,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +41,13 @@ from holomimo import (
     rotate_spectrum,
     spectra_from_cdl,
 )
+from holomimo.capacity import drop_users
 from holomimo.cli import main
 from holomimo.config import bundled_cdl_path
 from holomimo.errors import QuadratureNotConverged
 from holomimo.spectrum import _ISOTROPIC_ALPHA
+from holomimo.sweep import _drop_seed
+import cell_integrals_oracle
 from marginal_integral_oracle import marginal_integral
 from node_values_oracle import node_values
 from spectrum_oracle import spectrum_value
@@ -229,22 +235,118 @@ def test_copies_of_a_spectrum_share_every_tile(monkeypatch):
 
 
 def test_tiles_a_spectrum_accepted_get_no_vmf_term(monkeypatch):
-    original = lat._node_values
-    skipped = []
+    original_nodes, original_values = lat._tile_nodes, lat._node_values
+    chunk, skipped, evaluated = [], [], []
 
-    def checking(mixture, peaks, points, cap, pending):
-        values = original(mixture, peaks, points, cap, pending)
-        # A tile the spectrum no longer needs keeps the constant term alone.
-        assert np.all(values[~pending] == mixture[3])
-        skipped.append((~pending).sum())
+    def recording(tiles):
+        chunk.append(len(tiles))
+        return original_nodes(tiles)
+
+    def checking(mixture, points, active):
+        values = original_values(mixture, points, active)
+        # A tile without an active term keeps the constant term alone.
+        assert np.all(values[~active.any(axis=1)] == mixture[3])
+        # Only the spectrum's pending tiles of the chunk are evaluated.
+        skipped.append(chunk[-1] - points.shape[1])
+        evaluated.append(points.shape[1])
         return values
 
+    monkeypatch.setattr(lat, "_tile_nodes", recording)
     monkeypatch.setattr(lat, "_node_values", checking)
-    # The four children of a tile share their pending flags, so a batch of
-    # four tiles is needed by a spectrum as a whole; six mixes siblings.
-    monkeypatch.setattr(lat, "_BATCH_TILES", 6)
     build_lattices(4.0, 4.0, MIXED_DEPTHS)
     assert sum(skipped) > 0
+    # The oracle evaluates whole batches, with a spectrum's pending tiles
+    # flagged: the pass evaluates exactly those (spectrum, tile) pairs.
+    pending = []
+    original_oracle = cell_integrals_oracle.node_values
+
+    def counting(mixture, peaks, points, cap, need):
+        pending.append(need.sum())
+        return original_oracle(mixture, peaks, points, cap, need)
+
+    monkeypatch.setattr(cell_integrals_oracle, "node_values", counting)
+    cell_integrals_oracle.cell_integrals(MIXED_DEPTHS, lattice_strips(4.0, 4.0))
+    assert sum(evaluated) == sum(pending)
+
+
+def lattice_strips(aperture_x, aperture_y):
+    return [lat._cell_strips(index, aperture_x, aperture_y)
+            for index in enumerate_lattice(aperture_x, aperture_y)]
+
+
+def assert_bitwise_oracle(spectra, aperture_x, aperture_y):
+    got = build_lattices(aperture_x, aperture_y, spectra)
+    expected = cell_integrals_oracle.cell_integrals(
+        spectra, lattice_strips(aperture_x, aperture_y)
+    )
+    assert len(got) == len(expected) == len(spectra)
+    for lattice, row in zip(got, expected):
+        assert lattice.marginal_integrals.tobytes() == row.tobytes()
+
+
+# The rotated departure spectra of the 20 users of a seed-0 fig4-halfwave
+# sample: two realizations of the fig4-multiuser scenario's ten users.
+FIG4_DEPARTURES = [
+    rotate_spectrum(CDL_BS, math.radians(drop.azimuth_deg))
+    for r in (0, 1)
+    for drop in drop_users(10, _drop_seed(0, r))
+]
+
+
+def test_fig4_departure_lattices_are_bitwise_the_oracle():
+    assert_bitwise_oracle(FIG4_DEPARTURES, 4.0, 4.0)
+
+
+@pytest.mark.parametrize("aperture_x,aperture_y", [(1.0, 1.0), (2.5, 1.5), (4.0, 4.0)])
+def test_mixed_depth_lattices_are_bitwise_the_oracle(aperture_x, aperture_y):
+    assert_bitwise_oracle(MIXED_DEPTHS, aperture_x, aperture_y)
+
+
+def test_a_subnormal_maximum_among_normal_ones_is_bitwise_the_oracle():
+    # Behind the aperture, with its largest hemisphere value 4.6e-321.
+    subnormal = single_vmf(6.25, 0.0, 2.7734375)
+    assert lat._hemisphere_maximum(subnormal) == 0.0
+    spectra = [MIXED_DEPTHS[1], subnormal, MIXED_DEPTHS[6], ISO]
+    assert_bitwise_oracle(spectra, 2.5, 1.5)
+    assert not build_lattices(2.5, 1.5, spectra)[1].marginal_integrals.any()
+
+
+def test_partial_chunks_are_bitwise_the_oracle(monkeypatch):
+    # A level whose tile count is not a multiple of the chunk ends in a
+    # short chunk, and a chunk can hold tiles a spectrum has accepted next
+    # to tiles it still needs.
+    original_nodes, original_values = lat._tile_nodes, lat._node_values
+    chunk, partial = [], []
+
+    def recording(tiles):
+        chunk.append(len(tiles))
+        return original_nodes(tiles)
+
+    def checking(mixture, points, active):
+        partial.append(points.shape[1] < chunk[-1])
+        return original_values(mixture, points, active)
+
+    monkeypatch.setattr(lat, "_tile_nodes", recording)
+    monkeypatch.setattr(lat, "_node_values", checking)
+    spectra = [ISO, MIXED_DEPTHS[7], MIXED_DEPTHS[2]]
+    assert_bitwise_oracle(spectra, 2.5, 1.5)
+    assert any(size < lat._CHUNK_TILES for size in chunk)
+    assert any(partial)
+
+
+def test_twenty_rotated_spectra_take_at_most_16_chunks(monkeypatch):
+    calls = Counter()
+    for name in ("_tile_nodes", "_cap_bound"):
+        original = getattr(lat, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(lat, name, counted)
+    build_lattices(4.0, 4.0, FIG4_DEPARTURES)
+    assert 0 < calls["_tile_nodes"] <= 16
+    assert 0 < calls["_cap_bound"] <= 16
 
 
 def test_no_spectra_build_no_lattices():
@@ -274,7 +376,7 @@ def test_cap_bound_dominates_every_node_dot_product():
     means = rng.normal(size=(64, 3))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     for _ in range(50):
-        points, _weights = lat._tile_nodes(random_tiles(rng, lat._BATCH_TILES))
+        points, _weights = lat._tile_nodes(random_tiles(rng, lat._CHUNK_TILES))
         # A third of the means sit next to a node, where the bound is tightest.
         near = points[:, :, rng.integers(0, points.shape[2], 32)].reshape(3, -1).T
         near = near[rng.integers(0, len(near), 32)] + rng.normal(scale=1e-4, size=(32, 3))
@@ -288,11 +390,11 @@ def test_cap_bound_dominates_every_node_dot_product():
 
 
 def random_batch(rng):
-    """A batch of tiles, each a cell strip bisected 0 to 10 times."""
+    """A chunk of tiles, each a cell strip bisected 0 to 10 times."""
     aperture = rng.uniform(0.5, 4.0)
     indices = enumerate_lattice(aperture, aperture)
     tiles = []
-    while len(tiles) < lat._BATCH_TILES:
+    while len(tiles) < lat._CHUNK_TILES:
         index = indices[rng.integers(len(indices))]
         strips = lat._cell_strips(index, aperture, aperture)
         if not strips:
@@ -332,15 +434,15 @@ def test_node_values_match_the_per_cluster_loop():
         peaks = lat._hemisphere_peaks(means)
         points, _weights = lat._tile_nodes(random_batch(rng))
         cap = lat._cap(points)
-        pending = rng.random(lat._BATCH_TILES) < (0.0, 0.5, 1.0)[draw % 3]
-        got = lat._node_values(mixture, peaks, points, cap, pending)
+        pending = rng.random(lat._CHUNK_TILES) < (0.0, 0.5, 1.0)[draw % 3]
+        survivors = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
+        got = lat._node_values(mixture, points, survivors & pending[:, None])
         expected = node_values(mixture, peaks, points, cap, pending)
         # Both round each dot product to about an ulp of 1, in a different
         # order, and exp(alpha * (dot - 1)) turns that into alpha ulps of
         # relative change: 1e-13 up to alpha ~ 110, ~1e-11 at alpha 5e4.
         rtol = max(1e-13, 4.0 * np.finfo(float).eps * alphas.max())
         np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0)
-        survivors = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
         bare = ~pending | ~survivors.any(axis=1)
         assert np.all(got[bare] == constant)
         assert np.all(expected[bare] == constant)

@@ -160,6 +160,17 @@ def test_cdl_multi_user_sweep_builds_no_unrotated_lattice(monkeypatch):
         assert ue_lattice is scenario.ue_lattice
 
 
+def test_an_inert_end_rotates_no_spectrum_and_builds_no_lattices(monkeypatch):
+    scenario = resolve_scenario(make_config(spectrum_spec=CDL))
+    assert scenario.inert_ends == {"ue"}
+    rotations = count_calls(monkeypatch, sweep_module, "rotate_spectrum")
+    passes = count_calls(monkeypatch, sweep_module, "build_lattices")
+    pairs = scenario.realization_lattices(drop_users(3, 0))
+    assert [args[0] for args in rotations] == [scenario.spectra[0]] * 3
+    assert [(args[0], len(args[2])) for args in passes] == [(BASE["bs_aperture"], 3)]
+    assert all(ue_lattice is scenario.ue_lattice for _, ue_lattice in pairs)
+
+
 def test_cdl_multi_user_sweep_at_a_2_wavelength_ue_rotates_both_ends(monkeypatch):
     scenario, calls, built = cdl_lattice_builds(monkeypatch, ue_aperture=2.0)
     assert not calls
