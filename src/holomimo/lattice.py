@@ -22,19 +22,29 @@ The rule is evaluated level by level for all spectra of one aperture: all
 pending tiles of all cells take one bisection step together, a chunk of
 tiles at a time, and each spectrum's accepted tiles' estimates are summed
 per cell with np.bincount.  A chunk's nodes, weights, caps and the cull of
-all spectra's stacked VMF terms depend only on its tiles, so they are
-computed once; each spectrum is evaluated on its own pending tiles, in the
-order a build of it alone would meet them, so its sums are the same.
-Nodes are direction-cosine unit vectors, so the VMF exponents are plain
-dot products: a spectrum is evaluated on each tile with one matrix product
-and one exp over the terms that survive there.  A VMF term is skipped on a
-tile when it is below exp(-40) of its largest value on the upper
-hemisphere at every node, which a spherical cap around the tile's nodes
-shows: if the angle from the cap's centre to the term's mean exceeds the
-cap's radius by d, no node's dot product with the mean exceeds cos(d).
-The largest value is the term's peak when its mean is on or above the
-horizon, and its value at the horizon otherwise, so a cluster behind the
-aperture keeps the tail that reaches the hemisphere.
+the stacked VMF terms of its spectra depend only on its tiles, so they are
+computed once.  Nodes are direction-cosine unit vectors, so the VMF
+exponents are plain dot products.  The chunk is then evaluated tile by
+tile: the terms that survive on a tile, of every spectrum still pending
+there, are stacked and evaluated with one matrix product and one exp per
+block of at most _BLOCK_ROWS rows, and each spectrum's rows are added onto
+its constant in term order.  A block holds whole spectra, so a spectrum's
+sum never spans two, and the cap bounds the block's memory (peak RSS at
+_BLOCK_ROWS).  Two rules keep every lattice bitwise the one a build of its
+spectrum alone gives, whichever spectra share its pass: a spectrum with
+one surviving term on a tile takes a one-row product of its own, as it
+would alone (the BLAS computes a one-row product with another kernel,
+whose row can differ in the last bits from the same row of a larger
+product, while the rows of products of two or more rows agree), and rows
+are summed with NumPy reductions, never with a matrix product.
+
+A VMF term is skipped on a tile when it is below exp(-40) of its largest
+value on the upper hemisphere at every node, which a spherical cap around
+the tile's nodes shows: if the angle from the cap's centre to the term's
+mean exceeds the cap's radius by d, no node's dot product with the mean
+exceeds cos(d).  The largest value is the term's peak when its mean is on
+or above the horizon, and its value at the horizon otherwise, so a cluster
+behind the aperture keeps the tail that reaches the hemisphere.
 
 A spectrum whose largest value on the upper hemisphere is below the
 smallest normal float counts as 0 there: its cell integrals are 0 without
@@ -90,10 +100,13 @@ _MAX_DEPTH = 14
 # value on the upper hemisphere at every node.
 _CULL_EXPONENT = 40.0
 # Tiles of a level whose nodes, caps and cull are computed at once; no value
-# depends on it.  On fig4-halfwave (2-core host) chunks of 16, 32 and 64 read
-# 0.077-0.098, 0.085-0.088 and 0.089-0.093 s per realization against 0.106 s
-# for batches of 4, at +0.0%, +1.0% and +4.0% peak RSS.
+# depends on it.
 _CHUNK_TILES = 32
+# Rows of one node-value matrix product; no value depends on it.  Its
+# workspace then has the size of a chunk's nodes, whose freed memory it
+# reuses; on fig4-halfwave peak RSS read 43.39 MB at 96 rows, 43.63 MB at
+# 64 and 44.19 MB at 128 (43.26 MB with one product per spectrum and tile).
+_BLOCK_ROWS = 3 * _CHUNK_TILES
 
 
 class HarmonicIndex(NamedTuple):
@@ -297,23 +310,59 @@ def _hemisphere_maximum(spectrum: AngularPowerSpectrum) -> float:
     return largest if largest >= sys.float_info.min else 0.0
 
 
-def _node_values(mixture, points: np.ndarray, active) -> np.ndarray:
-    """Spectrum at the nodes (3, T, m) of T tiles, shape (T, m), with VMF
-    term k evaluated on tile t only where ``active[t, k]``.
+def _pair_values(terms, constants, need, active, points: np.ndarray):
+    """Spectrum at the nodes (3, T, m) of each (spectrum, tile) pair of a
+    chunk that ``need`` (S, T) flags, a block of one tile's pairs at a
+    time: yields (tile, spectra, values), ``values`` being (len(spectra), m).
 
-    Each tile's active terms are evaluated at its nodes with one matrix
-    product and one exp, and added onto the constant in term order."""
-    means, alphas, coefs, constant = mixture
-    values = np.full(points.shape[1:], constant)
-    for tile in active.any(axis=1).nonzero()[0]:
-        terms = active[tile].nonzero()[0]
-        exponents = means[terms] @ points[:, tile]
-        exponents -= 1.0
-        exponents *= alphas[terms, None]
-        np.exp(exponents, out=exponents)
-        exponents *= coefs[terms, None]
-        exponents.sum(axis=0, initial=constant, out=values[tile])
-    return values
+    ``terms`` are stacked VMF terms (means, alphas, coefs, owning spectrum)
+    and ``active`` (T, K) flags the ones evaluated on each tile; a pair
+    with none keeps its spectrum's constant alone.  A block holds whole
+    spectra, at most _BLOCK_ROWS active terms unless one spectrum has more.
+    """
+    means, alphas, coefs, owner = terms
+    tile_of, term = active.nonzero()
+    means, alphas, coefs = means[term], alphas[term, None], coefs[term, None]
+    pair_tile, pair_spectrum = need.T.nonzero()
+    # Rows run in (tile, spectrum, term) order, so pair p owns rows
+    # first[p]:first[p + 1].
+    first = np.searchsorted(tile_of * len(need) + owner[term],
+                            pair_tile * len(need) + pair_spectrum).tolist()
+    first.append(len(term))
+    tile_pairs = np.searchsorted(pair_tile, np.arange(points.shape[1] + 1)).tolist()
+    work = np.empty((_BLOCK_ROWS, points.shape[2]))
+    for tile, nodes in enumerate(points.transpose(1, 0, 2)):
+        lo, end = tile_pairs[tile:tile + 2]
+        while lo < end:
+            hi = lo + 1
+            while hi < end and first[hi + 1] - first[lo] <= _BLOCK_ROWS:
+                hi += 1
+            top, size = first[lo], first[hi] - first[lo]
+            if len(work) < size:
+                work = np.empty((size, points.shape[2]))
+            block = work[:size]
+            np.matmul(means[top:top + size], nodes, out=block)
+            # A spectrum with one term takes the one-row product of a build
+            # of it alone.
+            for p in range(lo, hi):
+                if first[p + 1] - first[p] == 1:
+                    row = first[p] - top
+                    np.matmul(means[first[p]:first[p + 1]], nodes, out=block[row:row + 1])
+            block -= 1.0
+            block *= alphas[top:top + size]
+            np.exp(block, out=block)
+            block *= coefs[top:top + size]
+            spectra = pair_spectrum[lo:hi]
+            values = np.empty((hi - lo, points.shape[2]))
+            for value, spectrum, p in zip(values, spectra.tolist(), range(lo, hi)):
+                if first[p + 1] > first[p]:
+                    block[first[p] - top:first[p + 1] - top].sum(
+                        axis=0, initial=constants[spectrum], out=value
+                    )
+                else:
+                    value.fill(constants[spectrum])
+            yield tile, spectra, values
+            lo = hi
 
 
 def _cell_integrals(spectra, cells) -> np.ndarray:
@@ -323,10 +372,11 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
     Every strip starts as one tile over t in [0, 1], pending for every
     spectrum whose _hemisphere_maximum is not 0.  A level gives each tile a
     coarse and a fine estimate per spectrum it is pending for, _CHUNK_TILES
-    tiles at a time, with nodes, caps and the cull of the stacked terms of
-    all spectra computed once per chunk.  Where the two agree, the fine
-    estimate goes to that spectrum's cell; a tile some spectrum rejects is
-    bisected in v and t into four tiles of the next level, pending for
+    tiles at a time.  A chunk's nodes, caps and the cull of the stacked
+    terms of the spectra pending on any of its tiles are computed once, and
+    _pair_values evaluates it tile by tile.  Where the two estimates agree,
+    the fine one goes to that spectrum's cell; a tile some spectrum rejects
+    is bisected in v and t into four tiles of the next level, pending for
     those spectra.
     """
     owner = np.array(
@@ -339,28 +389,35 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
     pending[[_hemisphere_maximum(spectrum) == 0.0 for spectrum in spectra]] = False
     totals = np.zeros((len(spectra), len(cells)))
     mixtures = [spectrum.mixture_arrays for spectrum in spectra]
-    means = np.concatenate([mixture[0] for mixture in mixtures])
-    alphas = np.concatenate([mixture[1] for mixture in mixtures])
+    constants = [mixture[3] for mixture in mixtures]
+    # Stacked VMF terms of all spectra, with the spectrum owning each.
+    means, alphas, coefs = (
+        np.concatenate([mixture[k] for mixture in mixtures]) for k in range(3)
+    )
+    term_owner = np.repeat(
+        np.arange(len(spectra)), [len(mixture[1]) for mixture in mixtures]
+    )
     peaks = _hemisphere_peaks(means)
-    # Spectrum u's terms are columns terms[u]:terms[u + 1] of the stack.
-    terms = np.cumsum([0] + [len(mixture[1]) for mixture in mixtures])
     n_coarse = _N_COARSE * _N_COARSE
     depth = 0
     while pending.any():
         coarse, fine = np.zeros((2, *pending.shape))
         for start in range(0, len(tiles), _CHUNK_TILES):
             chunk = slice(start, start + _CHUNK_TILES)
-            points, weights = _tile_nodes(tiles[chunk])
-            bound = _cap_bound(_cap(points), means)
-            survive = alphas * (bound - peaks) >= -_CULL_EXPONENT
             need = pending[:, chunk]
-            for u in need.any(axis=1).nonzero()[0]:
-                rows = need[u].nonzero()[0]
-                active = survive[rows, terms[u]:terms[u + 1]]
-                weighted = _node_values(mixtures[u], points[:, rows], active)
-                weighted *= weights[rows]
-                coarse[u, start + rows] = weighted[:, :n_coarse].sum(axis=1)
-                fine[u, start + rows] = weighted[:, n_coarse:].sum(axis=1)
+            points, weights = _tile_nodes(tiles[chunk])
+            # The terms of the spectra pending on any tile of the chunk.
+            columns = need.any(axis=1)[term_owner].nonzero()[0]
+            terms = means[columns], alphas[columns], coefs[columns], term_owner[columns]
+            bound = _cap_bound(_cap(points), terms[0])
+            active = terms[1] * (bound - peaks[columns]) >= -_CULL_EXPONENT
+            active &= need[terms[3]].T
+            for tile, spectra, values in _pair_values(
+                terms, constants, need, active, points
+            ):
+                values *= weights[tile]
+                coarse[spectra, start + tile] = values[:, :n_coarse].sum(axis=1)
+                fine[spectra, start + tile] = values[:, n_coarse:].sum(axis=1)
         done = np.abs(fine - coarse) <= _TILE_RTOL * np.abs(fine) + _TILE_ATOL
         done &= pending
         for u, accepted in enumerate(done):

@@ -19,10 +19,12 @@ draws through a plan at once.
 ``sample_channel`` returns the element-domain channel
 H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H.  The plan also keeps the R
 factors of the thin QRs Gamma_R Psi_R = Q_R R_R and Gamma_S Psi_S = Q_S R_S,
-and ``sample_harmonic_channel`` returns the same draw as
-M = s * R_R C R_S^H, at most (harmonics x harmonics) whatever the element
-count.  H = Q_R M Q_S^H with isometries at both ends, so M has the nonzero
-singular values and the broadcast sum capacity of H.
+and ``harmonic_channels(plan, draw_coefficients(variances, seed, index))``
+is the same draw as M = s * R_R C R_S^H, at most (harmonics x harmonics)
+whatever the element count.  H = Q_R M Q_S^H with isometries at both ends,
+so M has the nonzero singular values and the broadcast sum capacity of H.
+Channels of several users drawn on the same plan are in shared transmit
+coordinates.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .geometry import ArrayGeometry
 from .lattice import enumerate_lattice, harmonic_angles, harmonic_vector
 
 __all__ = ["SynthesisPlan", "build_plan", "draw_coefficients", "sample_channel",
-           "harmonic_channels", "sample_harmonic_channel", "MASK64"]
+           "harmonic_channels", "MASK64"]
 
 # Seeds and counters enter every random stream as unsigned 64-bit words.
 MASK64 = (1 << 64) - 1
@@ -146,17 +148,3 @@ def harmonic_channels(plan: SynthesisPlan, coefficients: np.ndarray) -> np.ndarr
     scale = np.sqrt(plan.ue_count * plan.bs_count)
     return scale * (plan.ue_r @ coefficients @ plan.bs_r.conj().T)
 
-
-def sample_harmonic_channel(
-    plan: SynthesisPlan, variances: np.ndarray, seed: int, realization_index: int
-) -> np.ndarray:
-    """Draw the same realization as ``sample_channel`` in harmonic
-    coordinates: M = s * R_R C R_S^H.
-
-    M has the nonzero singular values and the sum capacity of the element
-    matrix, at (min(N_R, n_R) x min(N_S, n_S)) instead of (N_R x N_S).
-    Channels of several users are in shared transmit coordinates when they
-    are drawn on the same plan.
-    """
-    coeffs = draw_coefficients(variances, seed, realization_index)
-    return harmonic_channels(plan, coeffs)

@@ -2,10 +2,11 @@
 spectrum and batch.
 
 ``holomimo.lattice._cell_integrals`` computes a chunk's nodes, caps and VMF
-cull once for every spectrum and evaluates each spectrum on its pending
-tiles alone; this form, which computes each batch's cull and node values
-once per spectrum that needs any of its tiles, is the tests' oracle for
-it.  Both must give bitwise the same cell integrals.
+cull once for every spectrum and evaluates the chunk tile by tile, the
+surviving terms of all spectra pending on a tile stacked into one product;
+this form, which computes each batch's cull and node values once per
+spectrum that needs any of its tiles, is the tests' oracle for it.  Both
+must give bitwise the same cell integrals.
 """
 
 import numpy as np

@@ -1,9 +1,10 @@
 """Spectrum at a tile batch's nodes, one VMF cluster at a time.
 
-``holomimo.lattice._node_values`` forms the exponents of all clusters that
-survive the cull on a tile with one matrix product and one ``exp``; this
-per-cluster loop, which gathers each cluster's surviving tiles and scatters
-its terms back, is the tests' oracle for it.
+``holomimo.lattice._pair_values`` forms the exponents of the clusters that
+survive the cull on a tile, of every spectrum pending there, with one
+matrix product and one ``exp`` per block; this per-cluster loop over one
+spectrum, which gathers each cluster's surviving tiles and scatters its
+terms back, is the tests' oracle for it.
 """
 
 import numpy as np

@@ -7,11 +7,12 @@ per-tile rule below, with its angle round trip through ``spectrum_value``
 and no culling, is the oracle: every cell must agree within the adaptive
 rule's own tolerance.  ``build_lattices`` runs the same rule for several
 spectra in one pass; each of its lattices must equal the solo build.  A
-tile's node values come from one matrix product over the clusters that
-survive on it; the per-cluster loop in ``node_values_oracle`` is their
-oracle.  The pass computes each chunk's nodes, caps and cull once for all
-spectra; ``cell_integrals_oracle`` computes them per batch of four tiles and
-per spectrum, and every lattice must be bitwise its result.
+tile's node values come from one matrix product over the clusters of all
+spectra that survive on it; the per-cluster loop in ``node_values_oracle``
+is their oracle.  The pass computes each chunk's nodes, caps and cull once
+for all spectra; ``cell_integrals_oracle`` computes them per batch of four
+tiles and per spectrum, and every lattice must be bitwise its result,
+whichever spectra share its pass and however its tile's rows are blocked.
 """
 
 import json
@@ -235,24 +236,28 @@ def test_copies_of_a_spectrum_share_every_tile(monkeypatch):
 
 
 def test_tiles_a_spectrum_accepted_get_no_vmf_term(monkeypatch):
-    original_nodes, original_values = lat._tile_nodes, lat._node_values
-    chunk, skipped, evaluated = [], [], []
+    original = lat._pair_values
+    skipped, evaluated = [], []
 
-    def recording(tiles):
-        chunk.append(len(tiles))
-        return original_nodes(tiles)
+    def checking(terms, constants, need, active, points):
+        owner = terms[3]
+        # A term is active only on the tiles its spectrum still needs.
+        assert not (active & ~need[owner].T).any()
+        # Each chunk's tiles a pending spectrum has accepted are skipped.
+        skipped.append((need.any(axis=1)[:, None] & ~need).sum())
+        seen = np.zeros_like(need)
+        for tile, spectra, values in original(terms, constants, need, active, points):
+            seen[spectra, tile] = True
+            for spectrum, value in zip(spectra, values):
+                # A pair without an active term keeps the constant term alone.
+                if not active[tile, owner == spectrum].any():
+                    assert np.all(value == constants[spectrum])
+            yield tile, spectra, values
+        # Exactly the (spectrum, tile) pairs the chunk needs are evaluated.
+        np.testing.assert_array_equal(seen, need)
+        evaluated.append(need.sum())
 
-    def checking(mixture, points, active):
-        values = original_values(mixture, points, active)
-        # A tile without an active term keeps the constant term alone.
-        assert np.all(values[~active.any(axis=1)] == mixture[3])
-        # Only the spectrum's pending tiles of the chunk are evaluated.
-        skipped.append(chunk[-1] - points.shape[1])
-        evaluated.append(points.shape[1])
-        return values
-
-    monkeypatch.setattr(lat, "_tile_nodes", recording)
-    monkeypatch.setattr(lat, "_node_values", checking)
+    monkeypatch.setattr(lat, "_pair_values", checking)
     build_lattices(4.0, 4.0, MIXED_DEPTHS)
     assert sum(skipped) > 0
     # The oracle evaluates whole batches, with a spectrum's pending tiles
@@ -315,19 +320,19 @@ def test_partial_chunks_are_bitwise_the_oracle(monkeypatch):
     # A level whose tile count is not a multiple of the chunk ends in a
     # short chunk, and a chunk can hold tiles a spectrum has accepted next
     # to tiles it still needs.
-    original_nodes, original_values = lat._tile_nodes, lat._node_values
+    original_nodes, original_values = lat._tile_nodes, lat._pair_values
     chunk, partial = [], []
 
     def recording(tiles):
         chunk.append(len(tiles))
         return original_nodes(tiles)
 
-    def checking(mixture, points, active):
-        partial.append(points.shape[1] < chunk[-1])
-        return original_values(mixture, points, active)
+    def checking(terms, constants, need, active, points):
+        partial.append((need.any(axis=1) & ~need.all(axis=1)).any())
+        return original_values(terms, constants, need, active, points)
 
     monkeypatch.setattr(lat, "_tile_nodes", recording)
-    monkeypatch.setattr(lat, "_node_values", checking)
+    monkeypatch.setattr(lat, "_pair_values", checking)
     spectra = [ISO, MIXED_DEPTHS[7], MIXED_DEPTHS[2]]
     assert_bitwise_oracle(spectra, 2.5, 1.5)
     assert any(size < lat._CHUNK_TILES for size in chunk)
@@ -425,27 +430,101 @@ def random_mixture(rng, with_constant):
     return AngularPowerSpectrum.mixture(components).mixture_arrays
 
 
+def stacked_terms(mixtures):
+    """(means, alphas, coefs, owning spectrum) of mixtures' stacked VMF
+    terms, as _cell_integrals stacks them."""
+    return (
+        *(np.concatenate([mixture[k] for mixture in mixtures]) for k in range(3)),
+        np.repeat(np.arange(len(mixtures)), [len(mixture[1]) for mixture in mixtures]),
+    )
+
+
 def test_node_values_match_the_per_cluster_loop():
     rng = np.random.default_rng(10)
-    for draw in range(240):
-        mixture = random_mixture(rng, with_constant=draw % 4 == 0)
-        means, alphas, _coefs, constant = mixture
-        assert (constant > 0.0) == (draw % 4 == 0)
+    for draw in range(120):
+        mixtures = [random_mixture(rng, with_constant=(draw + k) % 4 == 0)
+                    for k in range(rng.integers(1, 5))]
+        assert [mixture[3] > 0.0 for mixture in mixtures] == [
+            (draw + k) % 4 == 0 for k in range(len(mixtures))
+        ]
+        terms = stacked_terms(mixtures)
+        means, alphas, _coefs, owner = terms
         peaks = lat._hemisphere_peaks(means)
         points, _weights = lat._tile_nodes(random_batch(rng))
         cap = lat._cap(points)
-        pending = rng.random(lat._CHUNK_TILES) < (0.0, 0.5, 1.0)[draw % 3]
+        need = rng.random((len(mixtures), lat._CHUNK_TILES)) < (0.0, 0.5, 1.0)[draw % 3]
         survivors = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
-        got = lat._node_values(mixture, points, survivors & pending[:, None])
-        expected = node_values(mixture, peaks, points, cap, pending)
-        # Both round each dot product to about an ulp of 1, in a different
-        # order, and exp(alpha * (dot - 1)) turns that into alpha ulps of
-        # relative change: 1e-13 up to alpha ~ 110, ~1e-11 at alpha 5e4.
-        rtol = max(1e-13, 4.0 * np.finfo(float).eps * alphas.max())
-        np.testing.assert_allclose(got, expected, rtol=rtol, atol=0.0)
-        bare = ~pending | ~survivors.any(axis=1)
-        assert np.all(got[bare] == constant)
-        assert np.all(expected[bare] == constant)
+        got = np.full((len(mixtures), *points.shape[1:]), np.nan)
+        for tile, spectra, values in lat._pair_values(
+            terms, [mixture[3] for mixture in mixtures], need,
+            survivors & need[owner].T, points,
+        ):
+            got[spectra, tile] = values
+        # No pair outside ``need`` is evaluated.
+        assert np.all(np.isnan(got[~need]))
+        for spectrum, mixture in enumerate(mixtures):
+            mine = owner == spectrum
+            expected = node_values(mixture, peaks[mine], points, cap, need[spectrum])
+            pending = need[spectrum]
+            # Both round each dot product to about an ulp of 1, in a
+            # different order, and exp(alpha * (dot - 1)) turns that into
+            # alpha ulps of relative change: 1e-13 up to alpha ~ 110, ~1e-11
+            # at alpha 5e4.
+            rtol = max(1e-13, 4.0 * np.finfo(float).eps * mixture[1].max())
+            np.testing.assert_allclose(got[spectrum, pending], expected[pending],
+                                       rtol=rtol, atol=0.0)
+            bare = pending & ~survivors[:, mine].any(axis=1)
+            assert np.all(got[spectrum, bare] == mixture[3])
+            assert np.all(expected[bare] == mixture[3])
+
+
+def test_one_term_tiles_do_not_depend_on_the_pass(monkeypatch):
+    # Two clusters 120 degrees apart: on the tiles around either, only that
+    # one survives the cull.  Its lattice must have the same bytes built
+    # alone, next to spectra with many terms on those tiles, and in a pass
+    # whose row cap splits their rows into several blocks.
+    two = AngularPowerSpectrum.mixture([
+        VmfComponent(0.5, 0.0, 0.6, concentration_from_spread(6.0)),
+        VmfComponent(0.5, 2.1, 0.6, concentration_from_spread(6.0)),
+    ])
+    original = lat._pair_values
+    shared, split = [], []
+
+    def recording(terms, constants, need, active, points):
+        owner = terms[3]
+        rows = active.sum(axis=1)
+        one_term = (active[:, owner == 0].sum(axis=1) == 1) & (rows > 1)
+        shared.append(one_term.any())
+        split.append((one_term & (rows > lat._BLOCK_ROWS)).any())
+        return original(terms, constants, need, active, points)
+
+    alone = build_lattice(4.0, 4.0, two).marginal_integrals.tobytes()
+    monkeypatch.setattr(lat, "_pair_values", recording)
+    crowd = [two, *FIG4_DEPARTURES[:6]]
+    assert build_lattices(4.0, 4.0, crowd)[0].marginal_integrals.tobytes() == alone
+    assert any(shared)
+    assert not any(split)
+    monkeypatch.setattr(lat, "_BLOCK_ROWS", 8)
+    assert build_lattices(4.0, 4.0, crowd)[0].marginal_integrals.tobytes() == alone
+    assert any(split)
+
+
+def test_rows_of_a_product_of_two_or_more_rows_are_the_rows_of_any_larger_one():
+    # _pair_values stacks the terms of several spectra into one product; a
+    # spectrum's rows keep their bits only if the BLAS computes a row the
+    # same way whatever rows surround it.  A one-row product may not (it
+    # goes through a matrix-vector kernel), so it is never stacked.
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        points, _weights = lat._tile_nodes(random_batch(rng))
+        nodes = points[:, rng.integers(points.shape[1])]
+        rows = int(rng.integers(2, 2 * lat._BLOCK_ROWS))
+        means = rng.normal(size=(rows, 3))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        full = means @ nodes
+        k = int(rng.integers(2, rows + 1))
+        top = int(rng.integers(0, rows - k + 1))
+        assert (means[top:top + k] @ nodes).tobytes() == full[top:top + k].tobytes()
 
 
 def test_lattices_do_not_depend_on_the_blas_thread_count():

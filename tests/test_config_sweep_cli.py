@@ -25,7 +25,7 @@ from holomimo.config import PRESET_NAMES, bundled_cdl_path
 from holomimo.coupling import HALF_WAVE_EFFICIENCY
 from holomimo.errors import ConfigError, UnknownPreset
 from holomimo.sweep import CSV_HEADER, SweepResult
-from holomimo.synthesis import sample_harmonic_channel
+from holomimo.synthesis import draw_coefficients, harmonic_channels
 
 BASE = {
     "carrier_ghz": 3.5,
@@ -170,7 +170,7 @@ class TestSingleUserSweep:
         # so it matches that exactly; the element-domain channel has the same
         # singular values up to rounding.
         harmonic = su_capacity(
-            sample_harmonic_channel(plan, variances, config.seed, 0), 0.0
+            harmonic_channels(plan, draw_coefficients(variances, config.seed, 0)), 0.0
         )
         assert row.mean_bits == harmonic.value_bits
         element = su_capacity(sample_channel(plan, variances, config.seed, 0), 0.0)

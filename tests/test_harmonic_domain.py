@@ -36,7 +36,7 @@ from holomimo import (
 )
 from holomimo.config import bundled_cdl_path
 from holomimo.coupling import HALF_WAVE_EFFICIENCY
-from holomimo.synthesis import sample_harmonic_channel
+from holomimo.synthesis import draw_coefficients, harmonic_channels
 from expected_frobenius_oracle import expected_frobenius
 
 ISO = AngularPowerSpectrum.isotropic()
@@ -167,7 +167,7 @@ class TestReducedChannel:
             pattern=ElementPattern.dipole() if dipole else ElementPattern.uniform(),
             eta=eta,
         )
-        reduced = sample_harmonic_channel(plan, variances, 3, realization)
+        reduced = harmonic_channels(plan, draw_coefficients(variances, 3, realization))
         element = sample_channel(plan, variances, 3, realization)
         assert reduced.shape[0] <= element.shape[0]
         assert reduced.shape[1] <= element.shape[1]
@@ -182,7 +182,7 @@ class TestReducedChannel:
         )
         draws = 2000
         total = sum(
-            np.linalg.norm(sample_harmonic_channel(plan, variances, 2024, r)) ** 2
+            np.linalg.norm(harmonic_channels(plan, draw_coefficients(variances, 2024, r))) ** 2
             for r in range(draws)
         )
         assert total / draws == pytest.approx(expected_frobenius(plan, variances), rel=0.05)
@@ -204,7 +204,7 @@ def test_multi_user_sum_capacity_equals_the_element_domain(users, spacing, seed)
             rotate_spectrum(CDL_UE, math.radians(drop.orientation_deg)),
         )
         gain = 10.0 ** (drop.snr_db / 20.0)
-        harmonic.append(gain * sample_harmonic_channel(plan, variances, seed, k))
+        harmonic.append(gain * harmonic_channels(plan, draw_coefficients(variances, seed, k)))
         element.append(gain * sample_channel(plan, variances, seed, k))
     budget = 10.0 ** (5.0 / 10.0)
     reduced = mu_sum_capacity(harmonic, budget, tol=1e-9)

@@ -11,7 +11,7 @@ from holomimo.cli import main
 from holomimo.capacity import su_capacity
 from holomimo.errors import EmptyGains, NonFiniteChannel, ZeroChannel
 from holomimo.sweep import _SU_BLOCK, _evaluate_chunk, resolve_scenario
-from holomimo.synthesis import harmonic_channels, sample_harmonic_channel
+from holomimo.synthesis import draw_coefficients, harmonic_channels
 
 # 9 receive and 9 transmit harmonics at the 1.5-wavelength apertures.
 BASE = {
@@ -36,7 +36,7 @@ def oracle_values(config, indices):
     """su_capacity of each realization's harmonic channel, one at a time."""
     plans, variances = resolve_scenario(config).plans_and_variances()
     return [
-        [su_capacity(sample_harmonic_channel(plan, variances, config.seed, r),
+        [su_capacity(harmonic_channels(plan, draw_coefficients(variances, config.seed, r)),
                      config.snr_db).value_bits for plan in plans]
         for r in indices
     ]
