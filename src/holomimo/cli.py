@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from .config import PRESET_NAMES, load_config, preset
 from .errors import ConfigError, InputFileError, NumericalError
-from .lattice import build_lattice
+from .lattice import build_lattice, build_variance_table
 from .sweep import emit, one_blas_thread, render, resolve_scenario, run_sweep
 from .synthesis import MASK64, sample_channel
 
@@ -104,8 +104,11 @@ def _cmd_synth(args) -> int:
         raise ConfigError(
             f"spacing index {args.spacing_index} outside the configured list"
         )
-    plans, variances = resolve_scenario(config).plans_and_variances()
-    matrix = sample_channel(plans[args.spacing_index], variances, config.seed,
+    # Lattices, plans, table: a config bad in several ways fails as a sweep does.
+    scenario = resolve_scenario(config)
+    lattices = scenario.bs_lattice, scenario.ue_lattice
+    plan = scenario.plans[args.spacing_index]
+    matrix = sample_channel(plan, build_variance_table(*lattices), config.seed,
                             args.realization)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("row,col,re,im\n")

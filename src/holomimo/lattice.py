@@ -82,6 +82,7 @@ __all__ = [
     "harmonic_angles",
     "build_lattice",
     "build_lattices",
+    "disk_cells",
     "build_variance_table",
     "indicator_lattice",
     "harmonic_vector",
@@ -205,7 +206,7 @@ def _cell_strips(index, aperture_x, aperture_y) -> list[tuple]:
     return [(u0, u1, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _disk_cells(aperture_x: float, aperture_y: float) -> np.ndarray:
+def disk_cells(aperture_x: float, aperture_y: float) -> np.ndarray:
     """1.0 for each harmonic of enumerate_lattice whose cell meets the unit
     disk, else 0.0."""
     return np.array([bool(_cell_strips(index, aperture_x, aperture_y))
@@ -458,10 +459,6 @@ class SpectralLattice:
     marginal_integrals: np.ndarray
 
     @property
-    def cardinality(self) -> int:
-        return len(self.indices)
-
-    @property
     def total_integral(self) -> float:
         return float(self.marginal_integrals.sum())
 
@@ -498,7 +495,7 @@ def indicator_lattice(
     _hemisphere_maximum decides without one: DegenerateSpectrum where it is
     0."""
     indices = tuple(enumerate_lattice(aperture_x, aperture_y))
-    cells = _disk_cells(aperture_x, aperture_y)
+    cells = disk_cells(aperture_x, aperture_y)
     if cells.sum() != 1.0:
         raise ValueError(
             f"aperture ({aperture_x}, {aperture_y}) has {cells.sum():g} cells "

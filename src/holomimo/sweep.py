@@ -1,24 +1,23 @@
 """Experiment orchestration: Monte Carlo sweeps and result emission.
 
 A sweep evaluates the mean and standard deviation of capacity over channel
-realizations for every spacing in the scenario.  The users dropped in a
-realization, the lattices of their rotated spectra and their Fourier
-coefficients do not depend on the spacing, so each is made once per
-realization and shared by every spacing.  A single user's realizations go
-in stacks of _SU_BLOCK: each realization's coefficients are drawn once from
-its own stream, and each spacing maps the whole stack through its plan,
-takes one stacked SVD and water-fills every row at once
-(``su_capacities``).  Multi-user realizations go in blocks of _BLOCK: the
-users of a block are dropped first, and the lattices of all of them are
-built in one quadrature pass per aperture before the block's realizations
-are evaluated in index order.  A synthesis plan's bases and R factors do
-not depend on the users, so there is one plan per spacing
-(``Scenario.plans``); each user carries only its own variances
-(``build_variance_table`` of its two lattices), which serve every spacing.
-A link end with one cell in the unit disk (``inert_ends``, the presets'
-1-wavelength receive aperture) builds no lattice: the variance table
-normalizes any spectrum there to the indicator of that cell, so every user
-shares its ``indicator_lattice``; ``holo lattice`` still integrates it.
+realizations for every spacing in the scenario.  Single- and multi-user
+realizations run one loop over blocks of _BLOCK user channels (a single
+user is the unrotated reference user).  A block's users are dropped first,
+the lattices of all their rotated spectra are built in one quadrature pass
+per aperture, and each distinct lattice pair gets its variances
+(``build_variance_table``).  None of these, nor a user's Fourier
+coefficients, depend on the spacing: each is made once and every spacing
+maps the block's stack of draws through its plan (``Scenario.plans``; a
+plan's bases and R factors do not depend on the users either).  Only the
+capacity differs: a single user's stack is water-filled row by row from one
+stacked SVD (``su_capacities``), and each multi-user realization runs the
+sum-capacity solver.  A link end with one cell in the unit disk
+(``inert_ends``, the presets' 1-wavelength receive aperture) builds no
+lattice: the variance table normalizes any spectrum there to the indicator
+of that cell, so every user shares its ``indicator_lattice``; ``holo
+lattice`` still integrates it.
+
 Processes run OpenBLAS on one thread (``one_blas_thread``).
 Realizations use counter-based random streams keyed by (seed, realization
 index), each lattice is bitwise the one its spectrum gets alone, and each
@@ -45,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import drop_users, mu_sum_capacity, su_capacities
+from .capacity import UserDrop, drop_users, mu_sum_capacity, su_capacities
 from .config import ScenarioConfig
 from .coupling import (
     HALF_WAVE_EFFICIENCY,
@@ -58,10 +57,10 @@ from .coupling import (
 )
 from .geometry import build_planar_array
 from .lattice import (
-    _disk_cells,
     build_lattice,
     build_lattices,
     build_variance_table,
+    disk_cells,
     indicator_lattice,
 )
 from .spectrum import (
@@ -77,17 +76,16 @@ __all__ = ["SweepRow", "SweepResult", "Scenario", "resolve_scenario",
 
 CSV_HEADER = "spacing_wl,efficiency_mode,spectrum,pattern,mean_bits,std_bits,realizations,seed"
 
-# Multi-user realizations whose lattices share one quadrature pass.  Larger
-# blocks share more tile geometry but hold more tiles at once: at 40 per
-# pass the fig4 peak RSS grew by 6%, at 4 by 0.3%.
-_BLOCK = 4
-# Single-user realizations evaluated as one stack.  Every row is computed
-# on its own, so the size changes no value, only the memory the stacked
-# draws, channels and SVD workspaces hold: on fig3-cdlb at 200 realizations
-# (42.5 MB peak RSS one realization at a time) stacks of 32 added 0.1-0.3
-# MB, stacks of 64 0.4 MB and one stack of all 200 2.5 MB (6%), for the
-# same speed.
-_SU_BLOCK = 32
+# User channels evaluated as one block: a single user's realizations in
+# stacks of 40, ten users' in blocks of 4 realizations, whose 40 rotated
+# lattices share one quadrature pass per aperture.  Every value is computed
+# on its own, so the size changes no value, only the memory a block holds:
+# one stack of all 200 fig3-cdlb realizations added 2.5 MB (6%) of peak
+# RSS, and a fig4 pass over 40 realizations' 400 spectra 6%.
+_BLOCK = 40
+# The user of a single-user sweep: at the 50 m / 0 dB reference, unrotated.
+_REFERENCE_USER = UserDrop(distance_m=50.0, azimuth_deg=0.0, snr_db=0.0,
+                           orientation_deg=0.0)
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ class Scenario:
         return frozenset(
             end for end, a in (("bs", self.config.bs_aperture),
                                ("ue", self.config.ue_aperture))
-            if _disk_cells(a, a).sum() == 1.0
+            if disk_cells(a, a).sum() == 1.0
         )
 
     def realization_lattices(self, drops):
@@ -205,10 +203,10 @@ class Scenario:
         The sector azimuth rotates the departure spectrum and the terminal
         orientation the arrival spectrum, each end's in one ``build_lattices``
         pass.  An inert end (``inert_ends``) rotates nothing, and it and a
-        spectrum that rotation hands back unchanged (isotropic) keep the
-        unrotated lattice, which is looked up only then; its
-        ``DegenerateSpectrum`` check covers every user, since rotation keeps
-        the hemisphere mass and peak."""
+        spectrum that rotation hands back unchanged (isotropic, or any at
+        the reference user's angles of 0) keep the unrotated lattice, which
+        is looked up only then; its ``DegenerateSpectrum`` check covers
+        every user, since rotation keeps the hemisphere mass and peak."""
         ends = []
         for end, spectrum, angles in (
             ("bs", self.spectra[0], [drop.azimuth_deg for drop in drops]),
@@ -238,14 +236,6 @@ class Scenario:
             plans.append(build_plan(bs, ue, self.coupling("bs", bs),
                                     self.coupling("ue", ue)))
         return plans
-
-    def plans_and_variances(self):
-        """(plans, variances of the unrotated lattice pair), which a single
-        user's channels and ``holo synth`` draw on.  The lattices come
-        first, then the plans, then the table: a config that is bad in
-        more than one way fails at the first of them."""
-        lattices = self.bs_lattice, self.ue_lattice
-        return self.plans, build_variance_table(*lattices)
 
 
 def resolve_scenario(config: ScenarioConfig) -> Scenario:
@@ -286,53 +276,47 @@ def _drop_seed(seed: int, realization: int) -> int:
     return int(state[0])
 
 
-def _evaluate(scenario: Scenario, r: int, drops, lattices):
-    """(value_bits, converged) at every spacing for multi-user realization
-    ``r``, whose users are ``drops`` with their lattice pairs.  Each user's
-    coefficients are drawn once and mapped through every spacing's plan."""
-    config = scenario.config
-    plans = scenario.plans  # a bad pattern file fails before the variances
-    coefficients = np.stack([
-        draw_coefficients(build_variance_table(*pair), config.seed, (r << 32) | k)
-        for k, pair in enumerate(lattices)
-    ])
-    amplitudes = np.array([10.0 ** (drop.snr_db / 20.0) for drop in drops])
-    budget = 10.0 ** (config.snr_db / 10.0)
-    out = []
-    for plan in plans:
-        channels = harmonic_channels(plan, coefficients) * amplitudes[:, None, None]
-        report = mu_sum_capacity(channels, budget)
-        out.append((report.value_bits, report.converged))
-    return out
-
-
 def _evaluate_chunk(args):
     """(value_bits, converged) at every spacing for each realization of a
-    chunk, in index order."""
+    chunk, in index order.
+
+    Realizations go in blocks of _BLOCK user channels.  A single user is
+    the reference user, whom rotation leaves on the unrotated lattices and
+    whose amplitude is 1; it draws from the stream of its realization index,
+    user k of several from (index << 32) | k."""
     scenario, indices = args
     config = scenario.config
+    users = config.users
+    budget = 10.0 ** (config.snr_db / 10.0)
+    per_block = max(1, _BLOCK // users)
     out = []
-    if config.users == 1:
-        plans, variances = scenario.plans_and_variances()
-        for start in range(0, len(indices), _SU_BLOCK):
-            coefficients = np.stack([
-                draw_coefficients(variances, config.seed, r)
-                for r in indices[start:start + _SU_BLOCK]
-            ])
-            values = [
-                su_capacities(harmonic_channels(plan, coefficients),
-                              config.snr_db)[2].tolist()
-                for plan in plans
-            ]
-            out.extend([(v, True) for v in pairs] for pairs in zip(*values))
-        return out
-    for start in range(0, len(indices), _BLOCK):
-        block = indices[start:start + _BLOCK]
-        drops = [drop_users(config.users, _drop_seed(config.seed, r)) for r in block]
-        lattices = scenario.realization_lattices([d for ds in drops for d in ds])
-        for k, (r, users) in enumerate(zip(block, drops)):
-            pairs = lattices[k * config.users:(k + 1) * config.users]
-            out.append(_evaluate(scenario, r, users, pairs))
+    for start in range(0, len(indices), per_block):
+        block = indices[start:start + per_block]
+        if users == 1:
+            drops, keys = [_REFERENCE_USER] * len(block), list(block)
+        else:
+            drops = [d for r in block for d in drop_users(users, _drop_seed(config.seed, r))]
+            keys = [(r << 32) | k for r in block for k in range(users)]
+        lattices = scenario.realization_lattices(drops)
+        plans = scenario.plans  # a bad pattern file fails before the variances
+        tables = {pair: build_variance_table(*pair) for pair in dict.fromkeys(lattices)}
+        coefficients = np.stack([
+            draw_coefficients(tables[pair], config.seed, key)
+            for pair, key in zip(lattices, keys)
+        ])
+        coefficients = coefficients.reshape(len(block), users, *coefficients.shape[1:])
+        amplitudes = np.array([10.0 ** (d.snr_db / 20.0) for d in drops]).reshape(
+            len(block), users, 1, 1)
+        values = []
+        for plan in plans:
+            channels = harmonic_channels(plan, coefficients) * amplitudes
+            if users == 1:
+                bits = su_capacities(channels[:, 0], config.snr_db)[2].tolist()
+                values.append([(v, True) for v in bits])
+            else:
+                reports = [mu_sum_capacity(c, budget) for c in channels]
+                values.append([(rep.value_bits, rep.converged) for rep in reports])
+        out.extend(list(pairs) for pairs in zip(*values))
     return out
 
 

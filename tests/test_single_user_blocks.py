@@ -10,7 +10,8 @@ from holomimo import config_from_dict, run_sweep
 from holomimo.cli import main
 from holomimo.capacity import su_capacity
 from holomimo.errors import EmptyGains, NonFiniteChannel, ZeroChannel
-from holomimo.sweep import _SU_BLOCK, _evaluate_chunk, resolve_scenario
+from holomimo.lattice import build_variance_table
+from holomimo.sweep import _BLOCK, _evaluate_chunk, resolve_scenario
 from holomimo.synthesis import draw_coefficients, harmonic_channels
 
 # 9 receive and 9 transmit harmonics at the 1.5-wavelength apertures.
@@ -32,9 +33,15 @@ def make_config(realizations):
     return config_from_dict({**BASE, "realizations": realizations})
 
 
+def plans_and_variances(config):
+    """(plans, variances of the unrotated lattice pair) of a single user."""
+    scenario = resolve_scenario(config)
+    return scenario.plans, build_variance_table(scenario.bs_lattice, scenario.ue_lattice)
+
+
 def oracle_values(config, indices):
     """su_capacity of each realization's harmonic channel, one at a time."""
-    plans, variances = resolve_scenario(config).plans_and_variances()
+    plans, variances = plans_and_variances(config)
     return [
         [su_capacity(harmonic_channels(plan, draw_coefficients(variances, config.seed, r)),
                      config.snr_db).value_bits for plan in plans]
@@ -42,9 +49,11 @@ def oracle_values(config, indices):
     ]
 
 
-@pytest.mark.parametrize("realizations", [1, 31, 32, 33, 70])
+# Counts within one block, ending on either side of a block edge, and
+# spanning two blocks.
+@pytest.mark.parametrize("realizations", sorted({1, 31, 32, 33, _BLOCK - 1, _BLOCK,
+                                                  _BLOCK + 1, 70}))
 def test_sweep_equals_the_per_realization_oracle(realizations):
-    assert _SU_BLOCK == 32  # the counts end on either side of a block edge
     config = make_config(realizations)
     expected = oracle_values(config, range(realizations))
     # A chunk that starts at 0 and one that starts inside a block, as the
@@ -102,13 +111,13 @@ def broken_draws(monkeypatch, bad_index, kind):
 @pytest.mark.parametrize("kind,error", [
     ("zero", ZeroChannel), ("nan", NonFiniteChannel), ("tiny", EmptyGains),
 ])
-@pytest.mark.parametrize("bad_index", [0, 17, 31, 32, 69])
+@pytest.mark.parametrize("bad_index", sorted({0, 17, 31, 32, _BLOCK - 1, _BLOCK, 69}))
 def test_one_bad_channel_fails_its_block_as_it_fails_alone(
     monkeypatch, kind, error, bad_index
 ):
     config = make_config(70)
     broken_draws(monkeypatch, bad_index, kind)
-    plans, variances = resolve_scenario(config).plans_and_variances()
+    plans, variances = plans_and_variances(config)
     coefficients = sweep_module.draw_coefficients(variances, config.seed, bad_index)
     with pytest.raises(error):
         su_capacity(harmonic_channels(plans[0], coefficients), config.snr_db)

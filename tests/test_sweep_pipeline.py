@@ -1,6 +1,7 @@
 """The sweep pipeline: golden outputs, lattice reuse, synth agreement, and
 non-convergence warnings."""
 
+import functools
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ from unittest.mock import Mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holomimo.sweep as sweep_module
 from holomimo import CapacityReport, config_from_dict, render, run_sweep
@@ -113,6 +116,29 @@ def test_rendered_sweep_is_byte_identical_across_jobs(users, spectrum):
     assert rendered(users, spectrum, 1) == rendered(users, spectrum, 2)
 
 
+@functools.cache
+def full_chunk(users, count):
+    """(scenario, _evaluate_chunk of realizations 0..count-1) of a CDL sweep."""
+    config = replace(golden_config(users=users, spectrum="cdl"), realizations=count)
+    scenario = sweep_module.resolve_scenario(config)
+    return scenario, sweep_module._evaluate_chunk((scenario, range(count)))
+
+
+@pytest.mark.parametrize("past_edge", [-1, 1])
+@pytest.mark.parametrize("users", [1, 2, 3])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_any_chunk_is_the_slice_of_the_full_range(users, past_edge, data):
+    # The full range ends one realization before or after the first block
+    # edge; a chunk that starts elsewhere puts its block edges elsewhere.
+    count = sweep_module._BLOCK // users + past_edge
+    scenario, full = full_chunk(users, count)
+    start = data.draw(st.integers(0, count - 1), label="start")
+    stop = data.draw(st.integers(start + 1, count), label="stop")
+    chunk = sweep_module._evaluate_chunk((scenario, range(start, stop)))
+    assert chunk == full[start:stop]
+
+
 def lattice_builds(monkeypatch, ue_aperture):
     """(aperture_x, aperture_y) of every lattice a 3-user CDL sweep builds,
     and its config."""
@@ -179,8 +205,8 @@ def test_synth_writes_the_channel_the_sweep_samples(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweep_module, "harmonic_channels", recording)
     run_sweep(config_from_dict(data))
-    # The sweep's 4 realizations form one stack per spacing.
-    reduced = sampled[spacing_index][realization]
+    # The sweep's 4 realizations of its one user form one stack per spacing.
+    reduced = sampled[spacing_index][realization, 0]
 
     out = tmp_path / "h.csv"
     assert main(

@@ -99,13 +99,13 @@ def test_user_plans_equal_plans_built_on_their_own_lattices(monkeypatch):
 
     def mapping(plan, coefficients):
         maps.append((plan, coefficients))
-        return np.zeros((config.users, 1, 1))
+        return np.zeros((*coefficients.shape[:2], 1, 1))
 
     monkeypatch.setattr(sweep_module, "draw_coefficients", drawing)
     monkeypatch.setattr(sweep_module, "harmonic_channels", mapping)
     monkeypatch.setattr(sweep_module, "mu_sum_capacity",
                         lambda channels, budget: CapacityReport(0.0))
-    sweep_module._evaluate(scenario, 1, drops, lattices)
+    sweep_module._evaluate_chunk((scenario, range(1, 2)))
     # One draw per user, on the table of the user's own lattices.
     assert [index for _, index in draws] == [(1 << 32) | k for k in range(config.users)]
     for user, (variances, _) in enumerate(draws):
@@ -115,7 +115,7 @@ def test_user_plans_equal_plans_built_on_their_own_lattices(monkeypatch):
     for s, (plan, coefficients) in enumerate(maps):
         assert plan is scenario.plans[s]
         assert coefficients is maps[0][1]
-        assert coefficients.shape[0] == config.users
+        assert coefficients.shape[:2] == (1, config.users)
 
 
 def test_rotation_invariant_spectra_keep_the_unrotated_lattices():
@@ -179,24 +179,36 @@ def test_cdl_multi_user_sweep_at_a_2_wavelength_ue_rotates_both_ends(monkeypatch
 
 
 def test_block_lattices_equal_lattices_built_one_realization_at_a_time(monkeypatch):
-    # Realizations 0-5 span two blocks of the chunk; the per-realization
+    # The realizations span two blocks of the chunk; the per-realization
     # pass is the oracle for every lattice of the block pass.
     config = make_config(spectrum_spec=CDL, ue_aperture=2.0)
-    evaluated = []
-    monkeypatch.setattr(
-        sweep_module, "_evaluate",
-        lambda scenario, r, drops, lattices: evaluated.append((r, drops, lattices)),
-    )
+    per_block = sweep_module._BLOCK // config.users
+    count = per_block + 2
+    blocks = []
+    realization_lattices = sweep_module.Scenario.realization_lattices
+
+    def recording(scenario, drops):
+        blocks.append((drops, realization_lattices(scenario, drops)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(sweep_module.Scenario, "realization_lattices", recording)
+    monkeypatch.setattr(sweep_module, "mu_sum_capacity",
+                        lambda channels, budget: CapacityReport(0.0))
     passes = count_calls(monkeypatch, sweep_module, "build_lattices")
-    sweep_module._evaluate_chunk((resolve_scenario(config), range(6)))
-    assert [r for r, _, _ in evaluated] == list(range(6))
-    # One pass per aperture and block: 4 and then 2 realizations of 3 users.
-    assert [len(args[2]) for args in passes] == [4 * 3] * 2 + [2 * 3] * 2
+    sweep_module._evaluate_chunk((resolve_scenario(config), range(count)))
+    # One pass per aperture and block: a full block and then 2 realizations
+    # of 3 users.
+    assert [len(args[2]) for args in passes] == [per_block * 3] * 2 + [2 * 3] * 2
+    assert [len(drops) for drops, _ in blocks] == [per_block * 3, 2 * 3]
+    drops = [drop for block, _ in blocks for drop in block]
+    lattices = [pair for _, block in blocks for pair in block]
     oracle = resolve_scenario(config)
-    for r, drops, lattices in evaluated:
-        assert drops == drop_users(config.users, _drop_seed(config.seed, r))
-        for pair, alone in zip(lattices, oracle.realization_lattices(drops), strict=True):
-            for lattice, reference in zip(pair, alone):
+    for r in range(count):
+        users = slice(r * config.users, (r + 1) * config.users)
+        assert drops[users] == drop_users(config.users, _drop_seed(config.seed, r))
+        alone = realization_lattices(oracle, drops[users])
+        for pair, reference in zip(lattices[users], alone, strict=True):
+            for lattice, expected in zip(pair, reference):
                 np.testing.assert_array_equal(
-                    lattice.marginal_integrals, reference.marginal_integrals
+                    lattice.marginal_integrals, expected.marginal_integrals
                 )
