@@ -1,17 +1,19 @@
-"""Scenario configuration: schema, validation, JSON loading, presets."""
+"""Scenario configuration: schema, validation, loading, presets.
+
+The config file is read by ``files.read_json``.
+"""
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
-from pathlib import Path
 
 from .errors import ConfigError, UnknownPreset
+from .files import read_json
 from .geometry import grid_count
 from .spectrum import concentration_from_spread
 from .synthesis import MASK64
@@ -149,7 +151,9 @@ _TOP_FIELDS = {f.name for f in fields(ScenarioConfig)}
 
 
 def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
+    # A comparison, not math.isfinite, which overflows on an int past the
+    # float range; such an int fails the range checks that follow.
+    if not -math.inf < value < math.inf:
         raise ConfigError(f"{name} must be finite, got {value}")
 
 
@@ -198,27 +202,23 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             pattern_spec=dict(data["pattern_spec"]),
             efficiency_spec=dict(data["efficiency_spec"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     return config.validate()
 
 
 def load_config(path) -> ScenarioConfig:
-    """Load a ScenarioConfig from a JSON file.
+    """Load a ScenarioConfig from a JSON file (read by ``files.read_json``).
 
     Relative file paths in the nested specs resolve against the directory of
     the config file, so a config runs the same from any working directory.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    config = config_from_dict(data)
-    folder = os.path.dirname(path)
+    config = config_from_dict(read_json(path, ConfigError))
+    return _paths_under(config, os.path.dirname(path))
+
+
+def _paths_under(config: ScenarioConfig, folder: str) -> ScenarioConfig:
+    """``config`` with every file path in its specs joined to ``folder``."""
     return replace(config, **{
         name: {k: v if k == "kind" or k in _SPEC_REALS else os.path.join(folder, v)
                for k, v in getattr(config, name).items()}
@@ -226,56 +226,48 @@ def load_config(path) -> ScenarioConfig:
     })
 
 
+def _bundled_data() -> str:
+    return str(resources.files("holomimo").joinpath("data"))
+
+
 def bundled_cdl_path() -> str:
     """Filesystem path of the packaged CDL-B cluster table."""
-    return str(resources.files("holomimo").joinpath("data/cdl_b.csv"))
+    return os.path.join(_bundled_data(), "cdl_b.csv")
 
 
-PRESET_NAMES = (
-    "fig3-isotropic",
-    "fig3-cdlb",
-    "fig3-hannan",
-    "fig3-dipole",
-    "fig4-multiuser",
+# The scenario every preset starts from: the 3.5 GHz carrier, a 4x4
+# wavelength transmit aperture, a 1x1 wavelength receive aperture, 0 dB SNR,
+# 1000 channel realizations, and the spacing sweep {1/2, 1/4, 1/8}
+# wavelengths.
+_PRESET_BASE = ScenarioConfig(
+    carrier_ghz=3.5,
+    bs_aperture=4.0,
+    ue_aperture=1.0,
+    spacing_list=(0.5, 0.25, 0.125),
+    spectrum_spec={"kind": "isotropic"},
+    pattern_spec={"kind": "uniform"},
+    efficiency_spec={"kind": "relative_eta", "eta": 1.0},
+    snr_db=0.0,
+    realizations=1000,
+    users=1,
+    seed=0,
 )
+# Each preset's departures from the base; its file paths name files bundled
+# with the package.
+_CDL_B = {"kind": "cdl", "path": "cdl_b.csv", "asd_deg": 10.0, "asa_deg": 20.0}
+_PRESETS = {
+    "fig3-isotropic": {},
+    "fig3-cdlb": {"spectrum_spec": _CDL_B},
+    "fig3-hannan": {"efficiency_spec": {"kind": "hannan"}},
+    "fig3-dipole": {"pattern_spec": {"kind": "dipole"}},
+    "fig4-multiuser": {"spectrum_spec": _CDL_B, "users": 10},
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> ScenarioConfig:
-    """Named single-user and multi-user evaluation scenarios.
-
-    All presets share the 3.5 GHz carrier, a 4x4 wavelength transmit
-    aperture, a 1x1 wavelength receive aperture, 0 dB SNR, 1000 channel
-    realizations, and the spacing sweep {1/2, 1/4, 1/8} wavelengths.
-    """
-    if name not in PRESET_NAMES:
+    """Named single-user and multi-user evaluation scenarios."""
+    if name not in _PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    base = ScenarioConfig(
-        carrier_ghz=3.5,
-        bs_aperture=4.0,
-        ue_aperture=1.0,
-        spacing_list=(0.5, 0.25, 0.125),
-        spectrum_spec={"kind": "isotropic"},
-        pattern_spec={"kind": "uniform"},
-        efficiency_spec={"kind": "relative_eta", "eta": 1.0},
-        snr_db=0.0,
-        realizations=1000,
-        users=1,
-        seed=0,
-    )
-    cdl_spec = {
-        "kind": "cdl",
-        "path": bundled_cdl_path(),
-        "asd_deg": 10.0,
-        "asa_deg": 20.0,
-    }
-    if name == "fig3-isotropic":
-        config = base
-    elif name == "fig3-cdlb":
-        config = replace(base, spectrum_spec=cdl_spec)
-    elif name == "fig3-hannan":
-        config = replace(base, efficiency_spec={"kind": "hannan"})
-    elif name == "fig3-dipole":
-        config = replace(base, pattern_spec={"kind": "dipole"})
-    else:  # fig4-multiuser
-        config = replace(base, spectrum_spec=cdl_spec, users=10)
-    return config.validate()
+    config = replace(_PRESET_BASE, **_PRESETS[name])
+    return _paths_under(config, _bundled_data()).validate()

@@ -3,7 +3,8 @@
 Dense element packing distorts each element's embedded radiation pattern and
 lowers its efficiency.  Patterns are either ideal (uniform), an analytic
 broadside dipole, or gridded complex gains loaded from files produced by
-electromagnetic solvers.  An efficiency is a plain number per element: a
+electromagnetic solvers (read, like S-parameter files, by
+``files.read_table``).  An efficiency is a plain number per element: a
 fraction of the half-wavelength reference ``HALF_WAVE_EFFICIENCY``, the
 spacing-limited bound ``hannan_limit``, or the S-parameter row power sums of
 ``efficiency_from_sparams``; ``build_coupling_profile`` pairs them with the
@@ -12,22 +13,20 @@ patterns of one array.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyFile,
     MalformedPatternFile,
     MalformedSParameterFile,
     NonPassive,
     NonPositiveInput,
 )
+from .files import read_table
 from .geometry import ArrayGeometry
 
 __all__ = [
@@ -47,6 +46,10 @@ HALF_WAVE_EFFICIENCY = math.pi / 4.0
 _DIPOLE_SCALE = math.sqrt(1.5)  # power-normalizes c*sin(theta) over the sphere
 
 _PASSIVITY_TOL = 1e-9
+
+# Elevation (Gauss-Legendre) and azimuth (midpoint) node counts of
+# ElementPattern.sphere_power.
+_SPHERE_NODES = (128, 256)
 
 _PATTERN_COLUMNS = ["element_index", "theta_deg", "phi_deg", "re", "im"]
 _SPARAM_COLUMNS = ["row", "col", "re", "im"]
@@ -127,11 +130,12 @@ class ElementPattern:
         gains_ext = np.concatenate([self.gains, self.gains[:, :1]], axis=1)
         return az_ext, gains_ext
 
-    def sphere_power(self, n_theta: int = 128, n_phi: int = 256) -> float:
+    def sphere_power(self) -> float:
         """Mean of |F|^2 over the full sphere.
 
         Gauss-Legendre in elevation, midpoint in the periodic azimuth.
         """
+        n_theta, n_phi = _SPHERE_NODES
         x, w = np.polynomial.legendre.leggauss(n_theta)
         theta = 0.5 * math.pi * (x + 1.0)
         phi = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
@@ -143,32 +147,8 @@ class ElementPattern:
         return float(integral / (4.0 * math.pi))
 
 
-def _read_rows(path, columns, file_kind_error):
-    path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyFile(f"{path}: file is empty") from None
-            if [h.strip() for h in header] != columns:
-                raise file_kind_error(f"{path}: expected header {','.join(columns)}")
-            rows = []
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                if len(rec) != len(columns):
-                    raise file_kind_error(f"{path}:{lineno}: wrong column count")
-                try:
-                    rows.append([float(x) for x in rec])
-                except ValueError as exc:
-                    raise file_kind_error(f"{path}:{lineno}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise file_kind_error(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-    return rows
+def _floats(rec) -> list[float]:
+    return [float(x) for x in rec]
 
 
 def _index(path, value: float, what: str, file_kind_error) -> int:
@@ -188,7 +168,7 @@ def load_pattern_file(path) -> list[ElementPattern]:
     (theta, phi) grid of finite values, every point once.  Every pattern is
     power-renormalized on load.
     """
-    rows = _read_rows(path, _PATTERN_COLUMNS, MalformedPatternFile)
+    rows = read_table(path, _PATTERN_COLUMNS, _floats, MalformedPatternFile)
     by_element: dict[int, dict[tuple[float, float], complex]] = {}
     for rec in rows:
         idx = _index(path, rec[0], "element", MalformedPatternFile)
@@ -216,8 +196,6 @@ def load_pattern_file(path) -> list[ElementPattern]:
             raise MalformedPatternFile(
                 f"{path}: element {idx} grid is not a full cartesian product"
             )
-        if np.any(np.diff(thetas) <= 0) or np.any(np.diff(phis) <= 0):
-            raise MalformedPatternFile(f"{path}: element {idx} grid not monotone")
         if thetas[0] > 1e-9 or thetas[-1] < 90.0 - 1e-9:
             raise MalformedPatternFile(
                 f"{path}: element {idx} must cover elevations [0, 90] deg"
@@ -248,7 +226,7 @@ def load_pattern_file(path) -> list[ElementPattern]:
 
 def load_sparams_file(path) -> np.ndarray:
     """Load a full (N, N) complex S-parameter matrix from CSV ``row,col,re,im``."""
-    rows = _read_rows(path, _SPARAM_COLUMNS, MalformedSParameterFile)
+    rows = read_table(path, _SPARAM_COLUMNS, _floats, MalformedSParameterFile)
     values: dict[tuple[int, int], complex] = {}
     for rec in rows:
         key = (

@@ -9,8 +9,6 @@ the table-level angular spread.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyTable, MalformedTableFile, SpreadOutOfRange
+from .files import read_json, read_table
 
 __all__ = [
     "VmfComponent",
@@ -206,57 +205,23 @@ def spectra_from_cdl(rows, asd_deg: float, asa_deg: float):
     return AngularPowerSpectrum.mixture(dep), AngularPowerSpectrum.mixture(arr)
 
 
+def _cluster_row(rec) -> CdlClusterRow:
+    return CdlClusterRow(int(rec[0]), *(float(x) for x in rec[1:]))
+
+
 def load_cdl_table(path) -> tuple[list[CdlClusterRow], dict]:
     """Load a CDL cluster table CSV and its JSON metadata sidecar.
 
     The CSV header must be exactly ``cluster_id,power_db,aod_deg,zod_deg,
     aoa_deg,zoa_deg``.  The sidecar ``<stem>.json`` next to the table carries
     ``asd_deg`` and ``asa_deg``; it is optional and an empty dict is returned
-    when absent.
+    when absent.  Both files are read by ``files.read_table`` and
+    ``files.read_json``.
     """
-    path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyTable(f"{path}: file is empty") from None
-            if [h.strip() for h in header] != _TABLE_COLUMNS:
-                raise MalformedTableFile(
-                    f"{path}: expected header {','.join(_TABLE_COLUMNS)}"
-                )
-            rows = []
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                if len(rec) != len(_TABLE_COLUMNS):
-                    raise MalformedTableFile(f"{path}:{lineno}: wrong column count")
-                try:
-                    rows.append(
-                        CdlClusterRow(
-                            cluster_id=int(rec[0]),
-                            power_db=float(rec[1]),
-                            aod_deg=float(rec[2]),
-                            zod_deg=float(rec[3]),
-                            aoa_deg=float(rec[4]),
-                            zoa_deg=float(rec[5]),
-                        )
-                    )
-                except ValueError as exc:
-                    raise MalformedTableFile(f"{path}:{lineno}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedTableFile(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise EmptyTable(f"{path}: no cluster rows")
-
-    meta = {}
-    sidecar = path.with_suffix(".json")
-    if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedTableFile(f"cannot read sidecar {sidecar}: {exc}") from exc
+    rows = read_table(path, _TABLE_COLUMNS, _cluster_row, MalformedTableFile,
+                      EmptyTable)
+    sidecar = Path(path).with_suffix(".json")
+    meta = read_json(sidecar, MalformedTableFile) if sidecar.exists() else {}
     return rows, meta
 
 

@@ -39,7 +39,7 @@ import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -365,45 +365,20 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
     return SweepResult(rows=tuple(rows), config=config)
 
 
-def _format_row_csv(row: SweepRow) -> str:
-    return ",".join(
-        [
-            format(row.spacing_wl, ".9g"),
-            row.efficiency_mode,
-            row.spectrum,
-            row.pattern,
-            format(row.mean_bits, ".9g"),
-            format(row.std_bits, ".9g"),
-            str(row.realizations),
-            str(row.seed),
-        ]
-    )
+def _csv_line(row: SweepRow) -> str:
+    return ",".join(format(v, ".9g") if isinstance(v, float) else str(v)
+                    for v in (getattr(row, name) for name in CSV_HEADER.split(",")))
 
 
 def render(result: SweepResult, fmt: str = "csv") -> str:
     """Render a sweep result as CSV (9 significant digits) or JSON (exact
     floats plus the full config echo)."""
     if fmt == "csv":
-        lines = [CSV_HEADER] + [_format_row_csv(r) for r in result.rows]
+        lines = [CSV_HEADER] + [_csv_line(r) for r in result.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        body = {
-            "rows": [
-                {
-                    "spacing_wl": r.spacing_wl,
-                    "efficiency_mode": r.efficiency_mode,
-                    "spectrum": r.spectrum,
-                    "pattern": r.pattern,
-                    "mean_bits": r.mean_bits,
-                    "std_bits": r.std_bits,
-                    "realizations": r.realizations,
-                    "seed": r.seed,
-                    "not_converged": r.not_converged,
-                }
-                for r in result.rows
-            ],
-            "config": result.config.to_dict(),
-        }
+        body = {"rows": [asdict(r) for r in result.rows],
+                "config": result.config.to_dict()}
         return json.dumps(body, indent=2) + "\n"
     raise ValueError(f"format must be csv or json, got {fmt!r}")
 

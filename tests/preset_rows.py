@@ -97,19 +97,28 @@ def check(holo, names):
     return problems
 
 
-def main():
+def parse(argv=None):
+    """The command line's arguments.  Intermixed parsing lets preset names
+    follow options such as ``--holo``; plain parsing would fill ``presets``
+    before it reached them."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("action", choices=("record", "check"))
     parser.add_argument("presets", nargs="*", help=f"of {(*SWEEPS, FAILING)}")
     parser.add_argument("--holo", default=f"{shlex.quote(sys.executable)} -m holomimo.cli")
-    args = parser.parse_args()
+    args = parser.parse_intermixed_args(argv)
+    if args.action == "check" and (
+        not args.presets or set(args.presets) - {*SWEEPS, FAILING}
+    ):
+        parser.error(f"check needs presets of {(*SWEEPS, FAILING)}")
+    return args
+
+
+def main(argv=None):
+    args = parse(argv)
     holo = shlex.split(args.holo)
     if args.action == "record":
         record(holo)
         return
-    unknown = set(args.presets) - {*SWEEPS, FAILING}
-    if unknown or not args.presets:
-        parser.error(f"check needs presets of {(*SWEEPS, FAILING)}")
     problems = check(holo, args.presets)
     print("\n".join(problems) or f"{len(args.presets)} presets match {PATH.name}")
     sys.exit(1 if problems else 0)

@@ -84,6 +84,20 @@ class TestConfig:
                 }
             )
 
+    @pytest.mark.parametrize("key", ["carrier_ghz", "spacing", "asd_deg", "eta"])
+    def test_integer_past_the_float_range_rejected(self, key):
+        # A JSON integer is unbounded, and 10**400 has no float.
+        huge = 10**400
+        overrides = {
+            "carrier_ghz": {"carrier_ghz": huge},
+            "spacing": {"spacing_list": [huge]},
+            "asd_deg": {"spectrum_spec": {"kind": "cdl", "path": "t.csv",
+                                          "asd_deg": huge, "asa_deg": 10.0}},
+            "eta": {"efficiency_spec": {"kind": "relative_eta", "eta": huge}},
+        }[key]
+        with pytest.raises(ConfigError):
+            make_config(**overrides)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(BASE))
@@ -402,19 +416,17 @@ class TestCli:
         assert main(["capacity", "su", "--config", str(config)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize(
-        "which, code",
-        [("config", 2), ("cdl-table", 3), ("cdl-sidecar", 3), ("pattern", 3),
-         ("sparams", 3)],
-    )
-    def test_undecodable_file_exits_with_its_code(self, tmp_path, capsys,
-                                                  which, code):
+    def bad_file_error(self, tmp_path, capsys, which, content):
+        """Exit code and stderr of ``capacity su`` when the config, the CDL
+        table, its sidecar, the pattern file or the S-parameter files
+        (``which``) hold ``content``; stdout stays empty and stderr is one
+        ``error:`` line."""
         bad = tmp_path / "bad.csv"
-        bad.write_bytes(b"\xff\xfe")
+        bad.write_bytes(content)
         table = tmp_path / "cdl.csv"
         shutil.copyfile(bundled_cdl_path(), table)
         if which == "cdl-sidecar":
-            table.with_suffix(".json").write_bytes(b"\xff\xfe")
+            table.with_suffix(".json").write_bytes(content)
         cdl = {"kind": "cdl", "path": str(bad if which == "cdl-table" else table),
                "asd_deg": 10.0, "asa_deg": 20.0}
         overrides = {
@@ -426,12 +438,45 @@ class TestCli:
         }.get(which, {})
         config = self.write_config(tmp_path, **overrides)
         if which == "config":
-            config.write_bytes(b"\xff\xfe")
-        assert main(["capacity", "su", "--config", str(config)]) == code
+            config.write_bytes(content)
+        code = main(["capacity", "su", "--config", str(config)])
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
+        return code, captured.err
+
+    @pytest.mark.parametrize(
+        "which, code",
+        [("config", 2), ("cdl-table", 3), ("cdl-sidecar", 3), ("pattern", 3),
+         ("sparams", 3)],
+    )
+    def test_undecodable_file_exits_with_its_code(self, tmp_path, capsys,
+                                                  which, code):
+        assert self.bad_file_error(tmp_path, capsys, which, b"\xff\xfe")[0] == code
+
+    @pytest.mark.parametrize(
+        "which, code, header",
+        [("config", 2, None), ("cdl-sidecar", 3, None),
+         ("cdl-table", 3, "cluster_id,power_db,aod_deg,zod_deg,aoa_deg,zoa_deg"),
+         ("pattern", 3, "element_index,theta_deg,phi_deg,re,im"),
+         ("sparams", 3, "row,col,re,im")],
+        ids=["config-nested", "cdl-sidecar-nested", "cdl-table-oversized-field",
+             "pattern-oversized-field", "sparams-oversized-field"],
+    )
+    def test_unparsable_file_exits_with_its_code(self, tmp_path, capsys,
+                                                 which, code, header):
+        # JSON nested past the recursion limit, or a CSV field past the csv
+        # module's 131072-character limit in the first data row.
+        if header is None:
+            content = b"[" * 100_000
+        else:
+            width = len(header.split(","))
+            content = f"{header}\n{'0' * 131_073}{',0' * (width - 1)}\n".encode()
+        got, err = self.bad_file_error(tmp_path, capsys, which, content)
+        assert got == code
+        if header is not None:
+            assert "bad.csv:2: " in err
 
     def test_numerical_failure_exits_4(self, tmp_path):
         # the broadside-null pattern on a single-mode receive aperture
