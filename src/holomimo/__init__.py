@@ -36,6 +36,7 @@ from .spectrum import (
     CdlClusterRow,
     VmfComponent,
     concentration_from_spread,
+    load_cdl_rows,
     load_cdl_table,
     rotate_spectrum,
     spectra_from_cdl,

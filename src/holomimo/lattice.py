@@ -23,20 +23,20 @@ pending tiles of all cells take one bisection step together, a chunk of
 tiles at a time, and each spectrum's accepted tiles' estimates are summed
 per cell with np.bincount.  A chunk's nodes, weights, caps and the cull of
 the stacked VMF terms of its spectra depend only on its tiles, so they are
-computed once.  Nodes are direction-cosine unit vectors, so the VMF
-exponents are plain dot products.  The chunk is then evaluated tile by
-tile: the terms that survive on a tile, of every spectrum still pending
-there, are stacked and evaluated with one matrix product and one exp per
-block of at most _BLOCK_ROWS rows, and each spectrum's rows are added onto
-its constant in term order.  A block holds whole spectra, so a spectrum's
-sum never spans two, and the cap bounds the block's memory (peak RSS at
-_BLOCK_ROWS).  Two rules keep every lattice bitwise the one a build of its
-spectrum alone gives, whichever spectra share its pass: a spectrum with
-one surviving term on a tile takes a one-row product of its own, as it
-would alone (the BLAS computes a one-row product with another kernel,
-whose row can differ in the last bits from the same row of a larger
-product, while the rows of products of two or more rows agree), and rows
-are summed with NumPy reductions, never with a matrix product.
+computed once.  A term coef * exp(alpha * (mean . p - 1)) is stacked once
+per pass as the exponent row (alpha * mean, ln(coef) - alpha) and a node p
+as (p, 1), so a value is one 4-column product and one exp; the exponent
+then carries a few ulps of alpha of rounding, the same order as the ulp of
+1 of the textbook form's dot product that alpha multiplies.  The chunk is
+evaluated tile by tile: the rows that survive on a tile, of every spectrum
+still pending there, take one product and one exp per block of at most
+_BLOCK_ROWS rows, and each spectrum's values are added onto its constant
+in term order.  Two rules keep every lattice bitwise the one a build of
+its spectrum alone gives: a spectrum with one surviving term on a tile
+takes a one-row product of its own (the BLAS computes it with another
+kernel, whose row can differ in the last bits from the same row of a
+larger product, while the rows of products of two or more rows agree), and
+values are summed with NumPy reductions, never with a matrix product.
 
 A VMF term is skipped on a tile when it is below exp(-40) of its largest
 value on the upper hemisphere at every node, which a spherical cap around
@@ -105,8 +105,7 @@ _CULL_EXPONENT = 40.0
 _CHUNK_TILES = 32
 # Rows of one node-value matrix product; no value depends on it.  Its
 # workspace then has the size of a chunk's nodes, whose freed memory it
-# reuses; on fig4-halfwave peak RSS read 43.39 MB at 96 rows, 43.63 MB at
-# 64 and 44.19 MB at 128 (43.26 MB with one product per spectrum and tile).
+# reuses (README, "Performance notes", gives peak RSS at other sizes).
 _BLOCK_ROWS = 3 * _CHUNK_TILES
 
 
@@ -226,15 +225,16 @@ def _tile_nodes(tiles: np.ndarray):
     turns the sqrt-type behavior of the chord width at circle tangencies
     into an analytic integrand.
 
-    Returns the nodes as direction-cosine unit vectors
-    (u, v, sqrt(1 - u^2 - v^2)), shape (3, T, m), and the weights including
+    Returns the nodes as homogeneous direction-cosine unit vectors
+    (u, v, sqrt(1 - u^2 - v^2), 1), shape (4, T, m), and the weights with
     the Jacobian, shape (T, m): the first _N_COARSE^2 of the m nodes of a
     tile belong to the coarse rule, the rest to the fine rule.  Rows of v
     outside the disk get zero weight.
     """
     orders = (_N_COARSE, _N_FINE)
     size = sum(n * n for n in orders)
-    points = np.empty((3, len(tiles), size))
+    points = np.empty((4, len(tiles), size))
+    points[3] = 1.0
     weights = np.empty((len(tiles), size))
     u0, u1, v0, v1, t0, t1 = (tiles[:, k, None] for k in range(6))
     dv = v1 - v0
@@ -267,12 +267,12 @@ def _tile_nodes(tiles: np.ndarray):
 
 
 def _cap(points: np.ndarray):
-    """Spherical cap around each tile's nodes (3, T, m): centre (3, T), the
-    normalized mean of the nodes, and radius (T,), the largest angle to a
-    node.  Angles come from chords, which stay accurate for small tiles."""
-    centre = points.sum(axis=2)
+    """Spherical cap around each tile's nodes (4, T, m): centre (3, T), the
+    normalized mean of the unit vectors, and radius (T,), the largest angle
+    to one.  Angles come from chords, which stay accurate for small tiles."""
+    centre = points[:3].sum(axis=2)
     centre /= np.sqrt((centre * centre).sum(axis=0))
-    offset = points - centre[:, :, None]
+    offset = points[:3] - centre[:, :, None]
     offset *= offset
     chord = np.sqrt(offset.sum(axis=0).max(axis=1))
     return centre, 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
@@ -283,7 +283,9 @@ def _cap_bound(cap, means: np.ndarray) -> np.ndarray:
     a node in the tile's _cap is at least (angle from the cap's centre to
     the mean) - radius away from a mean.  Shape (T, K)."""
     centre, radius = cap
-    to_mean = np.sqrt(((centre.T[:, None, :] - means) ** 2).sum(axis=2))
+    # Squared in place: a second (T, K, 3) temporary raised peak RSS.
+    to_mean = centre.T[:, None, :] - means
+    to_mean = np.sqrt(np.square(to_mean, out=to_mean).sum(axis=2))
     distance = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * to_mean))
     return np.cos(np.maximum(0.0, distance - radius[:, None]))
 
@@ -312,19 +314,22 @@ def _hemisphere_maximum(spectrum: AngularPowerSpectrum) -> float:
 
 
 def _pair_values(terms, constants, need, active, points: np.ndarray):
-    """Spectrum at the nodes (3, T, m) of each (spectrum, tile) pair of a
+    """Spectrum at the nodes (4, T, m) of each (spectrum, tile) pair of a
     chunk that ``need`` (S, T) flags, a block of one tile's pairs at a
     time: yields (tile, spectra, values), ``values`` being (len(spectra), m).
 
-    ``terms`` are stacked VMF terms (means, alphas, coefs, owning spectrum)
-    and ``active`` (T, K) flags the ones evaluated on each tile; a pair
-    with none keeps its spectrum's constant alone.  A block holds whole
-    spectra, at most _BLOCK_ROWS active terms unless one spectrum has more.
+    ``terms`` are stacked VMF terms (exponent rows, owning spectrum) and
+    ``active`` (T, K) flags the ones evaluated on each tile.  A pair with
+    none is its spectrum's constant, and is skipped where that is 0, as its
+    estimates already are.  A block holds whole spectra, at most
+    _BLOCK_ROWS active terms unless one spectrum has more.
     """
-    means, alphas, coefs, owner = terms
+    rows, owner = terms
     tile_of, term = active.nonzero()
-    means, alphas, coefs = means[term], alphas[term, None], coefs[term, None]
-    pair_tile, pair_spectrum = need.T.nonzero()
+    rows = rows[term]
+    pairs = need.T & np.not_equal(constants, 0.0)
+    pairs[tile_of, owner[term]] = True
+    pair_tile, pair_spectrum = pairs.nonzero()
     # Rows run in (tile, spectrum, term) order, so pair p owns rows
     # first[p]:first[p + 1].
     first = np.searchsorted(tile_of * len(need) + owner[term],
@@ -342,26 +347,20 @@ def _pair_values(terms, constants, need, active, points: np.ndarray):
             if len(work) < size:
                 work = np.empty((size, points.shape[2]))
             block = work[:size]
-            np.matmul(means[top:top + size], nodes, out=block)
+            np.matmul(rows[top:top + size], nodes, out=block)
             # A spectrum with one term takes the one-row product of a build
             # of it alone.
             for p in range(lo, hi):
                 if first[p + 1] - first[p] == 1:
                     row = first[p] - top
-                    np.matmul(means[first[p]:first[p + 1]], nodes, out=block[row:row + 1])
-            block -= 1.0
-            block *= alphas[top:top + size]
+                    np.matmul(rows[first[p]:first[p + 1]], nodes, out=block[row:row + 1])
             np.exp(block, out=block)
-            block *= coefs[top:top + size]
             spectra = pair_spectrum[lo:hi]
             values = np.empty((hi - lo, points.shape[2]))
             for value, spectrum, p in zip(values, spectra.tolist(), range(lo, hi)):
-                if first[p + 1] > first[p]:
-                    block[first[p] - top:first[p + 1] - top].sum(
-                        axis=0, initial=constants[spectrum], out=value
-                    )
-                else:
-                    value.fill(constants[spectrum])
+                block[first[p] - top:first[p + 1] - top].sum(
+                    axis=0, initial=constants[spectrum], out=value
+                )
             yield tile, spectra, values
             lo = hi
 
@@ -391,13 +390,11 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
     totals = np.zeros((len(spectra), len(cells)))
     mixtures = [spectrum.mixture_arrays for spectrum in spectra]
     constants = [mixture[3] for mixture in mixtures]
-    # Stacked VMF terms of all spectra, with the spectrum owning each.
-    means, alphas, coefs = (
-        np.concatenate([mixture[k] for mixture in mixtures]) for k in range(3)
-    )
-    term_owner = np.repeat(
-        np.arange(len(spectra)), [len(mixture[1]) for mixture in mixtures]
-    )
+    # Stacked VMF terms of all spectra, their exponent rows and owners.
+    means, alphas = (np.concatenate([mixture[k] for mixture in mixtures]) for k in range(2))
+    rows = np.concatenate([np.column_stack((a[:, None] * m, np.log(c) - a))
+                           for m, a, c, _constant in mixtures])
+    term_owner = np.repeat(np.arange(len(spectra)), [len(mixture[1]) for mixture in mixtures])
     peaks = _hemisphere_peaks(means)
     n_coarse = _N_COARSE * _N_COARSE
     depth = 0
@@ -409,10 +406,10 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
             points, weights = _tile_nodes(tiles[chunk])
             # The terms of the spectra pending on any tile of the chunk.
             columns = need.any(axis=1)[term_owner].nonzero()[0]
-            terms = means[columns], alphas[columns], coefs[columns], term_owner[columns]
-            bound = _cap_bound(_cap(points), terms[0])
-            active = terms[1] * (bound - peaks[columns]) >= -_CULL_EXPONENT
-            active &= need[terms[3]].T
+            terms = rows[columns], term_owner[columns]
+            bound = _cap_bound(_cap(points), means[columns])
+            active = alphas[columns] * (bound - peaks[columns]) >= -_CULL_EXPONENT
+            active &= need[terms[1]].T
             for tile, spectra, values in _pair_values(
                 terms, constants, need, active, points
             ):

@@ -25,6 +25,7 @@ __all__ = [
     "CdlClusterRow",
     "concentration_from_spread",
     "spectra_from_cdl",
+    "load_cdl_rows",
     "load_cdl_table",
     "rotate_spectrum",
 ]
@@ -38,10 +39,10 @@ _SPREAD_LIMIT_DEG = 21.0
 _TABLE_COLUMNS = ["cluster_id", "power_db", "aod_deg", "zod_deg", "aoa_deg", "zoa_deg"]
 
 
-def _wrap_azimuth(phi):
-    """Wrap angle(s) to (-pi, pi]."""
-    wrapped = np.mod(-np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi)
-    return np.pi - wrapped
+def _wrap_azimuth(phi) -> float:
+    """Wrap an angle to (-pi, pi], in float arithmetic: bitwise NumPy's
+    ``np.pi - np.mod(-phi + np.pi, 2 * np.pi)`` without its call overhead."""
+    return math.pi - ((-float(phi) + math.pi) % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class VmfComponent:
                 f"mean elevation must lie in [0, pi], got {self.mean_elevation}"
             )
         object.__setattr__(
-            self, "mean_azimuth", float(_wrap_azimuth(self.mean_azimuth))
+            self, "mean_azimuth", _wrap_azimuth(self.mean_azimuth)
         )
 
 
@@ -209,17 +210,24 @@ def _cluster_row(rec) -> CdlClusterRow:
     return CdlClusterRow(int(rec[0]), *(float(x) for x in rec[1:]))
 
 
-def load_cdl_table(path) -> tuple[list[CdlClusterRow], dict]:
-    """Load a CDL cluster table CSV and its JSON metadata sidecar.
+def load_cdl_rows(path) -> list[CdlClusterRow]:
+    """The cluster rows of a CDL table CSV, read by ``files.read_table``.
 
-    The CSV header must be exactly ``cluster_id,power_db,aod_deg,zod_deg,
-    aoa_deg,zoa_deg``.  The sidecar ``<stem>.json`` next to the table carries
-    ``asd_deg`` and ``asa_deg``; it is optional and an empty dict is returned
-    when absent.  Both files are read by ``files.read_table`` and
-    ``files.read_json``.
-    """
-    rows = read_table(path, _TABLE_COLUMNS, _cluster_row, MalformedTableFile,
+    The header must be exactly ``cluster_id,power_db,aod_deg,zod_deg,
+    aoa_deg,zoa_deg``."""
+    return read_table(path, _TABLE_COLUMNS, _cluster_row, MalformedTableFile,
                       EmptyTable)
+
+
+def load_cdl_table(path) -> tuple[list[CdlClusterRow], dict]:
+    """``load_cdl_rows`` of a CDL table and its JSON metadata sidecar.
+
+    The sidecar ``<stem>.json`` next to the table carries ``asd_deg`` and
+    ``asa_deg``; it is optional and an empty dict is returned when absent.
+    It is read by ``files.read_json``.  A sweep takes its spreads from the
+    config and reads the table alone.
+    """
+    rows = load_cdl_rows(path)
     sidecar = Path(path).with_suffix(".json")
     meta = read_json(sidecar, MalformedTableFile) if sidecar.exists() else {}
     return rows, meta
@@ -237,7 +245,7 @@ def rotate_spectrum(
     rotated = [
         VmfComponent(
             weight=c.weight,
-            mean_azimuth=float(_wrap_azimuth(c.mean_azimuth + azimuth_offset_rad)),
+            mean_azimuth=_wrap_azimuth(c.mean_azimuth + azimuth_offset_rad),
             mean_elevation=c.mean_elevation,
             concentration=c.concentration,
         )

@@ -65,7 +65,7 @@ from .lattice import (
 )
 from .spectrum import (
     AngularPowerSpectrum,
-    load_cdl_table,
+    load_cdl_rows,
     rotate_spectrum,
     spectra_from_cdl,
 )
@@ -129,8 +129,8 @@ class Scenario:
         if spec["kind"] == "isotropic":
             iso = AngularPowerSpectrum.isotropic()
             return iso, iso
-        rows, _meta = load_cdl_table(spec["path"])
-        return spectra_from_cdl(rows, asd_deg=spec["asd_deg"], asa_deg=spec["asa_deg"])
+        return spectra_from_cdl(load_cdl_rows(spec["path"]),
+                                asd_deg=spec["asd_deg"], asa_deg=spec["asa_deg"])
 
     @cached_property
     def bs_lattice(self):

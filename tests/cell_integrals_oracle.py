@@ -17,25 +17,25 @@ BATCH_TILES = 4
 
 
 def node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
-    """Spectrum at the nodes (3, T, m) of T tiles, shape (T, m).
+    """Spectrum at the nodes (4, T, m) of T tiles, shape (T, m).
 
     A VMF term is skipped on a tile that is not ``pending`` (T,), or where
     the cap bound puts alpha * (dot - peak) below -_CULL_EXPONENT at every
     node, ``peaks`` being the terms' _hemisphere_peaks.
 
-    Each tile's surviving terms are evaluated at its nodes with one matrix
-    product and one exp, and added onto the constant in term order."""
+    Each term coef * exp(alpha * (mean . node - 1)) is the exp of its
+    exponent row (alpha * mean, ln(coef) - alpha) times the node's
+    homogeneous coordinates (node, 1).  Each tile's surviving terms are
+    evaluated at its nodes with one matrix product of their rows and one
+    exp, and added onto the constant in term order."""
     means, alphas, coefs, constant = mixture
+    rows = np.column_stack((alphas[:, None] * means, np.log(coefs) - alphas))
     values = np.full(points.shape[1:], constant)
     active = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
     active &= pending[:, None]
     for tile in np.flatnonzero(active.any(axis=1)):
-        terms = np.flatnonzero(active[tile])
-        exponents = means[terms] @ points[:, tile]
-        exponents -= 1.0
-        exponents *= alphas[terms, None]
+        exponents = rows[active[tile]] @ points[:, tile]
         np.exp(exponents, out=exponents)
-        exponents *= coefs[terms, None]
         exponents.sum(axis=0, initial=constant, out=values[tile])
     return values
 

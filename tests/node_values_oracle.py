@@ -2,9 +2,10 @@
 
 ``holomimo.lattice._pair_values`` forms the exponents of the clusters that
 survive the cull on a tile, of every spectrum pending there, with one
-matrix product and one ``exp`` per block; this per-cluster loop over one
-spectrum, which gathers each cluster's surviving tiles and scatters its
-terms back, is the tests' oracle for it.
+matrix product of their exponent rows (alpha * mean, ln(coef) - alpha) and
+one ``exp`` per block; this per-cluster loop over one spectrum, which
+gathers each cluster's surviving tiles and scatters the textbook terms
+coef * exp(alpha * (mean . node - 1)) back, is the tests' oracle for it.
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ import holomimo.lattice as lat
 
 
 def node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
-    """Spectrum at the nodes (3, T, m) of T tiles, shape (T, m).
+    """Spectrum at the nodes (4, T, m) of T tiles, shape (T, m); the fourth
+    homogeneous coordinate is not read.
 
     A VMF term is skipped on a tile that is not ``pending`` (T,), or where
     the cap bound puts alpha * (dot - peak) below -_CULL_EXPONENT at every
@@ -26,7 +28,7 @@ def node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
         rows = active[:, k]
         if rows.all():
             rows = slice(None)
-        nodes = points[:, rows]
+        nodes = points[:3, rows]
         dots = (means[k] @ nodes.reshape(3, -1)).reshape(nodes.shape[1:])
         values[rows] += coefs[k] * np.exp(alphas[k] * (dots - 1.0))
     return values

@@ -13,7 +13,10 @@ reproduce it.
 compares it with the file; ``--holo`` defaults to ``python -m holomimo.cli``,
 which needs the package installed or ``src`` on PYTHONPATH.
 Single-user rows must agree within 1e-12 relative, multi-user rows within
-1e-5 bits, the multi-user solver's tolerance.
+1e-5 bits, the multi-user solver's tolerance.  For each preset with rows it
+prints the largest deviation of ``mean_bits`` and ``std_bits`` from the
+file, relative for a single-user preset and in bits for the multi-user one,
+so a change shows how far it moved values that still pass.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from pathlib import Path
 PATH = Path(__file__).parent / "data" / "preset_rows.json"
 SWEEPS = ("fig3-isotropic", "fig3-cdlb", "fig3-hannan", "fig4-multiuser")
 FAILING = "fig3-dipole"
+MULTI_USER = "fig4-multiuser"
 SINGLE_USER_RTOL = 1e-12
 MULTI_USER_ATOL_BITS = 1e-5
 
@@ -56,7 +60,7 @@ def row_mismatches(name, rows, expected):
         for key, want in pinned.items():
             got = row.get(key)
             if key in ("mean_bits", "std_bits"):
-                if name == "fig4-multiuser":
+                if name == MULTI_USER:
                     close = abs(got - want) <= MULTI_USER_ATOL_BITS
                 else:
                     close = math.isclose(got, want, rel_tol=SINGLE_USER_RTOL, abs_tol=0.0)
@@ -65,6 +69,21 @@ def row_mismatches(name, rows, expected):
             if not close:
                 out.append(f"{name} spacing {pinned['spacing_wl']}: {key} {got!r}, pinned {want!r}")
     return out
+
+
+def deviation_line(name, rows, expected):
+    """The largest deviation of ``rows`` from the pinned ``expected`` rows
+    of preset ``name`` over ``mean_bits`` and ``std_bits``: in bits for the
+    multi-user preset, relative to the pinned value otherwise."""
+    largest = 0.0
+    for row, pinned in zip(rows, expected):
+        for key in ("mean_bits", "std_bits"):
+            error = abs(row[key] - pinned[key])
+            if name != MULTI_USER and error:
+                error = error / abs(pinned[key]) if pinned[key] else math.inf
+            largest = max(largest, error)
+    unit = "bits" if name == MULTI_USER else "relative"
+    return f"{name}: largest deviation {largest:.3g} {unit}"
 
 
 def record(holo):
@@ -92,8 +111,9 @@ def check(holo, names):
         elif code != 0:
             problems.append(f"{name} exited {code}: {stderr}")
         else:
-            problems += row_mismatches(name, json.loads(stdout)["rows"],
-                                       pinned["rows"][name])
+            rows = json.loads(stdout)["rows"]
+            print(deviation_line(name, rows, pinned["rows"][name]))
+            problems += row_mismatches(name, rows, pinned["rows"][name])
     return problems
 
 

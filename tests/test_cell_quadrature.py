@@ -7,12 +7,15 @@ per-tile rule below, with its angle round trip through ``spectrum_value``
 and no culling, is the oracle: every cell must agree within the adaptive
 rule's own tolerance.  ``build_lattices`` runs the same rule for several
 spectra in one pass; each of its lattices must equal the solo build.  A
-tile's node values come from one matrix product over the clusters of all
-spectra that survive on it; the per-cluster loop in ``node_values_oracle``
-is their oracle.  The pass computes each chunk's nodes, caps and cull once
-for all spectra; ``cell_integrals_oracle`` computes them per batch of four
-tiles and per spectrum, and every lattice must be bitwise its result,
-whichever spectra share its pass and however its tile's rows are blocked.
+tile's node values come from one matrix product of the exponent rows
+(alpha * mean, ln(coef) - alpha) of the clusters of all spectra that
+survive on it; the textbook per-cluster loop in ``node_values_oracle`` is
+their oracle within rounding, and lattices built with it agree within
+1e-12 of their totals.  The pass computes each chunk's nodes, caps and cull
+once for all spectra; ``cell_integrals_oracle`` computes them per batch of
+four tiles and per spectrum, with the same exponent rows, and every
+lattice must be bitwise its result, whichever spectra share its pass and
+however its tile's rows are blocked.
 """
 
 import json
@@ -237,10 +240,10 @@ def test_copies_of_a_spectrum_share_every_tile(monkeypatch):
 
 def test_tiles_a_spectrum_accepted_get_no_vmf_term(monkeypatch):
     original = lat._pair_values
-    skipped, evaluated = [], []
+    skipped, evaluated, unevaluated = [], [], []
 
     def checking(terms, constants, need, active, points):
-        owner = terms[3]
+        owner = terms[1]
         # A term is active only on the tiles its spectrum still needs.
         assert not (active & ~need[owner].T).any()
         # Each chunk's tiles a pending spectrum has accepted are skipped.
@@ -251,15 +254,24 @@ def test_tiles_a_spectrum_accepted_get_no_vmf_term(monkeypatch):
             for spectrum, value in zip(spectra, values):
                 # A pair without an active term keeps the constant term alone.
                 if not active[tile, owner == spectrum].any():
+                    assert constants[spectrum] != 0.0
                     assert np.all(value == constants[spectrum])
             yield tile, spectra, values
-        # Exactly the (spectrum, tile) pairs the chunk needs are evaluated.
-        np.testing.assert_array_equal(seen, need)
+        # Exactly the (spectrum, tile) pairs the chunk needs are evaluated,
+        # but for those without an active term whose constant is 0: they
+        # are 0 at every node, as their estimates already are.
+        has_term = np.zeros_like(need)
+        tile_of, term = active.nonzero()
+        has_term[owner[term], tile_of] = True
+        zero = need & ~has_term & (np.array(constants) == 0.0)[:, None]
+        np.testing.assert_array_equal(seen, need & ~zero)
         evaluated.append(need.sum())
+        unevaluated.append(zero.sum())
 
     monkeypatch.setattr(lat, "_pair_values", checking)
     build_lattices(4.0, 4.0, MIXED_DEPTHS)
     assert sum(skipped) > 0
+    assert sum(unevaluated) > 0
     # The oracle evaluates whole batches, with a spectrum's pending tiles
     # flagged: the pass evaluates exactly those (spectrum, tile) pairs.
     pending = []
@@ -305,6 +317,24 @@ def test_fig4_departure_lattices_are_bitwise_the_oracle():
 @pytest.mark.parametrize("aperture_x,aperture_y", [(1.0, 1.0), (2.5, 1.5), (4.0, 4.0)])
 def test_mixed_depth_lattices_are_bitwise_the_oracle(aperture_x, aperture_y):
     assert_bitwise_oracle(MIXED_DEPTHS, aperture_x, aperture_y)
+
+
+@pytest.mark.parametrize("aperture_x,aperture_y", [(1.0, 1.0), (2.5, 1.5), (4.0, 4.0)])
+@pytest.mark.parametrize("name", ["fig4-departures", "mixed-depths"])
+def test_fused_lattices_agree_with_textbook_ones(monkeypatch, name, aperture_x,
+                                                 aperture_y):
+    # The pass evaluates each term as exp((alpha * mean, ln(coef) - alpha) .
+    # (node, 1)); the same rule with the textbook coef * exp(alpha *
+    # (mean . node - 1)) of node_values_oracle differs by rounding alone.
+    spectra = {"fig4-departures": FIG4_DEPARTURES, "mixed-depths": MIXED_DEPTHS}[name]
+    fused = build_lattices(aperture_x, aperture_y, spectra)
+    monkeypatch.setattr(cell_integrals_oracle, "node_values", node_values)
+    textbook = cell_integrals_oracle.cell_integrals(
+        spectra, lattice_strips(aperture_x, aperture_y)
+    )
+    for lattice, cells in zip(fused, textbook):
+        error = np.abs(lattice.marginal_integrals - cells).max()
+        assert error <= 1e-12 * cells.sum()
 
 
 def test_a_subnormal_maximum_among_normal_ones_is_bitwise_the_oracle():
@@ -382,12 +412,13 @@ def test_cap_bound_dominates_every_node_dot_product():
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     for _ in range(50):
         points, _weights = lat._tile_nodes(random_tiles(rng, lat._CHUNK_TILES))
+        assert np.all(points[3] == 1.0)
         # A third of the means sit next to a node, where the bound is tightest.
-        near = points[:, :, rng.integers(0, points.shape[2], 32)].reshape(3, -1).T
+        near = points[:3, :, rng.integers(0, points.shape[2], 32)].reshape(3, -1).T
         near = near[rng.integers(0, len(near), 32)] + rng.normal(scale=1e-4, size=(32, 3))
         near /= np.linalg.norm(near, axis=1, keepdims=True)
         all_means = np.vstack([means, near])
-        largest = np.einsum("itm,ki->tkm", points, all_means).max(axis=2)
+        largest = np.einsum("itm,ki->tkm", points[:3], all_means).max(axis=2)
         bound = lat._cap_bound(lat._cap(points), all_means)
         assert np.all(bound >= largest)
         # No node beats a mean's largest dot product over the hemisphere.
@@ -431,10 +462,12 @@ def random_mixture(rng, with_constant):
 
 
 def stacked_terms(mixtures):
-    """(means, alphas, coefs, owning spectrum) of mixtures' stacked VMF
-    terms, as _cell_integrals stacks them."""
+    """(means, alphas, exponent rows, owning spectrum) of mixtures' stacked
+    VMF terms, as _cell_integrals stacks them."""
     return (
-        *(np.concatenate([mixture[k] for mixture in mixtures]) for k in range(3)),
+        *(np.concatenate([mixture[k] for mixture in mixtures]) for k in range(2)),
+        np.concatenate([np.column_stack((a[:, None] * m, np.log(c) - a))
+                        for m, a, c, _constant in mixtures]),
         np.repeat(np.arange(len(mixtures)), [len(mixture[1]) for mixture in mixtures]),
     )
 
@@ -447,8 +480,7 @@ def test_node_values_match_the_per_cluster_loop():
         assert [mixture[3] > 0.0 for mixture in mixtures] == [
             (draw + k) % 4 == 0 for k in range(len(mixtures))
         ]
-        terms = stacked_terms(mixtures)
-        means, alphas, _coefs, owner = terms
+        means, alphas, rows, owner = stacked_terms(mixtures)
         peaks = lat._hemisphere_peaks(means)
         points, _weights = lat._tile_nodes(random_batch(rng))
         cap = lat._cap(points)
@@ -456,7 +488,7 @@ def test_node_values_match_the_per_cluster_loop():
         survivors = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
         got = np.full((len(mixtures), *points.shape[1:]), np.nan)
         for tile, spectra, values in lat._pair_values(
-            terms, [mixture[3] for mixture in mixtures], need,
+            (rows, owner), [mixture[3] for mixture in mixtures], need,
             survivors & need[owner].T, points,
         ):
             got[spectra, tile] = values
@@ -466,16 +498,27 @@ def test_node_values_match_the_per_cluster_loop():
             mine = owner == spectrum
             expected = node_values(mixture, peaks[mine], points, cap, need[spectrum])
             pending = need[spectrum]
-            # Both round each dot product to about an ulp of 1, in a
-            # different order, and exp(alpha * (dot - 1)) turns that into
-            # alpha ulps of relative change: 1e-13 up to alpha ~ 110, ~1e-11
-            # at alpha 5e4.
-            rtol = max(1e-13, 4.0 * np.finfo(float).eps * mixture[1].max())
-            np.testing.assert_allclose(got[spectrum, pending], expected[pending],
-                                       rtol=rtol, atol=0.0)
             bare = pending & ~survivors[:, mine].any(axis=1)
-            assert np.all(got[spectrum, bare] == mixture[3])
             assert np.all(expected[bare] == mixture[3])
+            # A pair without a surviving term is its constant, and is not
+            # evaluated where that is 0.
+            if mixture[3] == 0.0:
+                assert np.all(np.isnan(got[spectrum, bare]))
+                pending = pending & ~bare
+            assert np.all(got[spectrum, bare & pending] == mixture[3])
+            got_pending, expected_pending = got[spectrum, pending], expected[pending]
+            # The textbook form rounds each dot product to about an ulp of 1
+            # and exp(alpha * (dot - 1)) turns that into alpha ulps of
+            # relative change; the fused exponent rounds alpha * mean and
+            # ln(coef) - alpha to a few ulps of alpha, the same order: 1e-13
+            # up to alpha ~ 110, ~1e-11 at alpha 5e4.  Where both values are
+            # subnormal, their precision is gone and only that is asserted.
+            rtol = max(1e-13, 4.0 * np.finfo(float).eps * mixture[1].max())
+            tiny = np.finfo(float).tiny
+            subnormal = (got_pending < tiny) & (expected_pending < tiny)
+            np.testing.assert_allclose(got_pending[~subnormal],
+                                       expected_pending[~subnormal],
+                                       rtol=rtol, atol=0.0)
 
 
 def test_one_term_tiles_do_not_depend_on_the_pass(monkeypatch):
@@ -491,7 +534,7 @@ def test_one_term_tiles_do_not_depend_on_the_pass(monkeypatch):
     shared, split = [], []
 
     def recording(terms, constants, need, active, points):
-        owner = terms[3]
+        owner = terms[1]
         rows = active.sum(axis=1)
         one_term = (active[:, owner == 0].sum(axis=1) == 1) & (rows > 1)
         shared.append(one_term.any())
@@ -513,7 +556,10 @@ def test_rows_of_a_product_of_two_or_more_rows_are_the_rows_of_any_larger_one():
     # _pair_values stacks the terms of several spectra into one product; a
     # spectrum's rows keep their bits only if the BLAS computes a row the
     # same way whatever rows surround it.  A one-row product may not (it
-    # goes through a matrix-vector kernel), so it is never stacked.
+    # goes through a matrix-vector kernel), so it is never stacked.  Both
+    # the unit means against the nodes (3 columns) and the exponent rows
+    # (alpha * mean, ln(coef) - alpha) against the homogeneous nodes (4
+    # columns, the product _pair_values takes) are checked.
     rng = np.random.default_rng(19)
     for _ in range(300):
         points, _weights = lat._tile_nodes(random_batch(rng))
@@ -521,10 +567,14 @@ def test_rows_of_a_product_of_two_or_more_rows_are_the_rows_of_any_larger_one():
         rows = int(rng.integers(2, 2 * lat._BLOCK_ROWS))
         means = rng.normal(size=(rows, 3))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
-        full = means @ nodes
-        k = int(rng.integers(2, rows + 1))
-        top = int(rng.integers(0, rows - k + 1))
-        assert (means[top:top + k] @ nodes).tobytes() == full[top:top + k].tobytes()
+        alphas = 5.0 * 10.0 ** rng.uniform(0.0, 4.0, rows)
+        coefs = rng.uniform(0.01, 1.0, rows) * alphas / (2.0 * math.pi)
+        exponent_rows = np.column_stack((alphas[:, None] * means, np.log(coefs) - alphas))
+        for matrix, right in ((means, nodes[:3]), (exponent_rows, nodes)):
+            full = matrix @ right
+            k = int(rng.integers(2, rows + 1))
+            top = int(rng.integers(0, rows - k + 1))
+            assert (matrix[top:top + k] @ right).tobytes() == full[top:top + k].tobytes()
 
 
 def test_lattices_do_not_depend_on_the_blas_thread_count():

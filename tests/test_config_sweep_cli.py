@@ -418,20 +418,13 @@ class TestCli:
 
     def bad_file_error(self, tmp_path, capsys, which, content):
         """Exit code and stderr of ``capacity su`` when the config, the CDL
-        table, its sidecar, the pattern file or the S-parameter files
-        (``which``) hold ``content``; stdout stays empty and stderr is one
-        ``error:`` line."""
+        table, the pattern file or the S-parameter files (``which``) hold
+        ``content``; stdout stays empty and stderr is one ``error:`` line."""
         bad = tmp_path / "bad.csv"
         bad.write_bytes(content)
-        table = tmp_path / "cdl.csv"
-        shutil.copyfile(bundled_cdl_path(), table)
-        if which == "cdl-sidecar":
-            table.with_suffix(".json").write_bytes(content)
-        cdl = {"kind": "cdl", "path": str(bad if which == "cdl-table" else table),
-               "asd_deg": 10.0, "asa_deg": 20.0}
+        cdl = {"kind": "cdl", "path": str(bad), "asd_deg": 10.0, "asa_deg": 20.0}
         overrides = {
             "cdl-table": {"spectrum_spec": cdl},
-            "cdl-sidecar": {"spectrum_spec": cdl},
             "pattern": {"pattern_spec": {"kind": "file", "path": str(bad)}},
             "sparams": {"efficiency_spec": {"kind": "sparams", "bs_path": str(bad),
                                             "ue_path": str(bad)}},
@@ -448,8 +441,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "which, code",
-        [("config", 2), ("cdl-table", 3), ("cdl-sidecar", 3), ("pattern", 3),
-         ("sparams", 3)],
+        [("config", 2), ("cdl-table", 3), ("pattern", 3), ("sparams", 3)],
     )
     def test_undecodable_file_exits_with_its_code(self, tmp_path, capsys,
                                                   which, code):
@@ -457,11 +449,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "which, code, header",
-        [("config", 2, None), ("cdl-sidecar", 3, None),
+        [("config", 2, None),
          ("cdl-table", 3, "cluster_id,power_db,aod_deg,zod_deg,aoa_deg,zoa_deg"),
          ("pattern", 3, "element_index,theta_deg,phi_deg,re,im"),
          ("sparams", 3, "row,col,re,im")],
-        ids=["config-nested", "cdl-sidecar-nested", "cdl-table-oversized-field",
+        ids=["config-nested", "cdl-table-oversized-field",
              "pattern-oversized-field", "sparams-oversized-field"],
     )
     def test_unparsable_file_exits_with_its_code(self, tmp_path, capsys,
@@ -477,6 +469,18 @@ class TestCli:
         assert got == code
         if header is not None:
             assert "bad.csv:2: " in err
+
+    def test_sweep_reads_no_cdl_sidecar(self, tmp_path, capsys):
+        # A sweep takes its spreads from the config, so a sidecar it would
+        # not use cannot fail it; load_cdl_table still reads it.
+        table = tmp_path / "cdl.csv"
+        shutil.copyfile(bundled_cdl_path(), table)
+        table.with_suffix(".json").write_bytes(b"[" * 100_000)
+        config = self.write_config(tmp_path, spectrum_spec={
+            "kind": "cdl", "path": str(table), "asd_deg": 10.0, "asa_deg": 20.0,
+        })
+        assert main(["capacity", "su", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_numerical_failure_exits_4(self, tmp_path):
         # the broadside-null pattern on a single-mode receive aperture

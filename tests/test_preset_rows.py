@@ -8,7 +8,9 @@ import shlex
 from pathlib import Path
 
 import pytest
-from preset_rows import FAILING, SWEEPS, load, parse, row_mismatches
+from preset_rows import (
+    FAILING, MULTI_USER, SWEEPS, deviation_line, load, parse, row_mismatches,
+)
 
 from holomimo import preset, render, run_sweep
 from holomimo.cli import main
@@ -41,3 +43,19 @@ def test_ci_check_step_reaches_its_presets():
     args = parse(argv[argv.index("tests/preset_rows.py") + 1:])
     assert (args.action, args.holo) == ("check", "holo")
     assert args.presets == ["fig4-multiuser", "fig3-dipole"]
+
+
+def test_check_prints_each_presets_largest_deviation():
+    # Relative for a single-user preset, in bits for the multi-user one,
+    # over mean_bits and std_bits of every row.
+    for name, unit in (("fig3-cdlb", "relative"), (MULTI_USER, "bits")):
+        pinned = PINNED["rows"][name]
+        assert deviation_line(name, pinned, pinned) == f"{name}: largest deviation 0 {unit}"
+        moved = [dict(row) for row in pinned]
+        moved[-1]["std_bits"] += 2e-6 if unit == "bits" else 3e-13 * moved[-1]["std_bits"]
+        moved[0]["mean_bits"] *= 1.0 + 1e-14
+        line = deviation_line(name, moved, pinned)
+        assert line.startswith(f"{name}: largest deviation ")
+        assert line.endswith(f" {unit}")
+        assert float(line.split()[-2]) == pytest.approx(2e-6 if unit == "bits" else 3e-13,
+                                                        rel=1e-3)

@@ -1,6 +1,7 @@
 """Angular power spectrum tests: VMF math, CDL construction, table loading."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from holomimo import (
     CdlClusterRow,
     VmfComponent,
     concentration_from_spread,
+    load_cdl_rows,
     load_cdl_table,
     rotate_spectrum,
     spectra_from_cdl,
 )
 from holomimo.config import bundled_cdl_path
 from holomimo.errors import EmptyTable, MalformedTableFile, SpreadOutOfRange
+from holomimo.spectrum import _wrap_azimuth
 from spectrum_oracle import spectrum_value
 from vmf_density_oracle import vmf_density
 
@@ -219,7 +222,34 @@ class TestCdl:
             load_cdl_table(f)
 
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe", b"[" * 100_000], ids=["undecodable", "nested"]
+    )
+    def test_unreadable_sidecar_raises(self, tmp_path, content):
+        table = tmp_path / "cdl.csv"
+        shutil.copyfile(bundled_cdl_path(), table)
+        table.with_suffix(".json").write_bytes(content)
+        with pytest.raises(MalformedTableFile, match="cdl.json"):
+            load_cdl_table(table)
+        assert len(load_cdl_rows(table)) == 23
+
+
 class TestRotation:
+    def test_float_wrap_is_bitwise_the_array_wrap(self):
+        # rotate_spectrum wraps one float per cluster in float arithmetic;
+        # it must give the bits of the NumPy array form it replaced, edges
+        # and signed zeros included.
+        edges = [math.pi, -math.pi, 0.0, -0.0, 3.0 * math.pi, -3.0 * math.pi,
+                 1e-300, -1e-300]
+        rng = np.random.default_rng(3)
+        angles = np.concatenate([edges, rng.uniform(-20.0, 20.0, 2000),
+                                 rng.normal(scale=1e-3, size=200)])
+        array = np.pi - np.mod(-angles + np.pi, 2.0 * np.pi)
+        scalar = [_wrap_azimuth(float(phi)) for phi in angles]
+        assert all(type(value) is float for value in scalar)
+        assert np.array(scalar).tobytes() == array.tobytes()
+        assert np.all((-math.pi < array) & (array <= math.pi))
+
     def test_isotropic_unchanged(self):
         iso = AngularPowerSpectrum.isotropic()
         assert rotate_spectrum(iso, 1.0) is iso
