@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holomimo
@@ -160,11 +160,20 @@ apertures = st.floats(0.5, 4.0)
     aperture_x=apertures,
     aperture_y=st.one_of(st.none(), apertures),
 )
+# Largest hemisphere value 7e-314: the rule keeps a total of 2.3e-319.
+@example(spectrum=single_vmf(1.0, 1.0, 1.75), aperture_x=2.0, aperture_y=None)
 def test_cells_match_the_recursive_rule(spectrum, aperture_x, aperture_y):
     # aperture_y None draws a square aperture.
     aperture_y = aperture_x if aperture_y is None else aperture_y
     got = build_lattice(aperture_x, aperture_y, spectrum).marginal_integrals
     expected = oracle_cells(spectrum, aperture_x, aperture_y)
+    if lat._hemisphere_maximum(spectrum) == 0.0:
+        # Below the smallest normal float everywhere on the hemisphere, the
+        # spectrum counts as 0 there: no cell keeps any mass, and what the
+        # rule keeps is at most the hemisphere's 2*pi times that float.
+        assert not got.any()
+        assert expected.sum() <= 2.0 * math.pi * sys.float_info.min
+        return
     error = np.abs(got - expected)
     np.testing.assert_array_less(error, 1e-6 * np.abs(expected) + 1e-15)
     # The absolute floor passes any cell of a lattice whose total is below
