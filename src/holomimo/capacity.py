@@ -5,10 +5,12 @@ a total power budget with unit noise per receive element; a stack of
 channels takes one batched SVD and water-fills every row at once.  Multi-user
 downlink sum capacity is computed through the dual multiple-access channel
 under a sum power constraint by simultaneous per-user water-filling with a
-monotone step search, stopping on a certified duality gap.  Each iteration
-takes one solve of the transmit dimension, which the sweep keeps at the
-transmit harmonic count, and whitens every user by unit noise plus the
-other users' interference with one solve of its receive dimension.
+monotone step search, stopping on a certified duality gap.  The solver
+first replaces the users by their coordinates in the span of their rows,
+which leaves the sum capacity unchanged; each iteration then takes one
+solve of that span's dimension, at most the total receive count, and
+whitens every user by unit noise plus the other users' interference with
+one solve of its receive dimension.
 """
 
 from __future__ import annotations
@@ -247,16 +249,19 @@ def mu_sum_capacity(
     G_k = H_k coupled^{-1} H_k^H the rate's gradient, bounds how far the
     sum rate lies below the sum capacity and is reported as ``gap_bits``.
 
-    Users are stacked, padded with zero rows (no gain, so no power) to the
-    largest receive count.  One solve gives every Y_k = L^{-1} H_k^H, with
-    coupled = L L^H and G_k = Y_k^H Y_k, and the Woodbury identity turns
-    W_k = H_k (coupled - H_k^H Q_k H_k)^{-1} H_k^H into G_k (I - Q_k G_k)^{-1}.
+    The iteration runs in the span of the users' rows: the thin QR
+    [H_1; ...; H_K]^H = Q R gives H_k = R_k^H Q^H with Q an isometry, so
+    the R_k^H have the rates, gradients, gap and steps of the H_k in
+    min(n, sum_k r_k) dimensions.  Users are stacked, padded with zero rows
+    (no gain, so no power) to the largest receive count.  One solve gives
+    every Y_k = L^{-1} R_k, with coupled = L L^H and G_k = Y_k^H Y_k, and
+    the Woodbury identity turns W_k = H_k (coupled - H_k^H Q_k H_k)^{-1}
+    H_k^H into G_k (I - Q_k G_k)^{-1}.
     """
     channels = [np.asarray(h, dtype=complex) for h in channels]
     if not channels:
         raise ValueError("need at least one user channel")
-    n_tx = channels[0].shape[1]
-    if any(h.shape[1] != n_tx for h in channels):
+    if any(h.shape[1] != channels[0].shape[1] for h in channels):
         raise ValueError("inconsistent transmit dimension across users")
     if total_power <= 0:
         raise ValueError(f"total power must be positive, got {total_power}")
@@ -264,14 +269,16 @@ def mu_sum_capacity(
         raise NonFiniteChannel("a user channel has NaN or infinite entries")
 
     k_users = len(channels)
-    r_max = max(h.shape[0] for h in channels)
-    stacked = np.zeros((k_users, r_max, n_tx), dtype=complex)
+    counts = [h.shape[0] for h in channels]
+    r_max = max(counts)
+    span = np.linalg.qr(np.concatenate(channels).conj().T, mode="r")
+    dim = span.shape[0]
+    stacked = np.zeros((k_users, r_max, dim), dtype=complex)
     covariances = np.zeros((k_users, r_max, r_max), dtype=complex)
-    for k, h in enumerate(channels):
-        rows = h.shape[0]
-        stacked[k, :rows] = h
+    for k, (rows, end) in enumerate(zip(counts, np.cumsum(counts))):
+        stacked[k, :rows] = _adjoint(span[:, end - rows:end])
         covariances[k, range(rows), range(rows)] = total_power / (k_users * rows)
-    columns = stacked.reshape(-1, n_tx).conj().T  # every H_k^H, side by side
+    columns = stacked.reshape(-1, dim).conj().T  # every R_k, side by side
     ln2 = math.log(2.0)
     iterations = 0
     # Overflow, a NaN or a failed factorization all mean that a coupled
@@ -279,14 +286,14 @@ def mu_sum_capacity(
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             coupled = _hermitize(
-                np.eye(n_tx) + columns @ (covariances @ stacked).reshape(-1, n_tx)
+                np.eye(dim) + columns @ (covariances @ stacked).reshape(-1, dim)
             )
             rate = float(np.linalg.slogdet(coupled)[1] / ln2)
             history = [rate]
             while True:
                 factor = np.linalg.cholesky(coupled)
                 flat = np.linalg.solve(factor, columns)  # every Y_k, side by side
-                projected = flat.reshape(n_tx, k_users, r_max).swapaxes(0, 1)
+                projected = flat.reshape(dim, k_users, r_max).swapaxes(0, 1)
                 gradients = _adjoint(projected) @ projected
                 gap = (
                     total_power * np.linalg.eigvalsh(gradients)[:, -1].max()
@@ -308,7 +315,7 @@ def mu_sum_capacity(
                 # eigenvalues of L^{-1} (sum_k H_k^H (W_k - Q_k) H_k) L^{-H}:
                 # exact to the rounding of the change itself, not of the rate.
                 change = (responses - covariances) @ _adjoint(projected)
-                mu = np.linalg.eigvalsh(flat @ change.reshape(-1, n_tx))
+                mu = np.linalg.eigvalsh(flat @ change.reshape(-1, dim))
                 step = 1.0
                 gain = np.log1p(mu).sum()
                 while gain < 0.0 and step > 1.0 / k_users:
@@ -316,7 +323,7 @@ def mu_sum_capacity(
                     gain = np.log1p(step * mu).sum()
                 covariances = covariances + step * (responses - covariances)
                 coupled = _hermitize(
-                    np.eye(n_tx) + columns @ (covariances @ stacked).reshape(-1, n_tx)
+                    np.eye(dim) + columns @ (covariances @ stacked).reshape(-1, dim)
                 )
                 rate += float(gain) / ln2
                 history.append(rate)
@@ -329,7 +336,7 @@ def mu_sum_capacity(
 
     return CapacityReport(
         value_bits=rate,
-        covariances=[q[:r, :r] for q, r in zip(covariances, map(len, channels))],
+        covariances=[q[:r, :r] for q, r in zip(covariances, counts)],
         iterations=iterations,
         converged=bool(gap <= tol),
         gap_bits=float(gap),

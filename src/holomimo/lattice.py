@@ -171,7 +171,28 @@ def _cell_interval(k: int, step: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The nodes are the eigenvalues of the Legendre Jacobi matrix
+    (Golub-Welsch), refined by one Newton step on P_n, and the weights are
+    2 / ((1 - x^2) P_n'(x)^2), both from the three-term recurrence; the rule
+    is then symmetrized and scaled to total 2 as ``numpy.polynomial``'s
+    ``leggauss`` does, which this avoids importing."""
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+
+    def legendre(x):  # (P_n(x), P_n'(x))
+        p, previous = x, np.ones_like(x)
+        for j in range(1, n):
+            p, previous = ((2 * j + 1) * x * p - j * previous) / (j + 1), p
+        return p, n * (x * p - previous) / (x * x - 1.0)
+
+    p, dp = legendre(x)
+    x = x - p / dp
+    dp = legendre(x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 0.5 * (w + w[::-1])
+    return 0.5 * (x - x[::-1]), w * (2.0 / w.sum())
 
 
 def _cell_strips(index, aperture_x, aperture_y) -> list[tuple]:

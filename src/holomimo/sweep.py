@@ -27,10 +27,11 @@ aggregation assembles per-realization values in index order before
 reducing.
 
 Capacity is evaluated on harmonic-domain channels
-(``synthesis.harmonic_channels``), which have the singular values and
-sum capacity of the element matrices.  All users share transmit coordinates
-because the transmit basis depends on the array and the lattice index set,
-not on the user's rotated spectrum.
+(``synthesis.harmonic_channels``) of the harmonics whose cells meet the unit
+disk, which have the singular values and sum capacity of the element
+matrices.  All users share transmit coordinates because the transmit basis
+and its kept harmonics depend on the array and the aperture, not on the
+user's rotated spectrum.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class SweepResult:
 class Scenario:
     """A validated config turned into the objects that synthesis needs.
 
-    A synthesis plan belongs to a spacing: its bases and R factors depend on
-    the arrays and the apertures' harmonic index sets, not on any spectrum.
+    A synthesis plan belongs to a spacing: its bases, kept harmonics and R
+    factors depend on the arrays and the apertures, not on any spectrum.
     The variances belong to the lattice pair of one user, who keeps them for
     all spacings.  Each part is built on first use and then kept:
     ``holo lattice`` reads no pattern or S-parameter file.

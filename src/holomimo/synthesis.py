@@ -17,25 +17,32 @@ draw serves every spacing, and ``harmonic_channels`` maps a whole stack of
 draws through a plan at once.
 
 ``sample_channel`` returns the element-domain channel
-H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H.  The plan also keeps the R
-factors of the thin QRs Gamma_R Psi_R = Q_R R_R and Gamma_S Psi_S = Q_S R_S,
-and ``harmonic_channels(plan, draw_coefficients(variances, seed, index))``
-is the same draw as M = s * R_R C R_S^H, at most (harmonics x harmonics)
-whatever the element count.  H = Q_R M Q_S^H with isometries at both ends,
-so M has the nonzero singular values and the broadcast sum capacity of H.
-Channels of several users drawn on the same plan are in shared transmit
-coordinates.
+H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H.  Only the harmonics whose
+cells meet the visible unit disk (``lattice.disk_cells``) carry power: every
+other row and column of C has variance 0 in every variance table, so it is
+0 in every draw.  The plan keeps those harmonics of each end, S_R and S_S,
+and the R factors of the thin QRs of the weighted bases restricted to them,
+(Gamma_R Psi_R)[:, S_R] = Q_R R_R and (Gamma_S Psi_S)[:, S_S] = Q_S R_S.
+``harmonic_channels(plan, draw_coefficients(variances, seed, index))`` is
+the same draw as M = s * R_R C[S_R, S_S] R_S^H, at most (kept harmonics x
+kept harmonics) whatever the element count: 1 x 45 for a 1-wavelength
+receive and a 4-wavelength transmit aperture.  H = Q_R M Q_S^H with
+isometries at both ends, so M has the nonzero singular values and the
+broadcast sum capacity of H.  The kept harmonics depend on the apertures
+alone, so channels of several users drawn on the same plan are in shared
+transmit coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
-from .lattice import enumerate_lattice, harmonic_angles, harmonic_vector
+from .lattice import disk_cells, enumerate_lattice, harmonic_angles, harmonic_vector
 
 __all__ = ["SynthesisPlan", "build_plan", "draw_coefficients", "sample_channel",
            "harmonic_channels", "MASK64"]
@@ -53,8 +60,10 @@ class SynthesisPlan:
     ue_basis: np.ndarray  # (N_R, n_R), receive harmonics x element gains
     bs_amplitudes: np.ndarray  # (N_S,) sqrt of element efficiencies
     ue_amplitudes: np.ndarray  # (N_R,)
-    bs_r: np.ndarray  # (min(N_S, n_S), n_S), R of the QR of amplitudes * bs_basis
-    ue_r: np.ndarray  # (min(N_R, n_R), n_R)
+    bs_support: np.ndarray  # (k_S,) indices of the transmit harmonics in the disk
+    ue_support: np.ndarray  # (k_R,)
+    bs_r: np.ndarray  # (min(N_S, k_S), k_S), R of the QR of (amplitudes * bs_basis)[:, bs_support]
+    ue_r: np.ndarray  # (min(N_R, k_R), k_R)
 
     @property
     def bs_count(self) -> int:
@@ -87,24 +96,38 @@ def _modified_basis(
     return vectors * gains
 
 
+@lru_cache(maxsize=16)
+def _disk_support(aperture_x: float, aperture_y: float) -> np.ndarray:
+    """Indices of the aperture's harmonics whose cells meet the unit disk: a
+    read-only array that the plans of every spacing share."""
+    support = np.flatnonzero(disk_cells(aperture_x, aperture_y))
+    support.flags.writeable = False
+    return support
+
+
 def build_plan(
     bs_geometry: ArrayGeometry,
     ue_geometry: ArrayGeometry,
     bs_coupling: CouplingProfile,
     ue_coupling: CouplingProfile,
 ) -> SynthesisPlan:
-    """Assemble the bases, amplitudes and R factors of an array pair."""
+    """Assemble the bases, amplitudes, kept harmonics and R factors of an
+    array pair."""
     bs_basis = _modified_basis(bs_geometry, bs_coupling, sign=-1)
     ue_basis = _modified_basis(ue_geometry, ue_coupling, sign=+1)
     bs_amplitudes = bs_coupling.amplitudes
     ue_amplitudes = ue_coupling.amplitudes
+    bs_support = _disk_support(bs_geometry.aperture_x, bs_geometry.aperture_y)
+    ue_support = _disk_support(ue_geometry.aperture_x, ue_geometry.aperture_y)
     return SynthesisPlan(
         bs_basis=bs_basis,
         ue_basis=ue_basis,
         bs_amplitudes=bs_amplitudes,
         ue_amplitudes=ue_amplitudes,
-        bs_r=np.linalg.qr(bs_amplitudes[:, None] * bs_basis, mode="r"),
-        ue_r=np.linalg.qr(ue_amplitudes[:, None] * ue_basis, mode="r"),
+        bs_support=bs_support,
+        ue_support=ue_support,
+        bs_r=np.linalg.qr(bs_amplitudes[:, None] * bs_basis[:, bs_support], mode="r"),
+        ue_r=np.linalg.qr(ue_amplitudes[:, None] * ue_basis[:, ue_support], mode="r"),
     )
 
 
@@ -142,9 +165,9 @@ def sample_channel(
 
 
 def harmonic_channels(plan: SynthesisPlan, coefficients: np.ndarray) -> np.ndarray:
-    """M = s * R_R C R_S^H of a coefficient array C, or of each array of a
-    stack (..., n_R, n_S): every matrix of the stack is the product it
-    would be alone."""
+    """M = s * R_R C[S_R, S_S] R_S^H of a coefficient array C, or of each
+    array of a stack (..., n_R, n_S): every matrix of the stack is the
+    product it would be alone.  The dropped rows and columns of C are 0."""
     scale = np.sqrt(plan.ue_count * plan.bs_count)
-    return scale * (plan.ue_r @ coefficients @ plan.bs_r.conj().T)
-
+    kept = coefficients[..., plan.ue_support[:, None], plan.bs_support]
+    return scale * (plan.ue_r @ kept @ plan.bs_r.conj().T)

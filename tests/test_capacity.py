@@ -22,7 +22,7 @@ from holomimo.errors import (
     NonPositiveDistance,
     ZeroChannel,
 )
-from sum_capacity_oracle import averaged_sum_capacity
+from sum_capacity_oracle import averaged_sum_capacity, uncompressed_sum_capacity
 from waterfill_oracle import waterfill as waterfill_oracle
 
 UMA_100M_DB = -11.764252230548385  # -39.08 * log10(2), frozen
@@ -512,6 +512,32 @@ def test_certified_solver_bounds_the_averaged_oracle():
         assert report.value_bits >= oracle - 1e-9
         # The gap bounds the distance to the sum capacity, and so to the oracle.
         assert oracle <= report.value_bits + report.gap_bits + 1e-12
+
+
+@pytest.mark.parametrize("span", ["below", "at_or_above"])
+def test_solve_in_the_users_span_equals_the_uncompressed_solve(span):
+    # The users' sum_k r_k stacked rows span fewer dimensions than the n
+    # transmit ones, or all of them; either way the solve in their span
+    # certifies and lands within 2*tol bits of the solve in all n.
+    rng = np.random.default_rng(23 if span == "below" else 24)
+    tol = 1e-6
+    for _ in range(60):
+        rows = [int(r) for r in rng.integers(1, 5, size=int(rng.integers(1, 6)))]
+        total = sum(rows)
+        if span == "below":
+            n_tx = total + int(rng.integers(1, 8))
+        else:
+            n_tx = total - int(rng.integers(0, total))
+        channels = [
+            random_complex(rng, (r, n_tx)) * 10.0 ** (rng.uniform(-3.0, 3.0) / 2.0)
+            for r in rows
+        ]
+        budget = 10.0 ** rng.uniform(-1.0, 2.0)
+        report = mu_sum_capacity(channels, budget, tol=tol)
+        oracle = uncompressed_sum_capacity(channels, budget, tol=tol)
+        assert report.converged and report.gap_bits <= tol
+        assert oracle.converged
+        assert report.value_bits == pytest.approx(oracle.value_bits, rel=0.0, abs=2 * tol)
 
 
 @pytest.mark.parametrize(

@@ -561,10 +561,12 @@ class TestCli:
             assert len(captured.err.splitlines()) == 1
 
     def test_multi_user_solver_breakdown_exits_4(self, tmp_path, capsys):
-        # At 150 dB, I + sum_k H_k^H Q_k H_k loses positive definiteness in
+        # Each user keeps the 9 receive harmonics of the 2-wavelength UE in
+        # the disk, so two users' 18 rows span the 9 of the BS.  At 150 dB,
+        # I + sum_k H_k^H Q_k H_k then loses positive definiteness in
         # floating point; the same config runs at 100 dB.
         overrides = {"spacing_list": [0.5, 0.25], "efficiency_spec": {"kind": "hannan"},
-                     "realizations": 2, "users": 2, "seed": 5}
+                     "realizations": 2, "users": 2, "seed": 5, "ue_aperture": 2.0}
         config = self.write_config(tmp_path, **overrides, snr_db=100.0)
         assert main(["capacity", "mu", "--config", str(config)]) == 0
         capsys.readouterr()
@@ -575,6 +577,24 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "positive definite" in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_users_below_the_transmit_span_certify_at_150_db(self, tmp_path, capsys):
+        # Two users of one row each at the 1-wavelength UE: the solve runs in
+        # their 2-dimensional span, where the coupled matrix stays positive
+        # definite at the budget that broke it down in all 13 transmit
+        # harmonics of the 2-wavelength BS.
+        config = self.write_config(
+            tmp_path, spacing_list=[0.5, 0.25], efficiency_spec={"kind": "hannan"},
+            realizations=2, users=2, seed=5, snr_db=150.0,
+        )
+        assert main(["capacity", "mu", "--config", str(config), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = json.loads(captured.out)["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert row["not_converged"] == 0
+            assert math.isfinite(row["mean_bits"]) and row["mean_bits"] > 0
 
     def test_lattice_command_reads_no_pattern_or_sparams_file(self, tmp_path):
         missing = str(tmp_path / "missing.csv")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holomimo import (
@@ -123,18 +123,56 @@ class TestVectorizedBasis:
         )
 
 
+# Only harmonics on the lattice ellipse itself have cells outside the disk,
+# so apertures are drawn at multiples of a quarter wavelength, which put
+# harmonics there, as well as anywhere in 0.5-4 wavelengths.
+APERTURE = st.one_of(st.integers(2, 16).map(lambda k: k / 4), st.floats(0.5, 4.0))
+
+
+@settings(max_examples=25, deadline=None)
+@example(bs=(4.0, 4.0), ue=(1.0, 1.0), elements=2, cdl=True, bs_angle=0.3, ue_angle=-1.0)
+@given(
+    bs=st.tuples(APERTURE, APERTURE),
+    ue=st.tuples(APERTURE, APERTURE),
+    elements=st.integers(1, 3),
+    cdl=st.booleans(),
+    bs_angle=st.floats(-math.pi, math.pi),
+    ue_angle=st.floats(-math.pi, math.pi),
+)
+def test_a_plan_drops_only_harmonics_without_variance(
+    bs, ue, elements, cdl, bs_angle, ue_angle
+):
+    # A harmonic whose cell misses the unit disk has no cell integral, so
+    # its row or column of every variance table is 0, whatever the spectrum.
+    geometries = [build_planar_array(x, y, x / elements, y / elements) for x, y in (bs, ue)]
+    couplings = [build_coupling_profile(g, ElementPattern.uniform(), HALF_WAVE_EFFICIENCY)
+                 for g in geometries]
+    plan = build_plan(*geometries, *couplings)
+    bs_spectrum, ue_spectrum = (CDL_BS, CDL_UE) if cdl else (ISO, ISO)
+    variances = build_variance_table(
+        build_lattice(*bs, rotate_spectrum(bs_spectrum, bs_angle)),
+        build_lattice(*ue, rotate_spectrum(ue_spectrum, ue_angle)),
+    )
+    dropped_ue = np.setdiff1d(np.arange(variances.shape[0]), plan.ue_support)
+    dropped_bs = np.setdiff1d(np.arange(variances.shape[1]), plan.bs_support)
+    assert plan.ue_support.size and plan.bs_support.size
+    assert not variances[dropped_ue].any()
+    assert not variances[:, dropped_bs].any()
+
+
 class TestReducedChannel:
     def test_factors_reproduce_the_weighted_bases(self):
-        # At half-wave spacing the 1-wavelength end has 4 elements but 5
-        # harmonics, so R_R is 4 x 5.
+        # Only the cells that meet the unit disk are kept: the broadside one
+        # of the 5 harmonics of the 1-wavelength end, and 45 of the 49 of
+        # the 4-wavelength end.
         plan, _ = make_plan(4.0, 1.0, 0.5, CDL_BS, CDL_UE, eta=0.8)
-        assert plan.ue_r.shape == (4, 5)
-        assert plan.bs_r.shape == (49, 49)
-        for r, basis, amplitudes in (
-            (plan.ue_r, plan.ue_basis, plan.ue_amplitudes),
-            (plan.bs_r, plan.bs_basis, plan.bs_amplitudes),
+        assert plan.ue_r.shape == (1, 1)
+        assert plan.bs_r.shape == (45, 45)
+        for r, basis, amplitudes, support in (
+            (plan.ue_r, plan.ue_basis, plan.ue_amplitudes, plan.ue_support),
+            (plan.bs_r, plan.bs_basis, plan.bs_amplitudes, plan.bs_support),
         ):
-            weighted = amplitudes[:, None] * basis
+            weighted = amplitudes[:, None] * basis[:, support]
             np.testing.assert_allclose(
                 r.conj().T @ r, weighted.conj().T @ weighted, atol=1e-13
             )

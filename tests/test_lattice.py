@@ -169,6 +169,29 @@ class TestMarginalIntegrals:
             assert a == pytest.approx(b, rel=1e-3, abs=1e-12)
 
 
+class TestGaussLegendre:
+    def test_rule_matches_numpys_leggauss(self):
+        # numpy's own weights are up to 1.3e-12 relative off the exact ones
+        # at n = 64 (against a 40-digit reference), so weights are held to
+        # 1e-14 of the rule's total weight 2, not to each weight's size.
+        from holomimo import lattice as lat
+
+        for n in range(1, 65):
+            x, w = lat._leggauss(n)
+            x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+            np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=4e-16)
+            np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-14)
+
+    def test_rule_integrates_polynomials_to_degree_2n_minus_1(self):
+        from holomimo import lattice as lat
+
+        for n in range(1, 65):
+            x, w = lat._leggauss(n)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            for k in range(0, 2 * n, 2):
+                assert w @ x**k == pytest.approx(2.0 / (k + 1), rel=2e-14)
+
+
 class TestVarianceTable:
     def test_normalized_total(self):
         variances = build_variance_table(

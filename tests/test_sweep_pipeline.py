@@ -302,6 +302,35 @@ def test_one_blas_thread_is_a_no_op_without_the_setter(monkeypatch, missing):
     sweep_module.one_blas_thread()
 
 
+def test_a_multi_user_cdl_run_does_not_import_numpy_polynomial(tmp_path):
+    # The cell quadrature's Gauss-Legendre rules are computed without it,
+    # so no sweep pays for its import; only non-uniform element patterns
+    # still use its leggauss, for their sphere power.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "carrier_ghz": 3.5, "bs_aperture": 2.0, "ue_aperture": 1.0,
+        "spacing_list": [0.5],
+        "spectrum_spec": {"kind": "cdl", "path": str(bundled_cdl_path()),
+                          "asd_deg": 10.0, "asa_deg": 20.0},
+        "pattern_spec": {"kind": "uniform"},
+        "efficiency_spec": {"kind": "relative_eta", "eta": 1.0},
+        "snr_db": 0.0, "realizations": 2, "users": 2, "seed": 0,
+    }))
+    script = """
+import sys
+from holomimo.cli import main
+code = main(["capacity", "mu", "--config", sys.argv[1]])
+print(code, "numpy.polynomial" in sys.modules)
+"""
+    package_root = str(Path(sweep_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(config)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_holo_runs_numpys_openblas_on_one_thread():
     # In a fresh process with two BLAS threads, so the check does not depend
     # on what earlier tests did to this one.
