@@ -46,6 +46,13 @@ exceeds cos(d).  The largest value is the term's peak when its mean is on
 or above the horizon, and its value at the horizon otherwise, so a cluster
 behind the aperture keeps the tail that reaches the hemisphere.
 
+A cluster much narrower than a tile can fall between all nodes of both
+rules, which then agree on ~0 and accept the tile.  So a tile is not
+accepted for a spectrum while the tile's cap holds the peak point of one of
+its terms (the mean, or for a mean behind the aperture the nearest horizon
+point) and is wider than _PEAK_WIDTHS term widths 1/sqrt(alpha); it is
+bisected like a rejected tile until its nodes reach the peak.
+
 A spectrum whose largest value on the upper hemisphere is below the
 smallest normal float counts as 0 there: its cell integrals are 0 without
 a quadrature, which could keep at most a subnormal or zero total.
@@ -100,6 +107,12 @@ _MAX_DEPTH = 14
 # A VMF term is skipped on a tile where it stays below exp(-40) of its largest
 # value on the upper hemisphere at every node.
 _CULL_EXPONENT = 40.0
+# A tile whose cap holds a VMF term's peak point is refined while its radius
+# exceeds this many of the term's widths 1/sqrt(alpha).  The fine rule's
+# largest node gap is under 0.2 of the radius, so a tile let go at 24 widths
+# has a node within ~3 widths of the peak, where the term is above ~e^-5 of
+# it.  The 10- and 20-degree clusters of the CDL presets are never held.
+_PEAK_WIDTHS = 24.0
 # Tiles of a level whose nodes, caps and cull are computed at once; no value
 # depends on it.
 _CHUNK_TILES = 32
@@ -318,6 +331,35 @@ def _hemisphere_peaks(means: np.ndarray) -> np.ndarray:
     return np.where(means[:, 2] >= 0.0, 1.0, np.hypot(means[:, 0], means[:, 1]))
 
 
+def _peak_points(means: np.ndarray) -> np.ndarray:
+    """Where each term is largest on the upper hemisphere, shape (K, 3): its
+    mean when on or above the horizon, else the nearest horizon point.  A
+    mean straight down is largest on the whole horizon and has no such
+    point: its row is NaN, which no cap holds."""
+    points = means.copy()
+    below = points[:, 2] < 0.0
+    points[below, 2] = 0.0
+    horizontal = np.hypot(points[below, 0], points[below, 1])
+    points[below] /= np.where(horizontal > 0.0, horizontal, np.nan)[:, None]
+    return points
+
+
+def _holds_narrow_peak(cap, points: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Whether each tile must be refined for each term, shape (T, K): its
+    _cap holds the term's peak point (``points``, from _peak_points) and its
+    radius exceeds _PEAK_WIDTHS term widths 1/sqrt(alpha).  Both Gauss
+    rules of such a tile can fall beside the peak and agree on ~0.  The cap
+    is taken at twice its radius, so a peak between the outer nodes and the
+    tile's edge counts too."""
+    centre, radius = cap
+    held = radius[:, None] * np.sqrt(alphas) > _PEAK_WIDTHS
+    # Distances only for the wide (tile, term) pairs, which are rare.
+    tile, term = held.nonzero()
+    chord = np.linalg.norm(centre.T[tile] - points[term], axis=1)
+    held[tile, term] = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord)) <= 2.0 * radius[tile]
+    return held
+
+
 def _hemisphere_maximum(spectrum: AngularPowerSpectrum) -> float:
     """constant + max_k coef_k * exp(alpha_k * (peak_k - 1)), with the terms'
     _hemisphere_peaks: the largest value on the upper hemisphere of the
@@ -395,10 +437,11 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
     coarse and a fine estimate per spectrum it is pending for, _CHUNK_TILES
     tiles at a time.  A chunk's nodes, caps and the cull of the stacked
     terms of the spectra pending on any of its tiles are computed once, and
-    _pair_values evaluates it tile by tile.  Where the two estimates agree,
-    the fine one goes to that spectrum's cell; a tile some spectrum rejects
-    is bisected in v and t into four tiles of the next level, pending for
-    those spectra.
+    _pair_values evaluates it tile by tile.  Where the two estimates agree
+    and no term of the spectrum has a narrow peak in the tile's cap
+    (_holds_narrow_peak), the fine one goes to that spectrum's cell; a tile
+    some spectrum rejects or holds is bisected in v and t into four tiles
+    of the next level, pending for those spectra.
     """
     owner = np.array(
         [i for i, strips in enumerate(cells) for _ in strips], dtype=np.intp
@@ -417,10 +460,12 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
                            for m, a, c, _constant in mixtures])
     term_owner = np.repeat(np.arange(len(spectra)), [len(mixture[1]) for mixture in mixtures])
     peaks = _hemisphere_peaks(means)
+    peak_points = _peak_points(means)
     n_coarse = _N_COARSE * _N_COARSE
     depth = 0
     while pending.any():
         coarse, fine = np.zeros((2, *pending.shape))
+        held = np.zeros_like(pending)
         for start in range(0, len(tiles), _CHUNK_TILES):
             chunk = slice(start, start + _CHUNK_TILES)
             need = pending[:, chunk]
@@ -428,9 +473,13 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
             # The terms of the spectra pending on any tile of the chunk.
             columns = need.any(axis=1)[term_owner].nonzero()[0]
             terms = rows[columns], term_owner[columns]
-            bound = _cap_bound(_cap(points), means[columns])
+            cap = _cap(points)
+            bound = _cap_bound(cap, means[columns])
             active = alphas[columns] * (bound - peaks[columns]) >= -_CULL_EXPONENT
             active &= need[terms[1]].T
+            narrow = _holds_narrow_peak(cap, peak_points[columns], alphas[columns])
+            tile_of, term = (narrow & need[terms[1]].T).nonzero()
+            held[terms[1][term], start + tile_of] = True
             for tile, spectra, values in _pair_values(
                 terms, constants, need, active, points
             ):
@@ -438,7 +487,7 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
                 coarse[spectra, start + tile] = values[:, :n_coarse].sum(axis=1)
                 fine[spectra, start + tile] = values[:, n_coarse:].sum(axis=1)
         done = np.abs(fine - coarse) <= _TILE_RTOL * np.abs(fine) + _TILE_ATOL
-        done &= pending
+        done &= pending & ~held
         for u, accepted in enumerate(done):
             totals[u] += np.bincount(
                 owner[accepted], weights=fine[u, accepted], minlength=len(cells)

@@ -48,9 +48,10 @@ def cell_integrals(spectra, cells) -> np.ndarray:
     spectrum whose _hemisphere_maximum is not 0.  A level gives each tile a
     coarse and a fine estimate per spectrum it is pending for, BATCH_TILES
     tiles at a time with nodes and caps shared by all spectra.  Where the
-    two agree, the fine estimate goes to that spectrum's cell; a tile some
-    spectrum rejects is bisected in v and t into four tiles of the next
-    level, pending for those spectra.
+    two agree and none of the spectrum's terms has a narrow peak in the
+    tile's cap, the fine estimate goes to that spectrum's cell; a tile some
+    spectrum rejects or holds is bisected in v and t into four tiles of the
+    next level, pending for those spectra.
     """
     owner = np.array(
         [i for i, strips in enumerate(cells) for _ in strips], dtype=np.intp
@@ -63,10 +64,12 @@ def cell_integrals(spectra, cells) -> np.ndarray:
     totals = np.zeros((len(spectra), len(cells)))
     mixtures = [spectrum.mixture_arrays for spectrum in spectra]
     peaks = [lat._hemisphere_peaks(mixture[0]) for mixture in mixtures]
+    peak_points = [lat._peak_points(mixture[0]) for mixture in mixtures]
     n_coarse = lat._N_COARSE * lat._N_COARSE
     depth = 0
     while pending.any():
         coarse, fine = np.zeros((2, *pending.shape))
+        held = np.zeros_like(pending)
         for start in range(0, len(tiles), BATCH_TILES):
             batch = slice(start, start + BATCH_TILES)
             points, weights = lat._tile_nodes(tiles[batch])
@@ -77,8 +80,10 @@ def cell_integrals(spectra, cells) -> np.ndarray:
                 weighted *= weights
                 coarse[u, batch] = weighted[:, :n_coarse].sum(axis=1)
                 fine[u, batch] = weighted[:, n_coarse:].sum(axis=1)
+                narrow = lat._holds_narrow_peak(cap, peak_points[u], mixtures[u][1])
+                held[u, batch] = narrow.any(axis=1) & need[u]
         done = np.abs(fine - coarse) <= lat._TILE_RTOL * np.abs(fine) + lat._TILE_ATOL
-        done &= pending
+        done &= pending & ~held
         for u, accepted in enumerate(done):
             totals[u] += np.bincount(
                 owner[accepted], weights=fine[u, accepted], minlength=len(cells)

@@ -5,7 +5,9 @@ all cells one bisection level at a time, with direction-cosine unit-vector
 nodes and VMF terms culled per tile by a spherical-cap bound.  The recursive
 per-tile rule below, with its angle round trip through ``spectrum_value``
 and no culling, is the oracle: every cell must agree within the adaptive
-rule's own tolerance.  ``build_lattices`` runs the same rule for several
+rule's own tolerance.  It shares one rule with the lattice: a tile whose
+cap holds a cluster's peak and is wide against the cluster
+(``_holds_narrow_peak``) is bisected whether or not its estimates agree.  ``build_lattices`` runs the same rule for several
 spectra in one pass; each of its lattices must equal the solo build.  A
 tile's node values come from one matrix product of the exponent rows
 (alpha * mean, ln(coef) - alpha) of the clusters of all spectra that
@@ -89,21 +91,23 @@ def oracle_tile_estimate(evaluate, u0, u1, v0, v1, t0, t1, n):
     return float(np.einsum("i,j,ij->", w, w, values * jac[:, None]))
 
 
-def oracle_integrate_tile(evaluate, u0, u1, v0, v1, t0, t1, depth):
-    """Recursive 4-way bisection until coarse and fine estimates agree."""
+def oracle_integrate_tile(evaluate, holds, u0, u1, v0, v1, t0, t1, depth):
+    """Recursive 4-way bisection until coarse and fine estimates agree and
+    ``holds`` lets the tile go."""
     coarse = oracle_tile_estimate(evaluate, u0, u1, v0, v1, t0, t1, lat._N_COARSE)
     fine = oracle_tile_estimate(evaluate, u0, u1, v0, v1, t0, t1, lat._N_FINE)
-    if abs(fine - coarse) <= lat._TILE_RTOL * abs(fine) + lat._TILE_ATOL:
+    agree = abs(fine - coarse) <= lat._TILE_RTOL * abs(fine) + lat._TILE_ATOL
+    if agree and not holds(u0, u1, v0, v1, t0, t1):
         return fine
     if depth >= lat._MAX_DEPTH:
         raise QuadratureNotConverged(f"not converged after depth {depth}")
     vm = 0.5 * (v0 + v1)
     tm = 0.5 * (t0 + t1)
     return (
-        oracle_integrate_tile(evaluate, u0, u1, v0, vm, t0, tm, depth + 1)
-        + oracle_integrate_tile(evaluate, u0, u1, v0, vm, tm, t1, depth + 1)
-        + oracle_integrate_tile(evaluate, u0, u1, vm, v1, t0, tm, depth + 1)
-        + oracle_integrate_tile(evaluate, u0, u1, vm, v1, tm, t1, depth + 1)
+        oracle_integrate_tile(evaluate, holds, u0, u1, v0, vm, t0, tm, depth + 1)
+        + oracle_integrate_tile(evaluate, holds, u0, u1, v0, vm, tm, t1, depth + 1)
+        + oracle_integrate_tile(evaluate, holds, u0, u1, vm, v1, t0, tm, depth + 1)
+        + oracle_integrate_tile(evaluate, holds, u0, u1, vm, v1, tm, t1, depth + 1)
     )
 
 
@@ -113,10 +117,17 @@ def oracle_cells(spectrum, aperture_x, aperture_y):
     def evaluate(theta, phi):
         return np.asarray(spectrum_value(spectrum, theta, phi), dtype=float)
 
+    means, alphas = spectrum.mixture_arrays[:2]
+    peak_points = lat._peak_points(means)
+
+    def holds(*tile):
+        points, _weights = lat._tile_nodes(np.array([tile]))
+        return lat._holds_narrow_peak(lat._cap(points), peak_points, alphas).any()
+
     out = []
     for index in enumerate_lattice(aperture_x, aperture_y):
         total = sum(
-            oracle_integrate_tile(evaluate, u0, u1, v0, v1, 0.0, 1.0, 0)
+            oracle_integrate_tile(evaluate, holds, u0, u1, v0, v1, 0.0, 1.0, 0)
             for u0, u1, v0, v1 in lat._cell_strips(index, aperture_x, aperture_y)
         )
         out.append(max(0.0, total))
@@ -162,6 +173,9 @@ apertures = st.floats(0.5, 4.0)
 )
 # Largest hemisphere value 7e-314: the rule keeps a total of 2.3e-319.
 @example(spectrum=single_vmf(1.0, 1.0, 1.75), aperture_x=2.0, aperture_y=None)
+# A 1-degree cluster 8.5 degrees behind the aperture: its horizon peak, of
+# 6.2e-212, falls between all nodes of tiles that are not held around it.
+@example(spectrum=single_vmf(1.0, 0.0, 1.71875), aperture_x=1.0, aperture_y=2.0)
 def test_cells_match_the_recursive_rule(spectrum, aperture_x, aperture_y):
     # aperture_y None draws a square aperture.
     aperture_y = aperture_x if aperture_y is None else aperture_y
@@ -432,6 +446,42 @@ def test_cap_bound_dominates_every_node_dot_product():
         assert np.all(bound >= largest)
         # No node beats a mean's largest dot product over the hemisphere.
         assert np.all(largest <= lat._hemisphere_peaks(all_means) + 1e-15)
+
+
+def test_peak_points_are_where_each_term_is_largest_on_the_hemisphere():
+    rng = np.random.default_rng(7)
+    means = rng.normal(size=(64, 3))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    points = lat._peak_points(means)
+    assert np.all(points[:, 2] >= 0.0)
+    np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(
+        (points * means).sum(axis=1), lat._hemisphere_peaks(means), rtol=0.0, atol=1e-15
+    )
+    # Straight down, the whole horizon is the peak: no point, and no hold.
+    assert np.isnan(lat._peak_points(np.array([[0.0, 0.0, -1.0]]))).all()
+
+
+def test_a_tile_is_held_only_while_wide_around_a_peak_in_its_cap():
+    # Both sides of the cap, taken at twice its radius, and of the width.
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        points, _weights = lat._tile_nodes(random_batch(rng))
+        centre, radius = lat._cap(points)
+        for tile in range(points.shape[1]):
+            cap, r = (centre[:, tile:tile + 1], radius[tile:tile + 1]), radius[tile]
+            if 2.01 * r >= math.pi:
+                continue
+            side = np.cross(centre[:, tile], rng.normal(size=3))
+            side /= np.linalg.norm(side)
+            angles = np.array([[1.99 * r], [2.01 * r]])
+            peaks = np.vstack([
+                points[:3, tile, rng.integers(points.shape[2])],
+                np.cos(angles) * centre[:, tile] + np.sin(angles) * side,
+            ])
+            for widths, held in ((2.0, [True, True, False]), (0.5, [False] * 3)):
+                alphas = np.full(3, (widths * lat._PEAK_WIDTHS / r) ** 2)
+                assert lat._holds_narrow_peak(cap, peaks, alphas)[0].tolist() == held
 
 
 def random_batch(rng):
