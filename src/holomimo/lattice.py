@@ -8,7 +8,11 @@ direction-cosine point and extending away from broadside (the zero index owns
 the symmetric strip [-1/L, 1/L]).  These cells tile the unit disk exactly
 once and every point of the disk belongs to a cell whose harmonic lies inside
 the ellipse, so the cell integrals of any spectrum conserve its full
-upper-hemisphere measure (2*pi for the isotropic spectrum).
+upper-hemisphere measure (2*pi for the isotropic spectrum).  What depends
+on the aperture alone (the harmonics, their cells' strips inside the disk,
+which cells meet it, and the harmonics' angles) is computed once per
+aperture by ``harmonic_geometry`` and shared read-only by every lattice,
+plan and spacing.
 
 The per-cell integral of A^2(theta, phi) * sin(theta) dtheta dphi is computed
 in direction cosines, where the Jacobian contributes 1/sqrt(1 - u^2 - v^2).
@@ -23,7 +27,9 @@ pending tiles of all cells take one bisection step together, a chunk of
 tiles at a time, and each spectrum's accepted tiles' estimates are summed
 per cell with np.bincount.  A chunk's nodes, weights, caps and the cull of
 the stacked VMF terms of its spectra depend only on its tiles, so they are
-computed once.  A term coef * exp(alpha * (mean . p - 1)) is stacked once
+computed once, into one workspace that the pass makes for _CHUNK_TILES
+tiles when it starts and frees when it ends (a fresh ~1 MB per chunk
+cost page faults).  A term coef * exp(alpha * (mean . p - 1)) is stacked once
 per pass as the exponent row (alpha * mean, ln(coef) - alpha) and a node p
 as (p, 1), so a value is one 4-column product and one exp; the exponent
 then carries a few ulps of alpha of rounding, the same order as the ulp of
@@ -44,7 +50,9 @@ the tile's nodes shows: if the angle from the cap's centre to the term's
 mean exceeds the cap's radius by d, no node's dot product with the mean
 exceeds cos(d).  The largest value is the term's peak when its mean is on
 or above the horizon, and its value at the horizon otherwise, so a cluster
-behind the aperture keeps the tail that reaches the hemisphere.
+behind the aperture keeps the tail that reaches the hemisphere.  Rather
+than a cosine per (tile, term) pair, d is compared with the term's reach
+arccos(peak - 40/alpha), one per term and pass.
 
 A cluster much narrower than a tile can fall between all nodes of both
 rules, which then agree on ~0 and accept the tile.  So a tile is not
@@ -90,6 +98,8 @@ __all__ = [
     "build_lattice",
     "build_lattices",
     "disk_cells",
+    "HarmonicGeometry",
+    "harmonic_geometry",
     "build_variance_table",
     "indicator_lattice",
     "harmonic_vector",
@@ -117,8 +127,9 @@ _PEAK_WIDTHS = 24.0
 # depends on it.
 _CHUNK_TILES = 32
 # Rows of one node-value matrix product; no value depends on it.  Its
-# workspace then has the size of a chunk's nodes, whose freed memory it
-# reuses (README, "Performance notes", gives peak RSS at other sizes).
+# blocks then fill the pass's scratch (_Workspace), which holds a chunk's
+# offsets from the cap centres (README, "Performance notes", gives peak RSS
+# at other sizes).
 _BLOCK_ROWS = 3 * _CHUNK_TILES
 
 
@@ -142,15 +153,7 @@ def _require_in_ellipse(index, aperture_x, aperture_y):
 
 def enumerate_lattice(aperture_x: float, aperture_y: float) -> list[HarmonicIndex]:
     """All harmonics inside the lattice ellipse, sorted lexicographically."""
-    if aperture_x <= 0 or aperture_y <= 0:
-        raise NonPositiveInput("apertures must be strictly positive")
-    kx = int(math.floor(aperture_x + _ELLIPSE_TOL))
-    out = []
-    for ix in range(-kx, kx + 1):
-        for iy in range(-int(math.floor(aperture_y)) - 1, int(math.floor(aperture_y)) + 2):
-            if _in_ellipse(ix, iy, aperture_x, aperture_y):
-                out.append(HarmonicIndex(ix, iy))
-    return sorted(out)
+    return list(harmonic_geometry(aperture_x, aperture_y).indices)
 
 
 def harmonic_angles(
@@ -242,14 +245,88 @@ def _cell_strips(index, aperture_x, aperture_y) -> list[tuple]:
 def disk_cells(aperture_x: float, aperture_y: float) -> np.ndarray:
     """1.0 for each harmonic of enumerate_lattice whose cell meets the unit
     disk, else 0.0."""
-    return np.array([bool(_cell_strips(index, aperture_x, aperture_y))
-                     for index in enumerate_lattice(aperture_x, aperture_y)],
-                    dtype=float)
+    return harmonic_geometry(aperture_x, aperture_y).disk.copy()
 
 
-def _tile_nodes(tiles: np.ndarray):
+@dataclass(frozen=True, eq=False)
+class HarmonicGeometry:
+    """The harmonics of one aperture and what depends on them alone: a
+    read-only record that ``harmonic_geometry`` makes once per aperture and
+    every spectrum, array and spacing then shares.
+
+    ``indices`` are enumerate_lattice's; ``strips`` each cell's
+    _cell_strips; ``disk`` is disk_cells and ``support`` the indices of its
+    nonzero entries; ``ix`` and ``iy`` are the indices as floats, and
+    ``elevation`` and ``azimuth`` the harmonic_angles, one entry per
+    harmonic."""
+
+    indices: tuple[HarmonicIndex, ...]
+    strips: tuple[tuple[tuple[float, float, float, float], ...], ...]
+    disk: np.ndarray
+    support: np.ndarray
+    ix: np.ndarray
+    iy: np.ndarray
+    elevation: np.ndarray
+    azimuth: np.ndarray
+
+
+def _read_only(values, dtype=float) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=16)
+def harmonic_geometry(aperture_x: float, aperture_y: float) -> HarmonicGeometry:
+    """The HarmonicGeometry of an aperture, made on first use."""
+    if aperture_x <= 0 or aperture_y <= 0:
+        raise NonPositiveInput("apertures must be strictly positive")
+    kx = int(math.floor(aperture_x + _ELLIPSE_TOL))
+    ky = int(math.floor(aperture_y))
+    indices = tuple(sorted(
+        HarmonicIndex(ix, iy)
+        for ix in range(-kx, kx + 1)
+        for iy in range(-ky - 1, ky + 2)
+        if _in_ellipse(ix, iy, aperture_x, aperture_y)
+    ))
+    strips = tuple(tuple(_cell_strips(index, aperture_x, aperture_y)) for index in indices)
+    disk = _read_only([bool(cell) for cell in strips])
+    angles = [harmonic_angles(index, aperture_x, aperture_y) for index in indices]
+    return HarmonicGeometry(
+        indices=indices,
+        strips=strips,
+        disk=disk,
+        support=_read_only(np.flatnonzero(disk), np.intp),
+        ix=_read_only([index.ix for index in indices]),
+        iy=_read_only([index.iy for index in indices]),
+        elevation=_read_only([angle[0] for angle in angles]),
+        azimuth=_read_only([angle[1] for angle in angles]),
+    )
+
+
+class _Workspace(NamedTuple):
+    """Buffers of one quadrature pass for chunks of up to ``tiles`` tiles,
+    made when the pass starts and freed when it ends: the nodes (4, tiles,
+    m), whose homogeneous coordinate stays 1, the weights (tiles, m) and a
+    scratch of 3 * tiles rows of m values.  _tile_nodes keeps its angles in
+    the scratch, _cap then its offsets, and _pair_values then its product
+    blocks of _BLOCK_ROWS rows."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    scratch: np.ndarray
+
+
+def _workspace(tiles: int) -> _Workspace:
+    size = _N_COARSE * _N_COARSE + _N_FINE * _N_FINE
+    points = np.empty((4, tiles, size))
+    points[3] = 1.0
+    return _Workspace(points, np.empty((tiles, size)), np.empty((3 * tiles, size)))
+
+
+def _tile_nodes(tiles: np.ndarray, workspace: _Workspace | None = None):
     """Nodes and weights of the coarse and the fine tensor Gauss-Legendre
-    rule on each tile.
+    rule on each tile, written into ``workspace`` (a new one by default).
 
     A tile row is (u0, u1, v0, v1, t0, t1).  For each v node the u-interval
     is [u0, u1] clipped to the chord of the unit disk and mapped to
@@ -261,19 +338,18 @@ def _tile_nodes(tiles: np.ndarray):
 
     Returns the nodes as homogeneous direction-cosine unit vectors
     (u, v, sqrt(1 - u^2 - v^2), 1), shape (4, T, m), and the weights with
-    the Jacobian, shape (T, m): the first _N_COARSE^2 of the m nodes of a
-    tile belong to the coarse rule, the rest to the fine rule.  Rows of v
-    outside the disk get zero weight.
+    the Jacobian, shape (T, m), as views of the workspace: the first
+    _N_COARSE^2 of the m nodes of a tile belong to the coarse rule, the rest
+    to the fine rule.  Rows of v outside the disk get zero weight.
     """
-    orders = (_N_COARSE, _N_FINE)
-    size = sum(n * n for n in orders)
-    points = np.empty((4, len(tiles), size))
-    points[3] = 1.0
-    weights = np.empty((len(tiles), size))
+    count = len(tiles)
+    if workspace is None:
+        workspace = _workspace(count)
+    points, weights = workspace.points[:, :count], workspace.weights[:count]
     u0, u1, v0, v1, t0, t1 = (tiles[:, k, None] for k in range(6))
     dv = v1 - v0
     stop = 0
-    for n in orders:
+    for n in (_N_COARSE, _N_FINE):
         x, w = _leggauss(n)
         s = 0.5 + 0.5 * x
         v = v0 + dv * (3.0 - 2.0 * s) * s * s
@@ -287,41 +363,69 @@ def _tile_nodes(tiles: np.ndarray):
             om0 = np.arcsin(np.clip(np.where(valid, lo / rho, 0.0), -1.0, 1.0))
             om1 = np.arcsin(np.clip(np.where(valid, hi / rho, 0.0), -1.0, 1.0))
         t = 0.5 * (t1 + t0) + 0.5 * (t1 - t0) * x
-        omega = om0[:, :, None] + (om1 - om0)[:, :, None] * t[:, None, :]
         jac = 0.5 * vjac * (om1 - om0) * 0.5 * (t1 - t0)
-        nodes = slice(stop, stop + n * n)
+        # (count, n, n) views: of the scratch, and of this rule's nodes.
+        omega, trig = workspace.scratch.reshape(-1)[:2 * count * n * n].reshape(
+            2, count, n, n)
+        nodes = [array[:, stop:stop + n * n].reshape(count, n, n)
+                 for array in (*points[:3], weights)]
         stop += n * n
+        np.multiply((om1 - om0)[:, :, None], t[:, None, :], out=omega)
+        omega += om0[:, :, None]
         rho = rho[:, :, None]
-        points[0, :, nodes] = (rho * np.sin(omega)).reshape(len(tiles), -1)
-        points[1, :, nodes] = np.repeat(v, n, axis=1)
+        np.multiply(rho, np.sin(omega, out=trig), out=nodes[0])
+        nodes[1][...] = v[:, :, None]
         # sqrt(1 - u^2 - v^2), stable
-        points[2, :, nodes] = (rho * np.cos(omega)).reshape(len(tiles), -1)
-        weights[:, nodes] = ((w * jac)[:, :, None] * w).reshape(len(tiles), -1)
+        np.multiply(rho, np.cos(omega, out=trig), out=nodes[2])
+        np.multiply((w * jac)[:, :, None], w, out=nodes[3])
     return points, weights
 
 
-def _cap(points: np.ndarray):
+def _cap(points: np.ndarray, workspace: _Workspace | None = None):
     """Spherical cap around each tile's nodes (4, T, m): centre (3, T), the
     normalized mean of the unit vectors, and radius (T,), the largest angle
-    to one.  Angles come from chords, which stay accurate for small tiles."""
+    to one.  Angles come from chords, which stay accurate for small tiles.
+    The offsets go into the workspace's scratch when one is given."""
     centre = points[:3].sum(axis=2)
     centre /= np.sqrt((centre * centre).sum(axis=0))
-    offset = points[:3] - centre[:, :, None]
+    offset = None
+    if workspace is not None:
+        offset = workspace.scratch[:3 * points.shape[1]].reshape(3, *points.shape[1:])
+    offset = np.subtract(points[:3], centre[:, :, None], out=offset)
     offset *= offset
     chord = np.sqrt(offset.sum(axis=0).max(axis=1))
     return centre, 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
 
 
-def _cap_bound(cap, means: np.ndarray) -> np.ndarray:
-    """Upper bound on the dot product of any node of a tile with each mean:
-    a node in the tile's _cap is at least (angle from the cap's centre to
-    the mean) - radius away from a mean.  Shape (T, K)."""
+def _cap_gap(cap, means: np.ndarray) -> np.ndarray:
+    """Least angle between any node of a tile and each mean: the angle from
+    the tile's _cap centre to the mean less the cap's radius, or 0 where
+    the cap holds the mean.  Shape (T, K)."""
     centre, radius = cap
     # Squared in place: a second (T, K, 3) temporary raised peak RSS.
     to_mean = centre.T[:, None, :] - means
-    to_mean = np.sqrt(np.square(to_mean, out=to_mean).sum(axis=2))
-    distance = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * to_mean))
-    return np.cos(np.maximum(0.0, distance - radius[:, None]))
+    gap = np.sqrt(np.square(to_mean, out=to_mean).sum(axis=2))
+    np.minimum(1.0, np.multiply(0.5, gap, out=gap), out=gap)
+    gap = np.multiply(2.0, np.arcsin(gap, out=gap), out=gap)
+    gap -= radius[:, None]
+    return np.maximum(0.0, gap, out=gap)
+
+
+def _cap_bound(cap, means: np.ndarray) -> np.ndarray:
+    """Upper bound on the dot product of any node of a tile with each mean:
+    the cosine of _cap_gap.  Shape (T, K).  The tests' slow form of the
+    cull, which _cull_reach compares against the gap without a cosine."""
+    return np.cos(_cap_gap(cap, means))
+
+
+def _cull_reach(peaks: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The largest _cap_gap at which a VMF term is kept on a tile, one per
+    term: a node within it of the mean can reach exp(-_CULL_EXPONENT) of
+    the term's largest value on the upper hemisphere, at whose
+    _hemisphere_peaks ``peaks``.  alpha * (cos(gap) - peak) >= -40 holds
+    while gap <= arccos(peak - 40 / alpha), which is pi where that is
+    below -1."""
+    return np.arccos(np.clip(peaks - _CULL_EXPONENT / alphas, -1.0, 1.0))
 
 
 def _hemisphere_peaks(means: np.ndarray) -> np.ndarray:
@@ -376,10 +480,13 @@ def _hemisphere_maximum(spectrum: AngularPowerSpectrum) -> float:
     return largest if largest >= sys.float_info.min else 0.0
 
 
-def _pair_values(terms, constants, need, active, points: np.ndarray):
+def _pair_values(terms, constants, need, active, points: np.ndarray,
+                 work: np.ndarray | None = None):
     """Spectrum at the nodes (4, T, m) of each (spectrum, tile) pair of a
     chunk that ``need`` (S, T) flags, a block of one tile's pairs at a
     time: yields (tile, spectra, values), ``values`` being (len(spectra), m).
+    The products go into ``work`` (rows, m), or a new array where a block
+    needs more rows.
 
     ``terms`` are stacked VMF terms (exponent rows, owning spectrum) and
     ``active`` (T, K) flags the ones evaluated on each tile.  A pair with
@@ -399,7 +506,8 @@ def _pair_values(terms, constants, need, active, points: np.ndarray):
                             pair_tile * len(need) + pair_spectrum).tolist()
     first.append(len(term))
     tile_pairs = np.searchsorted(pair_tile, np.arange(points.shape[1] + 1)).tolist()
-    work = np.empty((_BLOCK_ROWS, points.shape[2]))
+    if work is None:
+        work = np.empty((_BLOCK_ROWS, points.shape[2]))
     for tile, nodes in enumerate(points.transpose(1, 0, 2)):
         lo, end = tile_pairs[tile:tile + 2]
         while lo < end:
@@ -459,8 +567,9 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
     rows = np.concatenate([np.column_stack((a[:, None] * m, np.log(c) - a))
                            for m, a, c, _constant in mixtures])
     term_owner = np.repeat(np.arange(len(spectra)), [len(mixture[1]) for mixture in mixtures])
-    peaks = _hemisphere_peaks(means)
+    reach = _cull_reach(_hemisphere_peaks(means), alphas)
     peak_points = _peak_points(means)
+    workspace = _workspace(_CHUNK_TILES)
     n_coarse = _N_COARSE * _N_COARSE
     depth = 0
     while pending.any():
@@ -469,19 +578,18 @@ def _cell_integrals(spectra, cells) -> np.ndarray:
         for start in range(0, len(tiles), _CHUNK_TILES):
             chunk = slice(start, start + _CHUNK_TILES)
             need = pending[:, chunk]
-            points, weights = _tile_nodes(tiles[chunk])
+            points, weights = _tile_nodes(tiles[chunk], workspace)
             # The terms of the spectra pending on any tile of the chunk.
             columns = need.any(axis=1)[term_owner].nonzero()[0]
             terms = rows[columns], term_owner[columns]
-            cap = _cap(points)
-            bound = _cap_bound(cap, means[columns])
-            active = alphas[columns] * (bound - peaks[columns]) >= -_CULL_EXPONENT
+            cap = _cap(points, workspace)
+            active = _cap_gap(cap, means[columns]) <= reach[columns]
             active &= need[terms[1]].T
             narrow = _holds_narrow_peak(cap, peak_points[columns], alphas[columns])
             tile_of, term = (narrow & need[terms[1]].T).nonzero()
             held[terms[1][term], start + tile_of] = True
             for tile, spectra, values in _pair_values(
-                terms, constants, need, active, points
+                terms, constants, need, active, points, workspace.scratch
             ):
                 values *= weights[tile]
                 coarse[spectra, start + tile] = values[:, :n_coarse].sum(axis=1)
@@ -544,10 +652,10 @@ def build_lattices(
     computes each tile's nodes once for all spectra that need it."""
     if not spectra:
         return []
-    indices = tuple(enumerate_lattice(aperture_x, aperture_y))
-    strips = [_cell_strips(index, aperture_x, aperture_y) for index in indices]
-    integrals = _cell_integrals(spectra, strips)
-    return [SpectralLattice(aperture_x, aperture_y, indices, row) for row in integrals]
+    geometry = harmonic_geometry(aperture_x, aperture_y)
+    integrals = _cell_integrals(spectra, geometry.strips)
+    return [SpectralLattice(aperture_x, aperture_y, geometry.indices, row)
+            for row in integrals]
 
 
 def indicator_lattice(
@@ -561,8 +669,8 @@ def indicator_lattice(
     reaches the table only through whether it is positive, which
     _hemisphere_maximum decides without one: DegenerateSpectrum where it is
     0."""
-    indices = tuple(enumerate_lattice(aperture_x, aperture_y))
-    cells = disk_cells(aperture_x, aperture_y)
+    geometry = harmonic_geometry(aperture_x, aperture_y)
+    cells = geometry.disk.copy()
     if cells.sum() != 1.0:
         raise ValueError(
             f"aperture ({aperture_x}, {aperture_y}) has {cells.sum():g} cells "
@@ -570,7 +678,7 @@ def indicator_lattice(
         )
     if _hemisphere_maximum(spectrum) == 0.0:
         raise DegenerateSpectrum("spectrum vanishes on the visible hemisphere")
-    return SpectralLattice(aperture_x, aperture_y, indices, cells)
+    return SpectralLattice(aperture_x, aperture_y, geometry.indices, cells)
 
 
 def build_variance_table(

@@ -7,18 +7,20 @@ user is the unrotated reference user).  A block's users are dropped first,
 the lattices of all their rotated spectra are built in one quadrature pass
 per aperture, and each distinct lattice pair gets its variances
 (``build_variance_table``).  None of these, nor a user's Fourier
-coefficients, depend on the spacing: each is made once and every spacing
-maps the block's stack of draws through its plan (``Scenario.plans``; a
-plan's bases and R factors do not depend on the users either).  Only the
-capacity differs: a single user's stack is water-filled row by row from one
-stacked SVD (``su_capacities``), and each multi-user realization runs the
-sum-capacity solver.  A link end with one cell in the unit disk
-(``inert_ends``, the presets' 1-wavelength receive aperture) builds no
-lattice: the variance table normalizes any spectrum there to the indicator
-of that cell, so every user shares its ``indicator_lattice``; ``holo
-lattice`` still integrates it.
+coefficients, depend on the spacing: each is made once, the block's
+coefficients in one ``draw_block`` call, and every spacing maps the
+block's stack of draws through its plan (``Scenario.plans``; a plan's bases
+and R factors do not depend on the users either).  Only the capacity
+differs: a single user's channels of every spacing of one shape are
+water-filled row by row from one stacked SVD (one ``su_capacities`` call
+per block), and each multi-user realization runs the sum-capacity solver.
+A link end with one cell in the unit disk (``inert_ends``, the presets'
+1-wavelength receive aperture) builds no lattice: the variance table
+normalizes any spectrum there to the indicator of that cell, so every user
+shares its ``indicator_lattice``; ``holo lattice`` still integrates it.
 
-Processes run OpenBLAS on one thread (``one_blas_thread``).
+Processes run OpenBLAS on one thread (``one_blas_thread``); the process
+pool of ``--jobs`` is imported only when a sweep starts one.
 Realizations use counter-based random streams keyed by (seed, realization
 index), each lattice is bitwise the one its spectrum gets alone, and each
 row of a stack is computed on its own, so results are bitwise identical
@@ -39,7 +41,6 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -61,7 +62,7 @@ from .lattice import (
     build_lattice,
     build_lattices,
     build_variance_table,
-    disk_cells,
+    harmonic_geometry,
     indicator_lattice,
 )
 from .spectrum import (
@@ -70,7 +71,7 @@ from .spectrum import (
     rotate_spectrum,
     spectra_from_cdl,
 )
-from .synthesis import MASK64, build_plan, draw_coefficients, harmonic_channels
+from .synthesis import MASK64, build_plan, draw_block, harmonic_channels
 
 __all__ = ["SweepRow", "SweepResult", "Scenario", "resolve_scenario",
            "run_sweep", "render", "emit"]
@@ -195,7 +196,7 @@ class Scenario:
         return frozenset(
             end for end, a in (("bs", self.config.bs_aperture),
                                ("ue", self.config.ue_aperture))
-            if disk_cells(a, a).sum() == 1.0
+            if len(harmonic_geometry(a, a).support) == 1
         )
 
     def realization_lattices(self, drops):
@@ -262,6 +263,14 @@ def one_blas_thread() -> None:
     setter(1)
 
 
+def _process_pool():
+    """The pool class of ``--jobs``, imported only when a sweep uses one:
+    ``concurrent.futures.process`` loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor
+
+
 def _chunks(count: int, parts: int):
     """Split range(count) into at most ``parts`` contiguous chunks."""
     parts = max(1, min(parts, count))
@@ -301,24 +310,34 @@ def _evaluate_chunk(args):
         lattices = scenario.realization_lattices(drops)
         plans = scenario.plans  # a bad pattern file fails before the variances
         tables = {pair: build_variance_table(*pair) for pair in dict.fromkeys(lattices)}
-        coefficients = np.stack([
-            draw_coefficients(tables[pair], config.seed, key)
-            for pair, key in zip(lattices, keys)
-        ])
+        coefficients = draw_block([tables[pair] for pair in lattices], config.seed, keys)
         coefficients = coefficients.reshape(len(block), users, *coefficients.shape[1:])
         amplitudes = np.array([10.0 ** (d.snr_db / 20.0) for d in drops]).reshape(
             len(block), users, 1, 1)
-        values = []
-        for plan in plans:
-            channels = harmonic_channels(plan, coefficients) * amplitudes
-            if users == 1:
-                bits = su_capacities(channels[:, 0], config.snr_db)[2].tolist()
-                values.append([(v, True) for v in bits])
-            else:
-                reports = [mu_sum_capacity(c, budget) for c in channels]
-                values.append([(rep.value_bits, rep.converged) for rep in reports])
+        channels = [harmonic_channels(plan, coefficients) * amplitudes for plan in plans]
+        if users == 1:
+            values = [[(v, True) for v in bits] for bits in
+                      _stacked_capacities([c[:, 0] for c in channels], config.snr_db)]
+        else:
+            reports = [[mu_sum_capacity(c, budget) for c in stack] for stack in channels]
+            values = [[(rep.value_bits, rep.converged) for rep in row] for row in reports]
         out.extend(list(pairs) for pairs in zip(*values))
     return out
+
+
+def _stacked_capacities(stacks, snr_db):
+    """``su_capacities`` bits of each stack of channels, as lists: the
+    stacks of one matrix shape (every spacing's, at the presets) go through
+    one call, which computes each matrix on its own."""
+    bits = [None] * len(stacks)
+    shapes = {}
+    for s, stack in enumerate(stacks):
+        shapes.setdefault(stack.shape, []).append(s)
+    for members in shapes.values():
+        values = su_capacities(np.concatenate([stacks[s] for s in members]), snr_db)[2]
+        for s, row in zip(members, values.reshape(len(members), -1)):
+            bits[s] = row.tolist()
+    return bits
 
 
 def _mean_std(values: np.ndarray):
@@ -341,8 +360,8 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
     if jobs <= 1 or len(tasks) <= 1:
         chunks = [_evaluate_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=len(tasks),
-                                 initializer=one_blas_thread) as pool:
+        with _process_pool()(max_workers=len(tasks),
+                             initializer=one_blas_thread) as pool:
             chunks = list(pool.map(_evaluate_chunk, tasks))
     per_realization = [pairs for chunk in chunks for pairs in chunk]
 

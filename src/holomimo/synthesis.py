@@ -2,11 +2,13 @@
 
 A synthesis plan freezes everything deterministic about an array pair: the
 two pattern-modified harmonic bases and the per-element efficiency
-amplitudes.  It takes the harmonic indices of each aperture from
-``enumerate_lattice`` and no spectrum, so one plan serves every user of a
-spacing.  The separable variances sigma^2(l, m) belong to the propagation
-one user sees; ``lattice.build_variance_table`` makes them from the user's
-two lattices, and the samplers take them next to the plan.
+amplitudes.  It takes the harmonics of each aperture, their angles and
+the ones in the disk from the aperture's cached ``harmonic_geometry`` and
+no spectrum, so one plan serves every user of a spacing; each basis is one
+phase product over that geometry, bit for bit the columns of
+``harmonic_vector``.  The separable variances sigma^2(l, m) belong to the
+propagation one user sees; ``lattice.build_variance_table`` makes them
+from the user's two lattices, and the samplers take them next to the plan.
 
 Realizations are pure functions of (plan, variances, seed,
 realization_index): every Fourier coefficient is drawn from a
@@ -14,7 +16,9 @@ counter-based random stream keyed by seed and realization index, so draws
 are bitwise reproducible regardless of evaluation order or parallelism.
 The coefficients (``draw_coefficients``) do not depend on the plan, so one
 draw serves every spacing, and ``harmonic_channels`` maps a whole stack of
-draws through a plan at once.
+draws through a plan at once.  ``draw_block`` makes such a stack: one
+Philox generator, re-keyed per draw, writes every draw of it into one
+buffer, bit for bit the draws of ``draw_coefficients``.
 
 ``sample_channel`` returns the element-domain channel
 H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H.  Only the harmonics whose
@@ -35,17 +39,17 @@ transmit coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
-from .lattice import disk_cells, enumerate_lattice, harmonic_angles, harmonic_vector
+from .lattice import harmonic_geometry
 
-__all__ = ["SynthesisPlan", "build_plan", "draw_coefficients", "sample_channel",
-           "harmonic_channels", "MASK64"]
+__all__ = ["SynthesisPlan", "build_plan", "draw_coefficients", "draw_block",
+           "sample_channel", "harmonic_channels", "MASK64"]
 
 # Seeds and counters enter every random stream as unsigned 64-bit words.
 MASK64 = (1 << 64) - 1
@@ -77,32 +81,33 @@ class SynthesisPlan:
 def _modified_basis(
     geometry: ArrayGeometry, coupling: CouplingProfile, sign: int
 ) -> np.ndarray:
-    """Stack the aperture's harmonic vectors, each weighted by the
-    per-element pattern gain evaluated at that harmonic's propagation
-    angles."""
-    indices = enumerate_lattice(geometry.aperture_x, geometry.aperture_y)
-    vectors = np.column_stack(
-        [harmonic_vector(index, geometry, sign) for index in indices]
-    )
-    theta, phi = np.array(
-        [harmonic_angles(index, geometry.aperture_x, geometry.aperture_y)
-         for index in indices]
-    ).T
+    """The aperture's harmonic vectors as columns, each weighted by the
+    per-element pattern gain at that harmonic's propagation angles.
+
+    Column j is ``harmonic_vector(index_j, geometry, sign)`` bit for bit:
+    the phases of all harmonics are one outer product of the element
+    coordinates with the aperture's cached indices (``harmonic_geometry``),
+    taking the same operations in the same order, and the exp and the
+    weighting run in place on one array."""
+    harmonics = harmonic_geometry(geometry.aperture_x, geometry.aperture_y)
+    phase = np.multiply(harmonics.ix, geometry.elements[:, 0, None])
+    phase /= geometry.aperture_x
+    term = np.multiply(harmonics.iy, geometry.elements[:, 1, None])
+    term /= geometry.aperture_y
+    phase += term
+    del term  # each real temporary is freed before the next array: peak RSS
+    phase *= 2.0 * math.pi * sign
+    basis = np.multiply(1j, phase)
+    del phase
+    np.exp(basis, out=basis)
+    basis /= math.sqrt(geometry.count)
     patterns = coupling.patterns
+    theta, phi = harmonics.elevation, harmonics.azimuth
     if all(p is patterns[0] for p in patterns):
-        gains = patterns[0].gain(theta, phi)  # one row, broadcast to every element
+        basis *= patterns[0].gain(theta, phi)  # one row, broadcast to every element
     else:
-        gains = np.array([p.gain(theta, phi) for p in patterns])
-    return vectors * gains
-
-
-@lru_cache(maxsize=16)
-def _disk_support(aperture_x: float, aperture_y: float) -> np.ndarray:
-    """Indices of the aperture's harmonics whose cells meet the unit disk: a
-    read-only array that the plans of every spacing share."""
-    support = np.flatnonzero(disk_cells(aperture_x, aperture_y))
-    support.flags.writeable = False
-    return support
+        basis *= np.array([p.gain(theta, phi) for p in patterns])
+    return basis
 
 
 def build_plan(
@@ -117,8 +122,8 @@ def build_plan(
     ue_basis = _modified_basis(ue_geometry, ue_coupling, sign=+1)
     bs_amplitudes = bs_coupling.amplitudes
     ue_amplitudes = ue_coupling.amplitudes
-    bs_support = _disk_support(bs_geometry.aperture_x, bs_geometry.aperture_y)
-    ue_support = _disk_support(ue_geometry.aperture_x, ue_geometry.aperture_y)
+    bs_support = harmonic_geometry(bs_geometry.aperture_x, bs_geometry.aperture_y).support
+    ue_support = harmonic_geometry(ue_geometry.aperture_x, ue_geometry.aperture_y).support
     return SynthesisPlan(
         bs_basis=bs_basis,
         ue_basis=ue_basis,
@@ -145,6 +150,37 @@ def draw_coefficients(variances: np.ndarray, seed: int, realization_index: int):
     rng = np.random.Generator(np.random.Philox(key=key))
     z = rng.standard_normal(size=(*variances.shape, 2))
     return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(variances / 2.0)
+
+
+def draw_block(tables, seed: int, keys) -> np.ndarray:
+    """``draw_coefficients(table, seed, key)`` of each (table, key) pair, bit
+    for bit, stacked into one (len(keys), n_R, n_S) array.
+
+    One Philox stream is re-keyed through its ``state`` for each key, at
+    counter 0 with an empty buffer as a fresh ``Philox(key=...)`` starts,
+    and writes its normals into one buffer; a new generator per key would
+    seed a throwaway SeedSequence from OS entropy.  Each distinct table (by
+    identity) computes its sqrt(variances / 2) once and scales all its
+    draws.  The tables share one shape.
+    """
+    normals = np.empty((len(keys), *tables[0].shape, 2))
+    bits = np.random.Philox(key=0)
+    generator = np.random.Generator(bits)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": None},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(normals, keys):
+        state["state"]["key"] = np.array([seed & MASK64, key & MASK64], dtype=np.uint64)
+        bits.state = state
+        generator.standard_normal(out=row)
+    coefficients = normals[..., 0] + 1j * normals[..., 1]
+    rows = {}
+    for row, table in enumerate(tables):
+        rows.setdefault(id(table), (table, []))[1].append(row)
+    for table, members in rows.values():
+        coefficients[members] *= np.sqrt(table / 2.0)
+    return coefficients
 
 
 def sample_channel(

@@ -57,6 +57,7 @@ import cell_integrals_oracle
 from marginal_integral_oracle import marginal_integral
 from node_values_oracle import node_values
 from spectrum_oracle import spectrum_value
+from tile_nodes_oracle import tile_nodes
 
 ISO = AngularPowerSpectrum.isotropic()
 CDL_BS, CDL_UE = spectra_from_cdl(
@@ -247,9 +248,9 @@ def test_copies_of_a_spectrum_share_every_tile(monkeypatch):
     rows = []
     original = lat._tile_nodes
 
-    def recording(tiles):
+    def recording(tiles, *workspace):
         rows.append(tiles.copy())
-        return original(tiles)
+        return original(tiles, *workspace)
 
     monkeypatch.setattr(lat, "_tile_nodes", recording)
     (one,) = build_lattices(2.0, 2.0, [spectrum])
@@ -265,14 +266,15 @@ def test_tiles_a_spectrum_accepted_get_no_vmf_term(monkeypatch):
     original = lat._pair_values
     skipped, evaluated, unevaluated = [], [], []
 
-    def checking(terms, constants, need, active, points):
+    def checking(terms, constants, need, active, points, *work):
         owner = terms[1]
         # A term is active only on the tiles its spectrum still needs.
         assert not (active & ~need[owner].T).any()
         # Each chunk's tiles a pending spectrum has accepted are skipped.
         skipped.append((need.any(axis=1)[:, None] & ~need).sum())
         seen = np.zeros_like(need)
-        for tile, spectra, values in original(terms, constants, need, active, points):
+        for tile, spectra, values in original(terms, constants, need, active, points,
+                                              *work):
             seen[spectra, tile] = True
             for spectrum, value in zip(spectra, values):
                 # A pair without an active term keeps the constant term alone.
@@ -376,13 +378,13 @@ def test_partial_chunks_are_bitwise_the_oracle(monkeypatch):
     original_nodes, original_values = lat._tile_nodes, lat._pair_values
     chunk, partial = [], []
 
-    def recording(tiles):
+    def recording(tiles, *workspace):
         chunk.append(len(tiles))
-        return original_nodes(tiles)
+        return original_nodes(tiles, *workspace)
 
-    def checking(terms, constants, need, active, points):
+    def checking(terms, constants, need, active, points, *work):
         partial.append((need.any(axis=1) & ~need.all(axis=1)).any())
-        return original_values(terms, constants, need, active, points)
+        return original_values(terms, constants, need, active, points, *work)
 
     monkeypatch.setattr(lat, "_tile_nodes", recording)
     monkeypatch.setattr(lat, "_pair_values", checking)
@@ -394,7 +396,7 @@ def test_partial_chunks_are_bitwise_the_oracle(monkeypatch):
 
 def test_twenty_rotated_spectra_take_at_most_16_chunks(monkeypatch):
     calls = Counter()
-    for name in ("_tile_nodes", "_cap_bound"):
+    for name in ("_tile_nodes", "_cap_gap"):
         original = getattr(lat, name)
 
         def counted(*args, name=name, original=original):
@@ -404,7 +406,7 @@ def test_twenty_rotated_spectra_take_at_most_16_chunks(monkeypatch):
         monkeypatch.setattr(lat, name, counted)
     build_lattices(4.0, 4.0, FIG4_DEPARTURES)
     assert 0 < calls["_tile_nodes"] <= 16
-    assert 0 < calls["_cap_bound"] <= 16
+    assert 0 < calls["_cap_gap"] <= 16
 
 
 def test_no_spectra_build_no_lattices():
@@ -501,6 +503,44 @@ def random_batch(rng):
     return np.array(tiles)
 
 
+def test_tile_nodes_in_a_pass_workspace_are_the_oracle_bit_for_bit():
+    # One workspace serves chunks of any size up to _CHUNK_TILES in turn,
+    # each writing over what the one before left.
+    rng = np.random.default_rng(29)
+    workspace = lat._workspace(lat._CHUNK_TILES)
+    for _ in range(6):
+        tiles = random_batch(rng)[:rng.integers(1, lat._CHUNK_TILES + 1)]
+        points, weights = lat._tile_nodes(tiles, workspace)
+        assert np.shares_memory(points, workspace.points)
+        assert np.shares_memory(weights, workspace.weights)
+        expected_points, expected_weights = tile_nodes(tiles)
+        assert points.tobytes() == expected_points.tobytes()
+        assert weights.tobytes() == expected_weights.tobytes()
+        fresh = lat._tile_nodes(tiles)
+        assert fresh[0].tobytes() == points.tobytes()
+        centre, radius = lat._cap(points, workspace)
+        expected_centre, expected_radius = lat._cap(expected_points)
+        assert centre.tobytes() == expected_centre.tobytes()
+        assert radius.tobytes() == expected_radius.tobytes()
+
+
+def test_cull_reach_keeps_the_terms_the_cap_bound_keeps():
+    # The pass compares each (tile, term) gap with a per-term reach instead
+    # of taking a cosine per pair: both keep the same terms, from broad to
+    # very narrow ones, with means above and below the horizon.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        means = rng.normal(size=(96, 3))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        alphas = 10.0 ** rng.uniform(-1.0, 6.0, len(means))
+        peaks = lat._hemisphere_peaks(means)
+        cap = lat._cap(lat._tile_nodes(random_batch(rng))[0])
+        bound = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
+        reach = lat._cap_gap(cap, means) <= lat._cull_reach(peaks, alphas)
+        np.testing.assert_array_equal(reach, bound)
+        assert 0 < bound.sum() < bound.size
+
+
 def random_mixture(rng, with_constant):
     """1-25 VMF clusters with means anywhere on the sphere and alpha from 5
     up to a random ceiling of at most 5e4; ``with_constant`` adds a
@@ -592,13 +632,13 @@ def test_one_term_tiles_do_not_depend_on_the_pass(monkeypatch):
     original = lat._pair_values
     shared, split = [], []
 
-    def recording(terms, constants, need, active, points):
+    def recording(terms, constants, need, active, points, *work):
         owner = terms[1]
         rows = active.sum(axis=1)
         one_term = (active[:, owner == 0].sum(axis=1) == 1) & (rows > 1)
         shared.append(one_term.any())
         split.append((one_term & (rows > lat._BLOCK_ROWS)).any())
-        return original(terms, constants, need, active, points)
+        return original(terms, constants, need, active, points, *work)
 
     alone = build_lattice(4.0, 4.0, two).marginal_integrals.tobytes()
     monkeypatch.setattr(lat, "_pair_values", recording)

@@ -8,6 +8,7 @@ per-element loop it replaced.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from holomimo.synthesis import draw_coefficients, harmonic_channels
 from expected_frobenius_oracle import expected_frobenius
 
 ISO = AngularPowerSpectrum.isotropic()
+PATTERN_FILE = Path(__file__).parent / "data" / "pattern_one_element.csv"
 CDL_BS, CDL_UE = spectra_from_cdl(
     load_cdl_table(bundled_cdl_path())[0], asd_deg=10.0, asa_deg=20.0
 )
@@ -121,6 +123,32 @@ class TestVectorizedBasis:
             plan.bs_basis, loop_basis(geometry, coupling, -1),
             rtol=0.0, atol=1e-15,
         )
+
+    # Every preset spacing at both preset apertures, and a non-square one.
+    @pytest.mark.parametrize("aperture_x,aperture_y,spacing", [
+        (4.0, 4.0, 0.5), (4.0, 4.0, 0.25), (4.0, 4.0, 0.125),
+        (1.0, 1.0, 0.5), (1.0, 1.0, 0.25), (1.0, 1.0, 0.125),
+        (3.0, 1.5, 0.25),
+    ])
+    @pytest.mark.parametrize("pattern", ["uniform", "dipole", "filed"])
+    def test_bases_are_the_harmonic_vectors_bit_for_bit(self, aperture_x, aperture_y,
+                                                        spacing, pattern):
+        pattern = {
+            "uniform": ElementPattern.uniform(),
+            "dipole": ElementPattern.dipole(),
+            "filed": load_pattern_file(PATTERN_FILE)[0],
+        }[pattern]
+        geometry = build_planar_array(aperture_x, aperture_y, spacing, spacing)
+        coupling = build_coupling_profile(geometry, pattern, HALF_WAVE_EFFICIENCY)
+        plan = build_plan(geometry, geometry, coupling, coupling)
+        indices = enumerate_lattice(aperture_x, aperture_y)
+        theta, phi = np.array(
+            [harmonic_angles(index, aperture_x, aperture_y) for index in indices]
+        ).T
+        gains = pattern.gain(theta, phi)
+        for basis, sign in ((plan.bs_basis, -1), (plan.ue_basis, +1)):
+            vectors = np.column_stack([harmonic_vector(i, geometry, sign) for i in indices])
+            assert basis.tobytes() == (vectors * gains).tobytes()
 
 
 # Only harmonics on the lattice ellipse itself have cells outside the disk,

@@ -17,7 +17,9 @@ from holomimo import (
     harmonic_angles,
     harmonic_vector,
 )
-from holomimo.errors import DegenerateSpectrum, IndexOutsideEllipse
+import holomimo.lattice as lat
+from holomimo.errors import DegenerateSpectrum, IndexOutsideEllipse, NonPositiveInput
+from holomimo.lattice import disk_cells, harmonic_geometry
 from marginal_integral_oracle import marginal_integral
 
 ISO = AngularPowerSpectrum.isotropic()
@@ -58,6 +60,51 @@ class TestEnumeration:
         a = {(i.ix, i.iy) for i in enumerate_lattice(3.0, 1.5)}
         b = {(i.iy, i.ix) for i in enumerate_lattice(1.5, 3.0)}
         assert a == b
+
+
+class TestHarmonicGeometry:
+    @pytest.mark.parametrize("ax,ay", [(4.0, 4.0), (1.0, 1.0), (1.5, 1.5), (2.5, 1.5),
+                                       (1.0, 2.0), (0.5, 0.5)])
+    def test_it_holds_what_the_scalar_functions_give(self, ax, ay):
+        geometry = harmonic_geometry(ax, ay)
+        assert len(geometry.indices) == brute_force_count(ax, ay)
+        assert list(geometry.indices) == sorted(geometry.indices)
+        for j, index in enumerate(geometry.indices):
+            assert (geometry.ix[j], geometry.iy[j]) == index
+            strips = lat._cell_strips(index, ax, ay)
+            assert geometry.strips[j] == tuple(strips)
+            assert geometry.disk[j] == float(bool(strips))
+            assert (geometry.elevation[j], geometry.azimuth[j]) == harmonic_angles(index, ax, ay)
+        assert geometry.support.tolist() == np.flatnonzero(geometry.disk).tolist()
+
+    def test_one_record_per_aperture_with_read_only_arrays(self):
+        geometry = harmonic_geometry(4.0, 4.0)
+        assert harmonic_geometry(4, 4) is geometry
+        for name in ("disk", "support", "ix", "iy", "elevation", "azimuth"):
+            array = getattr(geometry, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_public_functions_return_fresh_values(self):
+        indices = enumerate_lattice(4.0, 4.0)
+        assert isinstance(indices, list) and len(indices) == 49
+        indices.clear()
+        assert len(enumerate_lattice(4.0, 4.0)) == 49
+        cells = disk_cells(4.0, 4.0)
+        assert cells.dtype == float and cells.flags.writeable
+        cells[:] = 0.0
+        assert disk_cells(4.0, 4.0).sum() == 45.0
+        lattice = lat.indicator_lattice(1.0, 1.0, ISO)
+        assert lattice.marginal_integrals.flags.writeable
+        assert lattice.marginal_integrals.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("ax,ay", [(0.0, 1.0), (1.0, -2.0)])
+    def test_nonpositive_apertures_are_rejected(self, ax, ay):
+        with pytest.raises(NonPositiveInput):
+            enumerate_lattice(ax, ay)
+        with pytest.raises(NonPositiveInput):
+            disk_cells(ax, ay)
 
 
 class TestHarmonicAngles:

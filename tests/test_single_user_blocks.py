@@ -8,11 +8,11 @@ import pytest
 import holomimo.sweep as sweep_module
 from holomimo import config_from_dict, run_sweep
 from holomimo.cli import main
-from holomimo.capacity import su_capacity
+from holomimo.capacity import su_capacities, su_capacity
 from holomimo.errors import EmptyGains, NonFiniteChannel, ZeroChannel
 from holomimo.lattice import build_variance_table
 from holomimo.sweep import _BLOCK, _evaluate_chunk, resolve_scenario
-from holomimo.synthesis import draw_coefficients, harmonic_channels
+from holomimo.synthesis import draw_block, draw_coefficients, harmonic_channels
 
 # 9 receive and 9 transmit harmonics at the 1.5-wavelength apertures.
 BASE = {
@@ -76,36 +76,53 @@ def test_sweep_equals_the_per_realization_oracle(realizations):
 
 def test_each_realization_is_drawn_once_for_every_spacing(monkeypatch):
     drawn = []
-    draw = sweep_module.draw_coefficients
+    draw = sweep_module.draw_block
 
-    def counting(variances, seed, index):
-        drawn.append(index)
-        return draw(variances, seed, index)
+    def counting(tables, seed, keys):
+        drawn.extend(keys)
+        return draw(tables, seed, keys)
 
-    monkeypatch.setattr(sweep_module, "draw_coefficients", counting)
+    monkeypatch.setattr(sweep_module, "draw_block", counting)
     config = make_config(70)
     run_sweep(config)
     assert len(config.spacing_list) == 2
     assert drawn == list(range(70))
 
 
+def test_stacked_capacities_are_each_spacings_own_bit_for_bit():
+    # At 3/4 wavelength the 1.5-wavelength arrays have 2 x 2 elements, so
+    # their channels are 4 x 4, not 9 x 9: one call per shape.
+    config = config_from_dict({**BASE, "spacing_list": [0.5, 0.75, 0.25],
+                               "realizations": 45})
+    plans, variances = plans_and_variances(config)
+    coefficients = draw_block([variances] * 45, config.seed, range(45))[:, None]
+    stacks = [harmonic_channels(plan, coefficients)[:, 0] for plan in plans]
+    assert [stack.shape for stack in stacks] == [(45, 9, 9), (45, 4, 4), (45, 9, 9)]
+    stacked = sweep_module._stacked_capacities(stacks, config.snr_db)
+    for stack, bits in zip(stacks, stacked):
+        expected = su_capacities(stack, config.snr_db)[2]
+        assert np.array(bits).tobytes() == expected.tobytes()
+
+
 def broken_draws(monkeypatch, bad_index, kind):
     """Make realization ``bad_index``'s coefficients zero, NaN, or so small
-    that every squared singular value underflows."""
-    draw = sweep_module.draw_coefficients
+    that every squared singular value underflows, in the block draw."""
+    draw = sweep_module.draw_block
 
-    def breaking(variances, seed, index):
-        coefficients = draw(variances, seed, index)
-        if index != bad_index:
-            return coefficients
-        if kind == "zero":
-            return np.zeros_like(coefficients)
-        if kind == "nan":
-            coefficients[0, 0] = np.nan
-            return coefficients
-        return coefficients * 1e-200
+    def breaking(tables, seed, keys):
+        coefficients = draw(tables, seed, keys)
+        for row, index in enumerate(keys):
+            if index != bad_index:
+                continue
+            if kind == "zero":
+                coefficients[row] = 0.0
+            elif kind == "nan":
+                coefficients[row, 0, 0] = np.nan
+            else:
+                coefficients[row] *= 1e-200
+        return coefficients
 
-    monkeypatch.setattr(sweep_module, "draw_coefficients", breaking)
+    monkeypatch.setattr(sweep_module, "draw_block", breaking)
 
 
 @pytest.mark.parametrize("kind,error", [
@@ -118,7 +135,7 @@ def test_one_bad_channel_fails_its_block_as_it_fails_alone(
     config = make_config(70)
     broken_draws(monkeypatch, bad_index, kind)
     plans, variances = plans_and_variances(config)
-    coefficients = sweep_module.draw_coefficients(variances, config.seed, bad_index)
+    (coefficients,) = sweep_module.draw_block([variances], config.seed, [bad_index])
     with pytest.raises(error):
         su_capacity(harmonic_channels(plans[0], coefficients), config.snr_db)
     with pytest.raises(error):

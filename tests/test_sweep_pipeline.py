@@ -275,11 +275,30 @@ def test_pool_starts_one_worker_per_chunk(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep_module, "_process_pool", lambda: SerialPool)
     config = config_from_dict({**BASE, "realizations": 3})
     result = run_sweep(config, jobs=64)
     assert started == [3]
     assert render(result, "csv") == render(run_sweep(config, jobs=1), "csv")
+
+
+def test_a_serial_sweep_loads_no_process_pool():
+    # ``concurrent.futures.process`` and ``multiprocessing`` take 10-16 ms to
+    # import; only a sweep with --jobs above 1 needs them.
+    script = """
+import contextlib, io, sys
+from holomimo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["sweep", "--preset", "fig3-cdlb", "--realizations", "2"])
+loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+sys.exit(f"exit {code}, loaded {loaded}" if code or loaded else 0)
+"""
+    package_root = str(Path(sweep_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_one_blas_thread_sets_one_thread_where_the_setter_exists(monkeypatch):

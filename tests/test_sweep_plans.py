@@ -91,17 +91,17 @@ def test_user_plans_equal_plans_built_on_their_own_lattices(monkeypatch):
                 getattr(scenario.plans[s], name), getattr(reference, name)
             )
     draws, maps = [], []
-    draw = sweep_module.draw_coefficients
+    draw = sweep_module.draw_block
 
-    def drawing(variances, seed, index):
-        draws.append((variances, index))
-        return draw(variances, seed, index)
+    def drawing(tables, seed, keys):
+        draws.extend(zip(tables, keys))
+        return draw(tables, seed, keys)
 
     def mapping(plan, coefficients):
         maps.append((plan, coefficients))
         return np.zeros((*coefficients.shape[:2], 1, 1))
 
-    monkeypatch.setattr(sweep_module, "draw_coefficients", drawing)
+    monkeypatch.setattr(sweep_module, "draw_block", drawing)
     monkeypatch.setattr(sweep_module, "harmonic_channels", mapping)
     monkeypatch.setattr(sweep_module, "mu_sum_capacity",
                         lambda channels, budget: CapacityReport(0.0))

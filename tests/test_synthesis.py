@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holomimo import (
     AngularPowerSpectrum,
@@ -15,6 +17,7 @@ from holomimo import (
     harmonic_vector,
     sample_channel,
 )
+from holomimo.synthesis import MASK64, draw_block, draw_coefficients
 from expected_frobenius_oracle import expected_frobenius
 
 ISO = AngularPowerSpectrum.isotropic()
@@ -182,3 +185,33 @@ class TestMoments:
             acc += sample_channel(plan, variances, 5, r)
         assert np.abs(acc / draws).max() < 0.1
 
+
+
+# Keys as the sweep forms them: a realization index, or (index << 32) | user.
+KEY = st.one_of(
+    st.sampled_from([0, MASK64]),
+    st.integers(0, MASK64),
+    st.builds(lambda r, k: (r << 32) | k, st.integers(0, 2**32 - 1), st.integers(0, 9)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, keys=[0, MASK64, (7 << 32) | 3], tables=[0, 1, 0])
+@example(seed=MASK64, keys=[MASK64, 0], tables=[1, 1])
+@given(
+    seed=st.one_of(st.sampled_from([0, MASK64]), st.integers(-(2**63), MASK64)),
+    keys=st.lists(KEY, min_size=1, max_size=6),
+    tables=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+)
+def test_block_draw_is_each_one_draw_bit_for_bit(seed, keys, tables):
+    # Three variance tables, one with zero rows and columns as outside the
+    # disk; each key draws on one of them, and keys may repeat.
+    rng = np.random.default_rng(3)
+    choices = [rng.random((2, 5)), rng.random((2, 5)), rng.random((2, 5))]
+    choices[2][0] = 0.0
+    choices[2][:, 4] = 0.0
+    chosen = [choices[t] for t in tables[:len(keys)]]
+    block = draw_block(chosen, seed, keys)
+    expected = np.stack([draw_coefficients(t, seed, key) for t, key in zip(chosen, keys)])
+    assert block.shape == expected.shape
+    assert block.tobytes() == expected.tobytes()
