@@ -13,7 +13,7 @@ from dataclasses import replace
 from .config import PRESET_NAMES, load_config, preset
 from .errors import ConfigError, InputFileError, NumericalError
 from .lattice import build_lattice, build_variance_table
-from .sweep import emit, one_blas_thread, render, resolve_scenario, run_sweep
+from .sweep import emit, render, resolve_scenario, run_sweep
 from .synthesis import MASK64, sample_channel
 
 EXIT_OK = 0
@@ -153,7 +153,6 @@ def _check_counts(args) -> None:
 
 
 def main(argv=None) -> int:
-    one_blas_thread()
     args = _build_parser().parse_args(argv)
     handlers = {
         "lattice": _cmd_lattice,

@@ -19,8 +19,8 @@ A link end with one cell in the unit disk (``inert_ends``, the presets'
 normalizes any spectrum there to the indicator of that cell, so every user
 shares its ``indicator_lattice``; ``holo lattice`` still integrates it.
 
-Processes run OpenBLAS on one thread (``one_blas_thread``); the process
-pool of ``--jobs`` is imported only when a sweep starts one.
+Importing holomimo runs OpenBLAS on one thread, in ``--jobs`` workers too;
+the process pool is imported only when a sweep starts one.
 Realizations use counter-based random streams keyed by (seed, realization
 index), each lattice is bitwise the one its spectrum gets alone, and each
 row of a stack is computed on its own, so results are bitwise identical
@@ -38,7 +38,6 @@ user's rotated spectrum.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -245,24 +244,6 @@ def resolve_scenario(config: ScenarioConfig) -> Scenario:
     return Scenario(config.validate())
 
 
-def one_blas_thread() -> None:
-    """Run numpy's OpenBLAS on one thread in this process.
-
-    The sweep's matrices are small and its quadrature is Python-paced, so
-    extra BLAS threads only spin, stall the plan QRs and, under ``--jobs``,
-    crowd the workers; and the QRs' rounding depends on the thread count.
-    A no-op when the library does not export the setter."""
-    try:
-        from numpy.linalg import _umath_linalg
-
-        setter = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    setter(1)
-
-
 def _process_pool():
     """The pool class of ``--jobs``, imported only when a sweep uses one:
     ``concurrent.futures.process`` loads ``multiprocessing``."""
@@ -360,8 +341,7 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
     if jobs <= 1 or len(tasks) <= 1:
         chunks = [_evaluate_chunk(t) for t in tasks]
     else:
-        with _process_pool()(max_workers=len(tasks),
-                             initializer=one_blas_thread) as pool:
+        with _process_pool()(max_workers=len(tasks)) as pool:
             chunks = list(pool.map(_evaluate_chunk, tasks))
     per_realization = [pairs for chunk in chunks for pairs in chunk]
 

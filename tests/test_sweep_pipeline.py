@@ -8,8 +8,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
-from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -262,9 +260,8 @@ def test_pool_starts_one_worker_per_chunk(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             started.append(max_workers)
-            assert initializer is sweep_module.one_blas_thread
 
         def __enter__(self):
             return self
@@ -301,26 +298,6 @@ sys.exit(f"exit {code}, loaded {loaded}" if code or loaded else 0)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_one_blas_thread_sets_one_thread_where_the_setter_exists(monkeypatch):
-    setter = Mock()
-    library = SimpleNamespace(scipy_openblas_set_num_threads64_=setter)
-    monkeypatch.setattr(sweep_module.ctypes, "CDLL", lambda path: library)
-    sweep_module.one_blas_thread()
-    setter.assert_called_once_with(1)
-    assert setter.argtypes == [sweep_module.ctypes.c_int]
-
-
-@pytest.mark.parametrize("missing", [AttributeError, OSError])
-def test_one_blas_thread_is_a_no_op_without_the_setter(monkeypatch, missing):
-    def unavailable(path):
-        if missing is OSError:
-            raise OSError(f"cannot load {path}")
-        return object()
-
-    monkeypatch.setattr(sweep_module.ctypes, "CDLL", unavailable)
-    sweep_module.one_blas_thread()
-
-
 def test_a_multi_user_cdl_run_does_not_import_numpy_polynomial(tmp_path):
     # The cell quadrature's Gauss-Legendre rules are computed without it,
     # so no sweep pays for its import; only non-uniform element patterns
@@ -348,31 +325,3 @@ print(code, "numpy.polynomial" in sys.modules)
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
-
-
-def test_holo_runs_numpys_openblas_on_one_thread():
-    # In a fresh process with two BLAS threads, so the check does not depend
-    # on what earlier tests did to this one.
-    script = """
-import ctypes, sys
-from numpy.linalg import _umath_linalg
-library = ctypes.CDLL(_umath_linalg.__file__)
-try:
-    threads = library.scipy_openblas_get_num_threads64_
-except AttributeError:
-    sys.exit(3)
-before = threads()
-from holomimo.cli import main
-main(["sweep", "--preset", "fig3-isotropic", "--realizations", "1"])
-print(before, threads())
-"""
-    package_root = str(Path(sweep_module.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
-    if proc.returncode == 3:
-        pytest.skip("numpy's BLAS exports no scipy_openblas thread getter")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["2", "1"]
