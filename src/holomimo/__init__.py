@@ -48,7 +48,6 @@ from .spectrum import (
     VmfComponent,
     concentration_from_spread,
     load_cdl_rows,
-    load_cdl_table,
     rotate_spectrum,
     spectra_from_cdl,
 )

@@ -253,7 +253,8 @@ _PRESET_BASE = ScenarioConfig(
     seed=0,
 )
 # Each preset's departures from the base; its file paths name files bundled
-# with the package.
+# with the package.  The CDL-B table is 3GPP TR 38.901 Table 7.7.1-2, whose
+# arrival spread of 22 degrees exceeds the spread mapping's bound: 20 here.
 _CDL_B = {"kind": "cdl", "path": "cdl_b.csv", "asd_deg": 10.0, "asa_deg": 20.0}
 _PRESETS = {
     "fig3-isotropic": {},

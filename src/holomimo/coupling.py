@@ -28,6 +28,7 @@ from .errors import (
 )
 from .files import read_table
 from .geometry import ArrayGeometry
+from .lattice import _leggauss
 
 __all__ = [
     "ElementPattern",
@@ -136,7 +137,7 @@ class ElementPattern:
         Gauss-Legendre in elevation, midpoint in the periodic azimuth.
         """
         n_theta, n_phi = _SPHERE_NODES
-        x, w = np.polynomial.legendre.leggauss(n_theta)
+        x, w = _leggauss(n_theta)
         theta = 0.5 * math.pi * (x + 1.0)
         phi = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
         tt, pp = np.meshgrid(theta, phi, indexing="ij")

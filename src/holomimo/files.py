@@ -1,5 +1,5 @@
-"""Reading input files: the config, CDL tables and their sidecars, pattern
-and S-parameter files.
+"""Reading input files: the config, CDL tables, pattern and S-parameter
+files.
 
 This is the one place that opens and parses an input file.  Every way a
 file can fail (unreadable, not UTF-8, a CSV fault such as a field past the

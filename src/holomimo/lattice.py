@@ -97,7 +97,6 @@ __all__ = [
     "harmonic_angles",
     "build_lattice",
     "build_lattices",
-    "disk_cells",
     "HarmonicGeometry",
     "harmonic_geometry",
     "build_variance_table",
@@ -192,8 +191,8 @@ def _leggauss(n: int):
     The nodes are the eigenvalues of the Legendre Jacobi matrix
     (Golub-Welsch), refined by one Newton step on P_n, and the weights are
     2 / ((1 - x^2) P_n'(x)^2), both from the three-term recurrence; the rule
-    is then symmetrized and scaled to total 2 as ``numpy.polynomial``'s
-    ``leggauss`` does, which this avoids importing."""
+    is then symmetrized and scaled to total 2 as NumPy's ``leggauss`` does,
+    whose import this avoids."""
     k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
 
@@ -242,12 +241,6 @@ def _cell_strips(index, aperture_x, aperture_y) -> list[tuple]:
     return [(u0, u1, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def disk_cells(aperture_x: float, aperture_y: float) -> np.ndarray:
-    """1.0 for each harmonic of enumerate_lattice whose cell meets the unit
-    disk, else 0.0."""
-    return harmonic_geometry(aperture_x, aperture_y).disk.copy()
-
-
 @dataclass(frozen=True, eq=False)
 class HarmonicGeometry:
     """The harmonics of one aperture and what depends on them alone: a
@@ -255,14 +248,13 @@ class HarmonicGeometry:
     every spectrum, array and spacing then shares.
 
     ``indices`` are enumerate_lattice's; ``strips`` each cell's
-    _cell_strips; ``disk`` is disk_cells and ``support`` the indices of its
-    nonzero entries; ``ix`` and ``iy`` are the indices as floats, and
-    ``elevation`` and ``azimuth`` the harmonic_angles, one entry per
+    _cell_strips, and ``support`` the indices of the cells with strips,
+    which meet the unit disk; ``ix`` and ``iy`` are the indices as floats,
+    and ``elevation`` and ``azimuth`` the harmonic_angles, one entry per
     harmonic."""
 
     indices: tuple[HarmonicIndex, ...]
     strips: tuple[tuple[tuple[float, float, float, float], ...], ...]
-    disk: np.ndarray
     support: np.ndarray
     ix: np.ndarray
     iy: np.ndarray
@@ -290,13 +282,11 @@ def harmonic_geometry(aperture_x: float, aperture_y: float) -> HarmonicGeometry:
         if _in_ellipse(ix, iy, aperture_x, aperture_y)
     ))
     strips = tuple(tuple(_cell_strips(index, aperture_x, aperture_y)) for index in indices)
-    disk = _read_only([bool(cell) for cell in strips])
     angles = [harmonic_angles(index, aperture_x, aperture_y) for index in indices]
     return HarmonicGeometry(
         indices=indices,
         strips=strips,
-        disk=disk,
-        support=_read_only(np.flatnonzero(disk), np.intp),
+        support=_read_only([j for j, cell in enumerate(strips) if cell], np.intp),
         ix=_read_only([index.ix for index in indices]),
         iy=_read_only([index.iy for index in indices]),
         elevation=_read_only([angle[0] for angle in angles]),
@@ -324,9 +314,9 @@ def _workspace(tiles: int) -> _Workspace:
     return _Workspace(points, np.empty((tiles, size)), np.empty((3 * tiles, size)))
 
 
-def _tile_nodes(tiles: np.ndarray, workspace: _Workspace | None = None):
+def _tile_nodes(tiles: np.ndarray, workspace: _Workspace):
     """Nodes and weights of the coarse and the fine tensor Gauss-Legendre
-    rule on each tile, written into ``workspace`` (a new one by default).
+    rule on each tile, written into ``workspace``.
 
     A tile row is (u0, u1, v0, v1, t0, t1).  For each v node the u-interval
     is [u0, u1] clipped to the chord of the unit disk and mapped to
@@ -343,8 +333,6 @@ def _tile_nodes(tiles: np.ndarray, workspace: _Workspace | None = None):
     to the fine rule.  Rows of v outside the disk get zero weight.
     """
     count = len(tiles)
-    if workspace is None:
-        workspace = _workspace(count)
     points, weights = workspace.points[:, :count], workspace.weights[:count]
     u0, u1, v0, v1, t0, t1 = (tiles[:, k, None] for k in range(6))
     dv = v1 - v0
@@ -381,17 +369,15 @@ def _tile_nodes(tiles: np.ndarray, workspace: _Workspace | None = None):
     return points, weights
 
 
-def _cap(points: np.ndarray, workspace: _Workspace | None = None):
+def _cap(points: np.ndarray, workspace: _Workspace):
     """Spherical cap around each tile's nodes (4, T, m): centre (3, T), the
     normalized mean of the unit vectors, and radius (T,), the largest angle
     to one.  Angles come from chords, which stay accurate for small tiles.
-    The offsets go into the workspace's scratch when one is given."""
+    The offsets go into the workspace's scratch."""
     centre = points[:3].sum(axis=2)
     centre /= np.sqrt((centre * centre).sum(axis=0))
-    offset = None
-    if workspace is not None:
-        offset = workspace.scratch[:3 * points.shape[1]].reshape(3, *points.shape[1:])
-    offset = np.subtract(points[:3], centre[:, :, None], out=offset)
+    offset = workspace.scratch[:3 * points.shape[1]].reshape(3, *points.shape[1:])
+    np.subtract(points[:3], centre[:, :, None], out=offset)
     offset *= offset
     chord = np.sqrt(offset.sum(axis=0).max(axis=1))
     return centre, 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
@@ -409,13 +395,6 @@ def _cap_gap(cap, means: np.ndarray) -> np.ndarray:
     gap = np.multiply(2.0, np.arcsin(gap, out=gap), out=gap)
     gap -= radius[:, None]
     return np.maximum(0.0, gap, out=gap)
-
-
-def _cap_bound(cap, means: np.ndarray) -> np.ndarray:
-    """Upper bound on the dot product of any node of a tile with each mean:
-    the cosine of _cap_gap.  Shape (T, K).  The tests' slow form of the
-    cull, which _cull_reach compares against the gap without a cosine."""
-    return np.cos(_cap_gap(cap, means))
 
 
 def _cull_reach(peaks: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -481,7 +460,7 @@ def _hemisphere_maximum(spectrum: AngularPowerSpectrum) -> float:
 
 
 def _pair_values(terms, constants, need, active, points: np.ndarray,
-                 work: np.ndarray | None = None):
+                 work: np.ndarray):
     """Spectrum at the nodes (4, T, m) of each (spectrum, tile) pair of a
     chunk that ``need`` (S, T) flags, a block of one tile's pairs at a
     time: yields (tile, spectra, values), ``values`` being (len(spectra), m).
@@ -506,8 +485,6 @@ def _pair_values(terms, constants, need, active, points: np.ndarray,
                             pair_tile * len(need) + pair_spectrum).tolist()
     first.append(len(term))
     tile_pairs = np.searchsorted(pair_tile, np.arange(points.shape[1] + 1)).tolist()
-    if work is None:
-        work = np.empty((_BLOCK_ROWS, points.shape[2]))
     for tile, nodes in enumerate(points.transpose(1, 0, 2)):
         lo, end = tile_pairs[tile:tile + 2]
         while lo < end:
@@ -670,14 +647,15 @@ def indicator_lattice(
     _hemisphere_maximum decides without one: DegenerateSpectrum where it is
     0."""
     geometry = harmonic_geometry(aperture_x, aperture_y)
-    cells = geometry.disk.copy()
-    if cells.sum() != 1.0:
+    if len(geometry.support) != 1:
         raise ValueError(
-            f"aperture ({aperture_x}, {aperture_y}) has {cells.sum():g} cells "
-            f"in the unit disk, not one"
+            f"aperture ({aperture_x}, {aperture_y}) has {len(geometry.support)} "
+            f"cells in the unit disk, not one"
         )
     if _hemisphere_maximum(spectrum) == 0.0:
         raise DegenerateSpectrum("spectrum vanishes on the visible hemisphere")
+    cells = np.zeros(len(geometry.indices))
+    cells[geometry.support] = 1.0
     return SpectralLattice(aperture_x, aperture_y, geometry.indices, cells)
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyTable, MalformedTableFile, SpreadOutOfRange
-from .files import read_json, read_table
+from .files import read_table
 
 __all__ = [
     "VmfComponent",
@@ -26,7 +25,6 @@ __all__ = [
     "concentration_from_spread",
     "spectra_from_cdl",
     "load_cdl_rows",
-    "load_cdl_table",
     "rotate_spectrum",
 ]
 
@@ -133,15 +131,17 @@ class AngularPowerSpectrum:
 def concentration_from_spread(spread_deg: float) -> float:
     """VMF concentration from an angular spread in degrees.
 
-    Valid for small spreads (0, 21) degrees; outside that range the
-    small-spread approximation breaks down and SpreadOutOfRange is raised.
+    Valid for spreads in (0, 21) degrees, where the small-spread
+    approximation holds, above ~1.6e-152 degrees, below which the
+    concentration overflows a float; SpreadOutOfRange outside that range.
     """
-    if not 0.0 < spread_deg < _SPREAD_LIMIT_DEG:
+    squared = spread_deg**2 if 0.0 < spread_deg < _SPREAD_LIMIT_DEG else 0.0
+    if squared == 0.0 or 212.9**2 / squared == math.inf:
         raise SpreadOutOfRange(
             f"spread {spread_deg} deg outside the valid angular-spread range "
-            f"(0, {_SPREAD_LIMIT_DEG:g}) deg"
+            f"(0, {_SPREAD_LIMIT_DEG:g}) deg or too small for a finite concentration"
         )
-    return 212.9**2 / spread_deg**2
+    return 212.9**2 / squared
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,9 @@ def spectra_from_cdl(rows, asd_deg: float, asa_deg: float):
     One VMF component per cluster at each end: departure means from
     (AoD, ZoD), arrival means from (AoA, ZoA).  All components at one end
     share the concentration derived from the table-level departure/arrival
-    spread.  Weights are the normalized linear cluster powers.
+    spread.  Weights are the normalized linear cluster powers;
+    MalformedTableFile names the strongest cluster where they overflow a
+    float, and a cluster whose weight is 0.
     """
     rows = list(rows)
     if not rows:
@@ -180,10 +182,20 @@ def spectra_from_cdl(rows, asd_deg: float, asa_deg: float):
     alpha_dep = concentration_from_spread(asd_deg)
     alpha_arr = concentration_from_spread(asa_deg)
 
-    powers = np.array([10.0 ** (r.power_db / 10.0) for r in rows])
-    weights = powers / powers.sum()
+    try:
+        powers = np.array([10.0 ** (r.power_db / 10.0) for r in rows])
+        with np.errstate(over="raise", invalid="ignore"):  # NaN: all powers 0
+            weights = powers / powers.sum()
+    except (OverflowError, FloatingPointError):
+        row = max(rows, key=lambda r: r.power_db)
+        raise MalformedTableFile(f"cluster {row.cluster_id}: power_db {row.power_db:g} "
+                                 f"overflows a float as a linear power") from None
     # Renormalize in compensated form so the invariant sum == 1 holds tightly.
     weights = weights / math.fsum(weights)
+    for w, row in zip(weights, rows):
+        if not w > 0.0:
+            raise MalformedTableFile(f"cluster {row.cluster_id}: power_db "
+                                     f"{row.power_db:g} gives it weight 0")
 
     dep = [
         VmfComponent(
@@ -217,20 +229,6 @@ def load_cdl_rows(path) -> list[CdlClusterRow]:
     aoa_deg,zoa_deg``."""
     return read_table(path, _TABLE_COLUMNS, _cluster_row, MalformedTableFile,
                       EmptyTable)
-
-
-def load_cdl_table(path) -> tuple[list[CdlClusterRow], dict]:
-    """``load_cdl_rows`` of a CDL table and its JSON metadata sidecar.
-
-    The sidecar ``<stem>.json`` next to the table carries ``asd_deg`` and
-    ``asa_deg``; it is optional and an empty dict is returned when absent.
-    It is read by ``files.read_json``.  A sweep takes its spreads from the
-    config and reads the table alone.
-    """
-    rows = load_cdl_rows(path)
-    sidecar = Path(path).with_suffix(".json")
-    meta = read_json(sidecar, MalformedTableFile) if sidecar.exists() else {}
-    return rows, meta
 
 
 def rotate_spectrum(

@@ -14,21 +14,20 @@ Realizations are pure functions of (plan, variances, seed,
 realization_index): every Fourier coefficient is drawn from a
 counter-based random stream keyed by seed and realization index, so draws
 are bitwise reproducible regardless of evaluation order or parallelism.
-The coefficients (``draw_coefficients``) do not depend on the plan, so one
-draw serves every spacing, and ``harmonic_channels`` maps a whole stack of
-draws through a plan at once.  ``draw_block`` makes such a stack: one
-Philox generator, re-keyed per draw, writes every draw of it into one
-buffer, bit for bit the draws of ``draw_coefficients``.
+The coefficients do not depend on the plan, so one draw serves every
+spacing, and ``harmonic_channels`` maps a whole stack of draws through a
+plan at once.  ``draw_block`` makes such a stack: one Philox generator,
+re-keyed per draw, writes every draw of it into one buffer.
 
 ``sample_channel`` returns the element-domain channel
 H = s * (Gamma_R Psi_R) C (Gamma_S Psi_S)^H.  Only the harmonics whose
-cells meet the visible unit disk (``lattice.disk_cells``) carry power: every
-other row and column of C has variance 0 in every variance table, so it is
-0 in every draw.  The plan keeps those harmonics of each end, S_R and S_S,
-and the R factors of the thin QRs of the weighted bases restricted to them,
-(Gamma_R Psi_R)[:, S_R] = Q_R R_R and (Gamma_S Psi_S)[:, S_S] = Q_S R_S.
-``harmonic_channels(plan, draw_coefficients(variances, seed, index))`` is
-the same draw as M = s * R_R C[S_R, S_S] R_S^H, at most (kept harmonics x
+cells meet the visible unit disk (the ``support`` of ``harmonic_geometry``)
+carry power: every other row and column of C has variance 0 in every
+variance table, so it is 0 in every draw.  The plan keeps those harmonics
+of each end, S_R and S_S, and the R factors of the thin QRs of the
+weighted bases restricted to them, (Gamma_R Psi_R)[:, S_R] = Q_R R_R and
+(Gamma_S Psi_S)[:, S_S] = Q_S R_S.  ``harmonic_channels(plan, C)`` is the
+same draw as M = s * R_R C[S_R, S_S] R_S^H, at most (kept harmonics x
 kept harmonics) whatever the element count: 1 x 45 for a 1-wavelength
 receive and a 4-wavelength transmit aperture.  H = Q_R M Q_S^H with
 isometries at both ends, so M has the nonzero singular values and the
@@ -48,8 +47,8 @@ from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
 from .lattice import harmonic_geometry
 
-__all__ = ["SynthesisPlan", "build_plan", "draw_coefficients", "draw_block",
-           "sample_channel", "harmonic_channels", "MASK64"]
+__all__ = ["SynthesisPlan", "build_plan", "draw_block", "sample_channel",
+           "harmonic_channels", "MASK64"]
 
 # Seeds and counters enter every random stream as unsigned 64-bit words.
 MASK64 = (1 << 64) - 1
@@ -136,32 +135,20 @@ def build_plan(
     )
 
 
-def draw_coefficients(variances: np.ndarray, seed: int, realization_index: int):
-    """Fourier coefficients C of one realization.
+def draw_block(tables, seed: int, keys) -> np.ndarray:
+    """Fourier coefficients C of each (table, key) pair, stacked into one
+    (len(keys), n_R, n_S) array.
 
     Each coefficient is circularly-symmetric complex Gaussian with the
     tabulated variance (independent real/imaginary parts of variance
     sigma^2/2 each), generated from a Philox counter-based stream keyed by
-    (seed, realization_index).
-    """
-    key = np.array(
-        [seed & MASK64, realization_index & MASK64], dtype=np.uint64
-    )
-    rng = np.random.Generator(np.random.Philox(key=key))
-    z = rng.standard_normal(size=(*variances.shape, 2))
-    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(variances / 2.0)
-
-
-def draw_block(tables, seed: int, keys) -> np.ndarray:
-    """``draw_coefficients(table, seed, key)`` of each (table, key) pair, bit
-    for bit, stacked into one (len(keys), n_R, n_S) array.
-
-    One Philox stream is re-keyed through its ``state`` for each key, at
-    counter 0 with an empty buffer as a fresh ``Philox(key=...)`` starts,
-    and writes its normals into one buffer; a new generator per key would
-    seed a throwaway SeedSequence from OS entropy.  Each distinct table (by
-    identity) computes its sqrt(variances / 2) once and scales all its
-    draws.  The tables share one shape.
+    (seed, key), the realization index.  One Philox stream is re-keyed
+    through its ``state`` for each key, at counter 0 with an empty buffer
+    as a fresh ``Philox(key=...)`` starts, and writes its normals into one
+    buffer; a new generator per key would seed a throwaway SeedSequence
+    from OS entropy.  Each distinct table (by identity) computes its
+    sqrt(variances / 2) once and scales all its draws.  The tables share
+    one shape.
     """
     normals = np.empty((len(keys), *tables[0].shape, 2))
     bits = np.random.Philox(key=0)
@@ -192,7 +179,7 @@ def sample_channel(
     elements, where s = sqrt(N_R*N_S) is the front factor of the series
     expansion and C has the (n_R, n_S) ``variances``.
     """
-    coeffs = draw_coefficients(variances, seed, realization_index)
+    coeffs = draw_block([variances], seed, [realization_index])[0]
     return np.sqrt(plan.ue_count * plan.bs_count) * (
         (plan.ue_amplitudes[:, None] * plan.ue_basis)
         @ coeffs

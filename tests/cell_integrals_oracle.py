@@ -6,7 +6,9 @@ cull once for every spectrum and evaluates the chunk tile by tile, the
 surviving terms of all spectra pending on a tile stacked into one product;
 this form, which computes each batch's cull and node values once per
 spectrum that needs any of its tiles, is the tests' oracle for it.  Both
-must give bitwise the same cell integrals.
+must give bitwise the same cell integrals.  Its cull takes the cosine of
+each (tile, term) gap, ``cap_bound``, which the pass's ``_cull_reach``
+replaces with one angle per term.
 """
 
 import numpy as np
@@ -14,6 +16,12 @@ import numpy as np
 import holomimo.lattice as lat
 
 BATCH_TILES = 4
+
+
+def cap_bound(cap, means: np.ndarray) -> np.ndarray:
+    """Upper bound on the dot product of any node of a tile with each mean:
+    the cosine of ``lat._cap_gap``.  Shape (T, K)."""
+    return np.cos(lat._cap_gap(cap, means))
 
 
 def node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
@@ -31,7 +39,7 @@ def node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
     means, alphas, coefs, constant = mixture
     rows = np.column_stack((alphas[:, None] * means, np.log(coefs) - alphas))
     values = np.full(points.shape[1:], constant)
-    active = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
+    active = alphas * (cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
     active &= pending[:, None]
     for tile in np.flatnonzero(active.any(axis=1)):
         exponents = rows[active[tile]] @ points[:, tile]
@@ -66,14 +74,15 @@ def cell_integrals(spectra, cells) -> np.ndarray:
     peaks = [lat._hemisphere_peaks(mixture[0]) for mixture in mixtures]
     peak_points = [lat._peak_points(mixture[0]) for mixture in mixtures]
     n_coarse = lat._N_COARSE * lat._N_COARSE
+    workspace = lat._workspace(BATCH_TILES)
     depth = 0
     while pending.any():
         coarse, fine = np.zeros((2, *pending.shape))
         held = np.zeros_like(pending)
         for start in range(0, len(tiles), BATCH_TILES):
             batch = slice(start, start + BATCH_TILES)
-            points, weights = lat._tile_nodes(tiles[batch])
-            cap = lat._cap(points)
+            points, weights = lat._tile_nodes(tiles[batch], workspace)
+            cap = lat._cap(points, workspace)
             need = pending[:, batch]
             for u in np.flatnonzero(need.any(axis=1)):
                 weighted = node_values(mixtures[u], peaks[u], points, cap, need[u])

@@ -11,6 +11,7 @@ coef * exp(alpha * (mean . node - 1)) back, is the tests' oracle for it.
 import numpy as np
 
 import holomimo.lattice as lat
+from cell_integrals_oracle import cap_bound
 
 
 def node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
@@ -22,7 +23,7 @@ def node_values(mixture, peaks, points: np.ndarray, cap, pending) -> np.ndarray:
     node, ``peaks`` being the terms' _hemisphere_peaks."""
     means, alphas, coefs, constant = mixture
     values = np.full(points.shape[1:], constant)
-    active = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
+    active = alphas * (cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
     active &= pending[:, None]
     for k in np.flatnonzero(active.any(axis=0)):
         rows = active[:, k]

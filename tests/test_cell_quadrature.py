@@ -43,7 +43,7 @@ from holomimo import (
     build_variance_table,
     concentration_from_spread,
     enumerate_lattice,
-    load_cdl_table,
+    load_cdl_rows,
     rotate_spectrum,
     spectra_from_cdl,
 )
@@ -54,6 +54,7 @@ from holomimo.errors import QuadratureNotConverged
 from holomimo.spectrum import _ISOTROPIC_ALPHA
 from holomimo.sweep import _drop_seed
 import cell_integrals_oracle
+from cell_integrals_oracle import cap_bound
 from marginal_integral_oracle import marginal_integral
 from node_values_oracle import node_values
 from spectrum_oracle import spectrum_value
@@ -61,7 +62,7 @@ from tile_nodes_oracle import tile_nodes
 
 ISO = AngularPowerSpectrum.isotropic()
 CDL_BS, CDL_UE = spectra_from_cdl(
-    load_cdl_table(bundled_cdl_path())[0], asd_deg=10.0, asa_deg=20.0
+    load_cdl_rows(bundled_cdl_path()), asd_deg=10.0, asa_deg=20.0
 )
 
 
@@ -120,10 +121,12 @@ def oracle_cells(spectrum, aperture_x, aperture_y):
 
     means, alphas = spectrum.mixture_arrays[:2]
     peak_points = lat._peak_points(means)
+    workspace = lat._workspace(1)
 
     def holds(*tile):
-        points, _weights = lat._tile_nodes(np.array([tile]))
-        return lat._holds_narrow_peak(lat._cap(points), peak_points, alphas).any()
+        points, _weights = lat._tile_nodes(np.array([tile]), workspace)
+        cap = lat._cap(points, workspace)
+        return lat._holds_narrow_peak(cap, peak_points, alphas).any()
 
     out = []
     for index in enumerate_lattice(aperture_x, aperture_y):
@@ -435,8 +438,9 @@ def test_cap_bound_dominates_every_node_dot_product():
     rng = np.random.default_rng(5)
     means = rng.normal(size=(64, 3))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
+    workspace = lat._workspace(lat._CHUNK_TILES)
     for _ in range(50):
-        points, _weights = lat._tile_nodes(random_tiles(rng, lat._CHUNK_TILES))
+        points, _weights = lat._tile_nodes(random_tiles(rng, lat._CHUNK_TILES), workspace)
         assert np.all(points[3] == 1.0)
         # A third of the means sit next to a node, where the bound is tightest.
         near = points[:3, :, rng.integers(0, points.shape[2], 32)].reshape(3, -1).T
@@ -444,7 +448,7 @@ def test_cap_bound_dominates_every_node_dot_product():
         near /= np.linalg.norm(near, axis=1, keepdims=True)
         all_means = np.vstack([means, near])
         largest = np.einsum("itm,ki->tkm", points[:3], all_means).max(axis=2)
-        bound = lat._cap_bound(lat._cap(points), all_means)
+        bound = cap_bound(lat._cap(points, workspace), all_means)
         assert np.all(bound >= largest)
         # No node beats a mean's largest dot product over the hemisphere.
         assert np.all(largest <= lat._hemisphere_peaks(all_means) + 1e-15)
@@ -467,9 +471,10 @@ def test_peak_points_are_where_each_term_is_largest_on_the_hemisphere():
 def test_a_tile_is_held_only_while_wide_around_a_peak_in_its_cap():
     # Both sides of the cap, taken at twice its radius, and of the width.
     rng = np.random.default_rng(8)
+    workspace = lat._workspace(lat._CHUNK_TILES)
     for _ in range(10):
-        points, _weights = lat._tile_nodes(random_batch(rng))
-        centre, radius = lat._cap(points)
+        points, _weights = lat._tile_nodes(random_batch(rng), workspace)
+        centre, radius = lat._cap(points, workspace)
         for tile in range(points.shape[1]):
             cap, r = (centre[:, tile:tile + 1], radius[tile:tile + 1]), radius[tile]
             if 2.01 * r >= math.pi:
@@ -516,10 +521,8 @@ def test_tile_nodes_in_a_pass_workspace_are_the_oracle_bit_for_bit():
         expected_points, expected_weights = tile_nodes(tiles)
         assert points.tobytes() == expected_points.tobytes()
         assert weights.tobytes() == expected_weights.tobytes()
-        fresh = lat._tile_nodes(tiles)
-        assert fresh[0].tobytes() == points.tobytes()
         centre, radius = lat._cap(points, workspace)
-        expected_centre, expected_radius = lat._cap(expected_points)
+        expected_centre, expected_radius = lat._cap(expected_points, lat._workspace(len(tiles)))
         assert centre.tobytes() == expected_centre.tobytes()
         assert radius.tobytes() == expected_radius.tobytes()
 
@@ -529,13 +532,14 @@ def test_cull_reach_keeps_the_terms_the_cap_bound_keeps():
     # of taking a cosine per pair: both keep the same terms, from broad to
     # very narrow ones, with means above and below the horizon.
     rng = np.random.default_rng(31)
+    workspace = lat._workspace(lat._CHUNK_TILES)
     for _ in range(40):
         means = rng.normal(size=(96, 3))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
         alphas = 10.0 ** rng.uniform(-1.0, 6.0, len(means))
         peaks = lat._hemisphere_peaks(means)
-        cap = lat._cap(lat._tile_nodes(random_batch(rng))[0])
-        bound = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
+        cap = lat._cap(lat._tile_nodes(random_batch(rng), workspace)[0], workspace)
+        bound = alphas * (cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
         reach = lat._cap_gap(cap, means) <= lat._cull_reach(peaks, alphas)
         np.testing.assert_array_equal(reach, bound)
         assert 0 < bound.sum() < bound.size
@@ -573,6 +577,7 @@ def stacked_terms(mixtures):
 
 def test_node_values_match_the_per_cluster_loop():
     rng = np.random.default_rng(10)
+    workspace = lat._workspace(lat._CHUNK_TILES)
     for draw in range(120):
         mixtures = [random_mixture(rng, with_constant=(draw + k) % 4 == 0)
                     for k in range(rng.integers(1, 5))]
@@ -581,14 +586,14 @@ def test_node_values_match_the_per_cluster_loop():
         ]
         means, alphas, rows, owner = stacked_terms(mixtures)
         peaks = lat._hemisphere_peaks(means)
-        points, _weights = lat._tile_nodes(random_batch(rng))
-        cap = lat._cap(points)
+        points, _weights = lat._tile_nodes(random_batch(rng), workspace)
+        cap = lat._cap(points, workspace)
         need = rng.random((len(mixtures), lat._CHUNK_TILES)) < (0.0, 0.5, 1.0)[draw % 3]
-        survivors = alphas * (lat._cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
+        survivors = alphas * (cap_bound(cap, means) - peaks) >= -lat._CULL_EXPONENT
         got = np.full((len(mixtures), *points.shape[1:]), np.nan)
         for tile, spectra, values in lat._pair_values(
             (rows, owner), [mixture[3] for mixture in mixtures], need,
-            survivors & need[owner].T, points,
+            survivors & need[owner].T, points, workspace.scratch,
         ):
             got[spectra, tile] = values
         # No pair outside ``need`` is evaluated.
@@ -660,8 +665,9 @@ def test_rows_of_a_product_of_two_or_more_rows_are_the_rows_of_any_larger_one():
     # (alpha * mean, ln(coef) - alpha) against the homogeneous nodes (4
     # columns, the product _pair_values takes) are checked.
     rng = np.random.default_rng(19)
+    workspace = lat._workspace(lat._CHUNK_TILES)
     for _ in range(300):
-        points, _weights = lat._tile_nodes(random_batch(rng))
+        points, _weights = lat._tile_nodes(random_batch(rng), workspace)
         nodes = points[:, rng.integers(points.shape[1])]
         rows = int(rng.integers(2, 2 * lat._BLOCK_ROWS))
         means = rng.normal(size=(rows, 3))
@@ -685,7 +691,7 @@ def test_lattices_do_not_depend_on_the_blas_thread_count():
 import ctypes, sys
 import numpy as np
 from numpy.linalg import _umath_linalg
-from holomimo import build_lattices, load_cdl_table, rotate_spectrum, spectra_from_cdl
+from holomimo import build_lattices, load_cdl_rows, rotate_spectrum, spectra_from_cdl
 from holomimo.config import bundled_cdl_path
 library = ctypes.CDLL(_umath_linalg.__file__)
 try:
@@ -696,7 +702,7 @@ except AttributeError:
 setter.argtypes, setter.restype, getter.restype = [ctypes.c_int], None, ctypes.c_int
 setter(int(sys.argv[1]))
 assert getter() == int(sys.argv[1]), getter()
-ends = spectra_from_cdl(load_cdl_table(bundled_cdl_path())[0], asd_deg=10.0, asa_deg=20.0)
+ends = spectra_from_cdl(load_cdl_rows(bundled_cdl_path()), asd_deg=10.0, asa_deg=20.0)
 for aperture, spectrum in zip((4.0, 1.0), ends):
     rotated = [rotate_spectrum(spectrum, a) for a in np.linspace(-2.0, 2.5, 5)]
     for lattice in build_lattices(aperture, aperture, rotated):
@@ -741,7 +747,7 @@ def test_culling_skips_only_negligible_terms(monkeypatch, asd_deg, rotation):
     # mixture's mass at 2 degrees).  Culling against the peak rather than
     # the hemisphere's largest value lost 0.4% of the BS total at 2 degrees.
     bs, ue = spectra_from_cdl(
-        load_cdl_table(bundled_cdl_path())[0], asd_deg=asd_deg, asa_deg=20.0
+        load_cdl_rows(bundled_cdl_path()), asd_deg=asd_deg, asa_deg=20.0
     )
     bs = rotate_spectrum(bs, rotation)
     culled = build_lattice(4.0, 4.0, bs)

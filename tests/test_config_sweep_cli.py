@@ -25,7 +25,8 @@ from holomimo.config import PRESET_NAMES, bundled_cdl_path
 from holomimo.coupling import HALF_WAVE_EFFICIENCY
 from holomimo.errors import ConfigError, UnknownPreset
 from holomimo.sweep import CSV_HEADER, SweepResult
-from holomimo.synthesis import draw_coefficients, harmonic_channels
+from holomimo.synthesis import harmonic_channels
+from draw_coefficients_oracle import draw_coefficients
 
 BASE = {
     "carrier_ghz": 3.5,
@@ -73,13 +74,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="does not divide"):
             make_config(spacing_list=[0.3])
 
-    def test_spread_validity_enforced(self):
+    # 1e-300 squares to 0 and 1e-160 leaves the concentration infinite.
+    @pytest.mark.parametrize("spread", [25.0, 1e-160, 1e-300])
+    def test_spread_validity_enforced(self, spread):
         with pytest.raises(ConfigError, match="angular-spread"):
             make_config(
                 spectrum_spec={
                     "kind": "cdl",
                     "path": bundled_cdl_path(),
-                    "asd_deg": 25.0,
+                    "asd_deg": spread,
                     "asa_deg": 10.0,
                 }
             )
@@ -470,9 +473,38 @@ class TestCli:
         if header is not None:
             assert "bad.csv:2: " in err
 
+    @pytest.mark.parametrize("power_db, message", [(4000, "overflows a float"),
+                                                   (-4000, "gives it weight 0")])
+    def test_cluster_power_outside_the_float_range_exits_3(self, tmp_path, capsys,
+                                                           power_db, message):
+        # 10^(4000/10) overflows a float, and 10^(-4000/10) is 0.
+        rows = Path(bundled_cdl_path()).read_text().splitlines()
+        fields = rows[3].split(",")
+        rows[3] = ",".join([fields[0], str(power_db), *fields[2:]])
+        content = "\n".join(rows).encode() + b"\n"
+        code, err = self.bad_file_error(tmp_path, capsys, "cdl-table", content)
+        assert code == 3
+        assert err.startswith(f"error: cluster 3: power_db {power_db} ") and message in err
+
+    @pytest.mark.parametrize("spread, code", [(1e-300, 2), (1e-160, 2), (1e-150, 4)])
+    def test_a_spread_exits_2_unless_its_concentration_is_finite(self, tmp_path, capsys,
+                                                                spread, code):
+        # Above ~1.6e-152 degrees the concentration is finite; the CDL-B
+        # departure clusters, all behind the aperture, are then 0 on the
+        # visible hemisphere: exit 4.
+        config = self.write_config(tmp_path, spectrum_spec={
+            "kind": "cdl", "path": bundled_cdl_path(), "asd_deg": spread, "asa_deg": 20.0,
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["capacity", "su", "--config", str(config)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
     def test_sweep_reads_no_cdl_sidecar(self, tmp_path, capsys):
-        # A sweep takes its spreads from the config, so a sidecar it would
-        # not use cannot fail it; load_cdl_table still reads it.
+        # A sweep takes its spreads from the config and reads no sidecar,
+        # so a malformed one next to the table cannot fail it.
         table = tmp_path / "cdl.csv"
         shutil.copyfile(bundled_cdl_path(), table)
         table.with_suffix(".json").write_bytes(b"[" * 100_000)

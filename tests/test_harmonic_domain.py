@@ -27,7 +27,7 @@ from holomimo import (
     harmonic_angles,
     enumerate_lattice,
     harmonic_vector,
-    load_cdl_table,
+    load_cdl_rows,
     load_pattern_file,
     mu_sum_capacity,
     rotate_spectrum,
@@ -37,13 +37,14 @@ from holomimo import (
 )
 from holomimo.config import bundled_cdl_path
 from holomimo.coupling import HALF_WAVE_EFFICIENCY
-from holomimo.synthesis import draw_coefficients, harmonic_channels
+from holomimo.synthesis import harmonic_channels
+from draw_coefficients_oracle import draw_coefficients
 from expected_frobenius_oracle import expected_frobenius
 
 ISO = AngularPowerSpectrum.isotropic()
 PATTERN_FILE = Path(__file__).parent / "data" / "pattern_one_element.csv"
 CDL_BS, CDL_UE = spectra_from_cdl(
-    load_cdl_table(bundled_cdl_path())[0], asd_deg=10.0, asa_deg=20.0
+    load_cdl_rows(bundled_cdl_path()), asd_deg=10.0, asa_deg=20.0
 )
 
 

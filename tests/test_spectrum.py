@@ -1,7 +1,6 @@
 """Angular power spectrum tests: VMF math, CDL construction, table loading."""
 
 import math
-import shutil
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from holomimo import (
     VmfComponent,
     concentration_from_spread,
     load_cdl_rows,
-    load_cdl_table,
     rotate_spectrum,
     spectra_from_cdl,
 )
@@ -150,10 +148,15 @@ class TestConcentrationFromSpread:
         assert concentration_from_spread(2.129) == pytest.approx(1e4, rel=1e-12)
         assert concentration_from_spread(10.0) == pytest.approx(453.2641, rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [21.29, 21.0, 0.0, -3.0, 40.0])
+    # 1e-300 squares to 0 and 1e-160 to a subnormal that leaves alpha
+    # infinite; the smallest spread with a finite alpha is ~1.6e-152.
+    @pytest.mark.parametrize("bad", [21.29, 21.0, 0.0, -3.0, 40.0, 1e-160, 1e-300])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(SpreadOutOfRange):
             concentration_from_spread(bad)
+
+    def test_smallest_spreads_keep_a_finite_concentration(self):
+        assert concentration_from_spread(1e-150) == 212.9**2 / 1e-150**2 < math.inf
 
     def test_strictly_decreasing(self):
         spreads = np.linspace(0.5, 20.9, 50)
@@ -163,13 +166,12 @@ class TestConcentrationFromSpread:
 
 class TestCdl:
     def test_bundled_table_has_23_clusters(self):
-        rows, meta = load_cdl_table(bundled_cdl_path())
+        rows = load_cdl_rows(bundled_cdl_path())
         assert len(rows) == 23
-        assert meta["asd_deg"] == 10.0 and meta["asa_deg"] == 20.0
 
     def test_spectra_from_bundled_table(self):
-        rows, meta = load_cdl_table(bundled_cdl_path())
-        dep, arr = spectra_from_cdl(rows, meta["asd_deg"], meta["asa_deg"])
+        rows = load_cdl_rows(bundled_cdl_path())
+        dep, arr = spectra_from_cdl(rows, 10.0, 20.0)
         assert len(dep.components) == 23 and len(arr.components) == 23
         for spec in (dep, arr):
             assert sum(c.weight for c in spec.components) == pytest.approx(
@@ -203,35 +205,35 @@ class TestCdl:
             10.0, rel=1e-12
         )
 
+    @pytest.mark.parametrize("powers, message", [
+        ((0.0, 4000.0), "cluster 2: power_db 4000 overflows"),
+        ((3080.0, 3080.0), "cluster 1: power_db 3080 overflows"),  # only their sum
+        ((0.0, -4000.0), "cluster 2: power_db -4000 gives it weight 0"),
+        ((0.0, -3300.0), "cluster 2: power_db -3300 gives it weight 0"),  # 1e-330
+        ((-4000.0, -4000.0), "cluster 1: power_db -4000 gives it weight 0"),
+    ], ids=["power-overflows", "sum-overflows", "power-is-0", "weight-is-0", "all-are-0"])
+    def test_powers_outside_the_float_range_are_malformed(self, powers, message):
+        rows = [CdlClusterRow(k + 1, p, 0.0, 90.0, 0.0, 90.0) for k, p in enumerate(powers)]
+        with pytest.raises(MalformedTableFile, match=message):
+            spectra_from_cdl(rows, 10.0, 10.0)
+
     def test_malformed_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,power\n1,0\n")
         with pytest.raises(MalformedTableFile):
-            load_cdl_table(bad)
+            load_cdl_rows(bad)
 
     def test_empty_file(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         with pytest.raises(EmptyTable):
-            load_cdl_table(empty)
+            load_cdl_rows(empty)
 
     def test_header_only_file(self, tmp_path):
         f = tmp_path / "header.csv"
         f.write_text("cluster_id,power_db,aod_deg,zod_deg,aoa_deg,zoa_deg\n")
         with pytest.raises(EmptyTable):
-            load_cdl_table(f)
-
-
-    @pytest.mark.parametrize(
-        "content", [b"\xff\xfe", b"[" * 100_000], ids=["undecodable", "nested"]
-    )
-    def test_unreadable_sidecar_raises(self, tmp_path, content):
-        table = tmp_path / "cdl.csv"
-        shutil.copyfile(bundled_cdl_path(), table)
-        table.with_suffix(".json").write_bytes(content)
-        with pytest.raises(MalformedTableFile, match="cdl.json"):
-            load_cdl_table(table)
-        assert len(load_cdl_rows(table)) == 23
+            load_cdl_rows(f)
 
 
 class TestRotation:

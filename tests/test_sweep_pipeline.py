@@ -298,10 +298,10 @@ sys.exit(f"exit {code}, loaded {loaded}" if code or loaded else 0)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_a_multi_user_cdl_run_does_not_import_numpy_polynomial(tmp_path):
-    # The cell quadrature's Gauss-Legendre rules are computed without it,
-    # so no sweep pays for its import; only non-uniform element patterns
-    # still use its leggauss, for their sphere power.
+def run_and_list_numpy_polynomial(tmp_path, mode, **overrides):
+    """``holo capacity <mode>`` on a 2-wavelength BS config with
+    ``overrides``, in a fresh process: its exit code and whether it
+    imported ``numpy.polynomial``, as the output's last two words."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "carrier_ghz": 3.5, "bs_aperture": 2.0, "ue_aperture": 1.0,
@@ -310,18 +310,33 @@ def test_a_multi_user_cdl_run_does_not_import_numpy_polynomial(tmp_path):
                           "asd_deg": 10.0, "asa_deg": 20.0},
         "pattern_spec": {"kind": "uniform"},
         "efficiency_spec": {"kind": "relative_eta", "eta": 1.0},
-        "snr_db": 0.0, "realizations": 2, "users": 2, "seed": 0,
+        "snr_db": 0.0, "realizations": 2, "users": 2, "seed": 0, **overrides,
     }))
     script = """
 import sys
 from holomimo.cli import main
-code = main(["capacity", "mu", "--config", sys.argv[1]])
+code = main(["capacity", sys.argv[2], "--config", sys.argv[1]])
 print(code, "numpy.polynomial" in sys.modules)
 """
     package_root = str(Path(sweep_module.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, str(config)],
+    proc = subprocess.run([sys.executable, "-c", script, str(config), mode],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    return proc.stdout.split()[-2:]
+
+
+def test_a_multi_user_cdl_run_does_not_import_numpy_polynomial(tmp_path):
+    # The cell quadrature's Gauss-Legendre rules are computed without it,
+    # so no sweep pays for its import.
+    assert run_and_list_numpy_polynomial(tmp_path, "mu") == ["0", "False"]
+
+
+def test_a_file_pattern_run_does_not_import_numpy_polynomial(tmp_path):
+    # A filed pattern's sphere power takes its elevation rule from the cell
+    # quadrature's, not from numpy's leggauss.
+    pattern = Path(__file__).parent / "data" / "pattern_one_element.csv"
+    assert run_and_list_numpy_polynomial(
+        tmp_path, "su", users=1, pattern_spec={"kind": "file", "path": str(pattern)},
+    ) == ["0", "False"]

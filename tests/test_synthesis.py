@@ -17,7 +17,8 @@ from holomimo import (
     harmonic_vector,
     sample_channel,
 )
-from holomimo.synthesis import MASK64, draw_block, draw_coefficients
+from holomimo.synthesis import MASK64, draw_block
+from draw_coefficients_oracle import draw_coefficients
 from expected_frobenius_oracle import expected_frobenius
 
 ISO = AngularPowerSpectrum.isotropic()
