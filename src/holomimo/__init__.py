@@ -51,7 +51,7 @@ from .spectrum import (
     rotate_spectrum,
     spectra_from_cdl,
 )
-from .sweep import SweepResult, SweepRow, emit, render, run_sweep
+from .sweep import SweepResult, SweepRow, render, run_sweep
 from .synthesis import SynthesisPlan, build_plan, sample_channel
 
 __version__ = "0.1.0"

@@ -279,15 +279,18 @@ def mu_sum_capacity(
         stacked[k, :rows] = _adjoint(span[:, end - rows:end])
         covariances[k, range(rows), range(rows)] = total_power / (k_users * rows)
     columns = stacked.reshape(-1, dim).conj().T  # every R_k, side by side
+
+    def couple(covariances):  # the coupled matrix I + sum_k H_k^H Q_k H_k
+        return _hermitize(
+            np.eye(dim) + columns @ (covariances @ stacked).reshape(-1, dim))
+
     ln2 = math.log(2.0)
     iterations = 0
     # Overflow, a NaN or a failed factorization all mean that a coupled
     # matrix has lost positive definiteness in floating point.
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            coupled = _hermitize(
-                np.eye(dim) + columns @ (covariances @ stacked).reshape(-1, dim)
-            )
+            coupled = couple(covariances)
             rate = float(np.linalg.slogdet(coupled)[1] / ln2)
             history = [rate]
             while True:
@@ -322,9 +325,7 @@ def mu_sum_capacity(
                     step = max(step / 2.0, 1.0 / k_users)
                     gain = np.log1p(step * mu).sum()
                 covariances = covariances + step * (responses - covariances)
-                coupled = _hermitize(
-                    np.eye(dim) + columns @ (covariances @ stacked).reshape(-1, dim)
-                )
+                coupled = couple(covariances)
                 rate += float(gain) / ln2
                 history.append(rate)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -1,7 +1,8 @@
 """The ``holo`` command line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 input-file error,
-4 numerical failure.
+4 numerical failure.  Every command writes its output through ``_write``:
+to stdout, or to the ``--out`` file as UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -9,17 +10,22 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import chain
 
 from .config import PRESET_NAMES, load_config, preset
 from .errors import ConfigError, InputFileError, NumericalError
 from .lattice import build_lattice, build_variance_table
-from .sweep import emit, render, resolve_scenario, run_sweep
+from .sweep import render, resolve_scenario, run_sweep
 from .synthesis import MASK64, sample_channel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
+# The exit code of each error class a command may raise; an OSError, such as
+# an output file that cannot be opened, exits as an input-file error.
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, InputFileError: EXIT_INPUT,
+               NumericalError: EXIT_NUMERICAL, OSError: EXIT_INPUT}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,11 +68,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_or_emit(result, out, fmt):
+def _write(pieces, out) -> None:
+    """Write the strings ``pieces`` to stdout, or to the file ``out`` as
+    UTF-8 with LF line endings."""
     if out is None:
-        sys.stdout.write(render(result, fmt))
-    else:
-        emit(result, out, fmt)
+        sys.stdout.writelines(pieces)
+        return
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(pieces)
+
+
+def _run(config, args) -> int:
+    """Run the sweep of ``config``, write its rows in ``--format`` and warn
+    once per row whose multi-user solves did not all converge."""
+    result = run_sweep(config, jobs=args.jobs)
+    _write([render(result, args.format)], args.out)
     for row in result.rows:
         if row.not_converged:
             print(
@@ -76,6 +92,7 @@ def _print_or_emit(result, out, fmt):
                 f"max_iterations",
                 file=sys.stderr,
             )
+    return EXIT_OK
 
 
 def _cmd_lattice(args) -> int:
@@ -85,16 +102,10 @@ def _cmd_lattice(args) -> int:
     aperture = getattr(scenario.config, f"{args.end}_aperture")
     spectrum = scenario.spectra[0 if args.end == "bs" else 1]
     lattice = build_lattice(aperture, aperture, spectrum)
-    lines = ["ix,iy,integral"] + [
-        f"{idx.ix},{idx.iy},{format(val, '.9g')}"
+    _write(["ix,iy,integral\n"] + [
+        f"{idx.ix},{idx.iy},{format(val, '.9g')}\n"
         for idx, val in zip(lattice.indices, lattice.marginal_integrals)
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    ], args.out)
     return EXIT_OK
 
 
@@ -110,12 +121,11 @@ def _cmd_synth(args) -> int:
     plan = scenario.plans[args.spacing_index]
     matrix = sample_channel(plan, build_variance_table(*lattices), config.seed,
                             args.realization)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("row,col,re,im\n")
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                z = matrix[i, j]
-                fh.write(f"{i},{j},{float(z.real)!r},{float(z.imag)!r}\n")
+    # Streamed: a 1/8-wavelength channel has 65,536 entries.
+    _write(chain(["row,col,re,im\n"], (
+        f"{i},{j},{float(z.real)!r},{float(z.imag)!r}\n"
+        for i, row in enumerate(matrix) for j, z in enumerate(row)
+    )), args.out)
     return EXIT_OK
 
 
@@ -125,9 +135,7 @@ def _cmd_capacity(args) -> int:
         raise ConfigError("capacity su requires users == 1 in the config")
     if args.mode == "mu" and config.users < 2:
         raise ConfigError("capacity mu requires users >= 2 in the config")
-    result = run_sweep(config, jobs=args.jobs)
-    _print_or_emit(result, args.out, args.format)
-    return EXIT_OK
+    return _run(config, args)
 
 
 def _cmd_sweep(args) -> int:
@@ -136,9 +144,7 @@ def _cmd_sweep(args) -> int:
         config = replace(config, seed=args.seed)
     if args.realizations is not None:
         config = replace(config, realizations=args.realizations)
-    result = run_sweep(config, jobs=args.jobs)
-    _print_or_emit(result, args.out, args.format)
-    return EXIT_OK
+    return _run(config, args)
 
 
 def _check_counts(args) -> None:
@@ -163,18 +169,9 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ The config file is read by ``files.read_json``.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -77,14 +76,9 @@ class ScenarioConfig:
                 f"snr_db {self.snr_db} gives a power budget outside the "
                 f"normal float range"
             )
-        if self.carrier_ghz <= 0:
-            raise ConfigError(f"carrier_ghz must be positive, got {self.carrier_ghz}")
-        for name, aperture in (
-            ("bs_aperture", self.bs_aperture),
-            ("ue_aperture", self.ue_aperture),
-        ):
-            if aperture <= 0:
-                raise ConfigError(f"{name} must be positive, got {aperture}")
+        for name in ("carrier_ghz", "bs_aperture", "ue_aperture"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.spacing_list:
             raise ConfigError("spacing_list must not be empty")
         for spacing in self.spacing_list:
@@ -93,10 +87,12 @@ class ScenarioConfig:
                 raise ConfigError(f"spacing {spacing} must be positive")
             for aperture in (self.bs_aperture, self.ue_aperture):
                 grid_count(aperture, spacing)
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
-        if self.users < 1:
-            raise ConfigError("users must be >= 1")
+        # User k of realization r draws from stream (r << 32) | k, which is
+        # unique while r and k fit 32 bits.
+        for name in ("realizations", "users"):
+            if not 1 <= getattr(self, name) <= 2**32:
+                raise ConfigError(f"{name} must be from 1 to 2**32, "
+                                  f"got {getattr(self, name)}")
         # Streams key the seed as an unsigned 64-bit word, so -1 would draw
         # the channels of 2**64 - 1, and 2**64 those of 0, under its own row.
         if self.seed < 0:
@@ -120,12 +116,11 @@ class ScenarioConfig:
             if missing:
                 raise ConfigError(f"{spec_name} missing keys: {sorted(missing)}")
             for key, value in spec.items():
+                name = f"{spec_name}.{key}"
                 if key in _SPEC_REALS:
-                    _require_spec_real(f"{spec_name}.{key}", value)
+                    _require_finite(name, _number(name, value))
                 elif key != "kind" and not isinstance(value, str):
-                    raise ConfigError(
-                        f"{spec_name}.{key} must be a path string, got {value!r}"
-                    )
+                    raise ConfigError(f"{name} must be a path string, got {value!r}")
         if self.spectrum_spec["kind"] == "cdl":
             for key in ("asd_deg", "asa_deg"):
                 concentration_from_spread(self.spectrum_spec[key])
@@ -157,23 +152,16 @@ def _require_finite(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def _require_spec_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+def _number(name: str, value):
+    """``value`` if it is a JSON number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    _require_finite(name, value)
+    return value
 
 
-def _real(key: str, value) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value}")
-    return float(value)
-
-
-def _count(key: str, value) -> int:
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(f"{key} must be an integer, got {value}")
+def _count(name: str, value) -> int:
+    if isinstance(_number(name, value), float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value}")
     return int(value)
 
 
@@ -181,8 +169,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a config from a JSON-shaped dict.
 
     Unknown keys are rejected at the top level and inside the nested specs.
-    Booleans are rejected as numbers, counts and the seed must be integral,
-    and every real value must be finite.
+    Every number must be a JSON number (not a string or a boolean), counts
+    and the seed must be integral, and every real value must be finite.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -194,10 +182,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     try:
         config = ScenarioConfig(
-            **{k: _real(k, data[k])
+            **{k: float(_number(k, data[k]))
                for k in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db")},
             **{k: _count(k, data[k]) for k in ("realizations", "users", "seed")},
-            spacing_list=tuple(_real("spacing", s) for s in data["spacing_list"]),
+            spacing_list=tuple(float(_number("spacing", s)) for s in data["spacing_list"]),
             spectrum_spec=dict(data["spectrum_spec"]),
             pattern_spec=dict(data["pattern_spec"]),
             efficiency_spec=dict(data["efficiency_spec"]),

@@ -14,7 +14,7 @@ patterns of one array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -214,14 +214,7 @@ def load_pattern_file(path) -> list[ElementPattern]:
         power = pattern.sphere_power()
         if power <= 0.0:
             raise MalformedPatternFile(f"{path}: element {idx} pattern has zero power")
-        patterns.append(
-            ElementPattern(
-                kind="gridded",
-                elevations_deg=thetas,
-                azimuths_deg=phis,
-                gains=gains / math.sqrt(power),
-            )
-        )
+        patterns.append(replace(pattern, gains=gains / math.sqrt(power)))
     return patterns
 
 

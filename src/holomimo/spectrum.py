@@ -197,25 +197,19 @@ def spectra_from_cdl(rows, asd_deg: float, asa_deg: float):
             raise MalformedTableFile(f"cluster {row.cluster_id}: power_db "
                                      f"{row.power_db:g} gives it weight 0")
 
-    dep = [
-        VmfComponent(
-            weight=w,
-            mean_azimuth=math.radians(r.aod_deg),
-            mean_elevation=math.radians(r.zod_deg),
-            concentration=alpha_dep,
+    def mixture(concentration, angles):
+        return AngularPowerSpectrum.mixture(
+            VmfComponent(
+                weight=w,
+                mean_azimuth=math.radians(azimuth),
+                mean_elevation=math.radians(zenith),
+                concentration=concentration,
+            )
+            for w, (azimuth, zenith) in zip(weights, angles)
         )
-        for w, r in zip(weights, rows)
-    ]
-    arr = [
-        VmfComponent(
-            weight=w,
-            mean_azimuth=math.radians(r.aoa_deg),
-            mean_elevation=math.radians(r.zoa_deg),
-            concentration=alpha_arr,
-        )
-        for w, r in zip(weights, rows)
-    ]
-    return AngularPowerSpectrum.mixture(dep), AngularPowerSpectrum.mixture(arr)
+
+    return (mixture(alpha_dep, [(r.aod_deg, r.zod_deg) for r in rows]),
+            mixture(alpha_arr, [(r.aoa_deg, r.zoa_deg) for r in rows]))
 
 
 def _cluster_row(rec) -> CdlClusterRow:

@@ -1,4 +1,4 @@
-"""Experiment orchestration: Monte Carlo sweeps and result emission.
+"""Experiment orchestration: Monte Carlo sweeps and their CSV or JSON rendering.
 
 A sweep evaluates the mean and standard deviation of capacity over channel
 realizations for every spacing in the scenario.  Single- and multi-user
@@ -56,6 +56,7 @@ from .coupling import (
     load_pattern_file,
     load_sparams_file,
 )
+from .errors import MalformedTableFile
 from .geometry import build_planar_array
 from .lattice import (
     build_lattice,
@@ -73,7 +74,7 @@ from .spectrum import (
 from .synthesis import MASK64, build_plan, draw_block, harmonic_channels
 
 __all__ = ["SweepRow", "SweepResult", "Scenario", "resolve_scenario",
-           "run_sweep", "render", "emit"]
+           "run_sweep", "render"]
 
 CSV_HEADER = "spacing_wl,efficiency_mode,spectrum,pattern,mean_bits,std_bits,realizations,seed"
 
@@ -130,8 +131,11 @@ class Scenario:
         if spec["kind"] == "isotropic":
             iso = AngularPowerSpectrum.isotropic()
             return iso, iso
-        return spectra_from_cdl(load_cdl_rows(spec["path"]),
-                                asd_deg=spec["asd_deg"], asa_deg=spec["asa_deg"])
+        rows = load_cdl_rows(spec["path"])
+        try:
+            return spectra_from_cdl(rows, asd_deg=spec["asd_deg"], asa_deg=spec["asa_deg"])
+        except MalformedTableFile as exc:  # a cluster's power: name the file too
+            raise MalformedTableFile(f"{spec['path']}: {exc}") from exc
 
     @cached_property
     def bs_lattice(self):
@@ -381,10 +385,3 @@ def render(result: SweepResult, fmt: str = "csv") -> str:
                 "config": result.config.to_dict()}
         return json.dumps(body, indent=2) + "\n"
     raise ValueError(f"format must be csv or json, got {fmt!r}")
-
-
-def emit(result: SweepResult, path, fmt: str = "csv") -> None:
-    """Write a rendered sweep result to a file with LF line endings."""
-    payload = render(result, fmt)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)

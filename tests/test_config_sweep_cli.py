@@ -1,18 +1,19 @@
-"""Scenario config, sweep orchestration, emission, and CLI tests."""
+"""Scenario config, sweep orchestration, output, and CLI tests."""
 
 import json
 import math
 import shutil
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import holomimo.sweep as sweep_module
 from holomimo import (
     AngularPowerSpectrum,
     build_lattice,
     config_from_dict,
-    emit,
     load_config,
     preset,
     render,
@@ -246,38 +247,46 @@ class TestMultiUserSweep:
         assert a == b
 
 
-class TestEmission:
-    def test_empty_result_is_header_only(self, tmp_path):
-        out = tmp_path / "r.csv"
-        emit(SweepResult(rows=(), config=make_config()), out, "csv")
-        assert out.read_text() == CSV_HEADER + "\n"
+class TestOutput:
+    """Every ``holo`` output goes through one writer: an ``--out`` file holds
+    the bytes that stdout gets, UTF-8 with LF line endings."""
 
-    def test_single_row_two_lines(self, tmp_path):
-        out = tmp_path / "r.csv"
-        emit(run_sweep(make_config(realizations=1)), out, "csv")
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0] == CSV_HEADER
+    def test_empty_result_renders_the_header_only(self):
+        assert render(SweepResult(rows=(), config=make_config())) == CSV_HEADER + "\n"
 
-    def test_csv_uses_lf_endings(self, tmp_path):
-        out = tmp_path / "r.csv"
-        emit(run_sweep(make_config(realizations=1)), out, "csv")
-        assert b"\r" not in out.read_bytes()
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            render(SweepResult(rows=(), config=make_config()), "yaml")
 
-    def test_json_round_trip_exact(self, tmp_path):
+    def test_json_round_trip_exact(self):
         result = run_sweep(make_config(realizations=3))
-        out = tmp_path / "r.json"
-        emit(result, out, "json")
-        loaded = json.loads(out.read_text())
-        for row, original in zip(loaded["rows"], result.rows):
-            assert row["mean_bits"] == original.mean_bits
-            assert row["std_bits"] == original.std_bits
-            assert row["spacing_wl"] == original.spacing_wl
+        loaded = json.loads(render(result, "json"))
+        assert loaded["rows"] == [asdict(row) for row in result.rows]
         assert loaded["config"] == result.config.to_dict()
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit(SweepResult(rows=(), config=make_config()), tmp_path / "x", "yaml")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "--end", "bs"],
+            ["capacity", "su", "--format", "csv"],
+            ["capacity", "su", "--format", "json"],
+            ["sweep", "--preset", "fig3-isotropic", "--realizations", "2",
+             "--format", "json"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
+    )
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary, argv):
+        if argv[0] != "sweep":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(BASE))
+            argv = [*argv, "--config", str(config)]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out.read_bytes() == stdout
+        assert stdout.endswith(b"\n") and b"\r" not in stdout
 
 
 class TestCli:
@@ -297,6 +306,7 @@ class TestCli:
         config = self.write_config(tmp_path)
         out = tmp_path / "h.csv"
         assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        assert b"\r" not in out.read_bytes()
         lines = out.read_text().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) == 1 + 4 * 16  # 4 receive x 16 transmit elements
@@ -484,7 +494,8 @@ class TestCli:
         content = "\n".join(rows).encode() + b"\n"
         code, err = self.bad_file_error(tmp_path, capsys, "cdl-table", content)
         assert code == 3
-        assert err.startswith(f"error: cluster 3: power_db {power_db} ") and message in err
+        assert err.startswith(f"error: {tmp_path / 'bad.csv'}: cluster 3: "
+                              f"power_db {power_db} ") and message in err
 
     @pytest.mark.parametrize("spread, code", [(1e-300, 2), (1e-160, 2), (1e-150, 4)])
     def test_a_spread_exits_2_unless_its_concentration_is_finite(self, tmp_path, capsys,
@@ -664,6 +675,10 @@ class TestCli:
             {"seed": False},
             {"seed": -1},
             {"seed": 2**64},
+            {"carrier_ghz": "3.5"},
+            {"realizations": "3"},
+            {"spacing_list": ["0.5"]},
+            {"seed": "7"},
             {"snr_db": 4000.0},
             {"snr_db": -4000.0},
             {"efficiency_spec": {"kind": "relative_eta", "eta": 1.2}},
@@ -767,3 +782,40 @@ class TestCli:
 
     def test_integral_float_count_is_accepted(self):
         assert make_config(realizations=2.0).realizations == 2
+
+    def test_json_numbers_of_either_type_are_accepted(self):
+        config = make_config(carrier_ghz=3, spacing_list=[1, 0.5], snr_db=-2,
+                             efficiency_spec={"kind": "relative_eta", "eta": 1})
+        assert config.carrier_ghz == 3.0 and isinstance(config.carrier_ghz, float)
+        assert config.spacing_list == (1.0, 0.5) and config.snr_db == -2.0
+        assert config.efficiency_spec["eta"] == 1
+
+    def test_realizations_and_users_go_up_to_2_to_the_32(self):
+        config = make_config(realizations=2**32, users=2**32)
+        assert (config.realizations, config.users) == (2**32, 2**32)
+
+    @pytest.mark.parametrize("count", [2**32 + 1, 2**63 - 1, 2**64])
+    def test_huge_realization_counts_exit_2(self, tmp_path, capsys, count):
+        # Past 2**32 a multi-user stream key (r << 32) | k would wrap onto an
+        # earlier realization's; at 2**63 - 1 the chunk bounds overflowed
+        # into NaN rows, and at 2**64 numpy's integer cast raised.
+        config = self.write_config(tmp_path, realizations=count)
+        for argv in (["sweep", "--preset", "fig3-cdlb", "--realizations", str(count)],
+                     ["capacity", "su", "--config", str(config)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: realizations must be from 1 to 2**32, got {count}\n")
+
+    def test_users_past_2_to_the_32_exit_2_before_any_drop(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_drop(*args):
+            raise AssertionError("users dropped")
+
+        monkeypatch.setattr(sweep_module, "drop_users", no_drop)
+        config = self.write_config(tmp_path, users=2**32 + 1)
+        assert main(["capacity", "mu", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: users must be from 1 to 2**32, got {2**32 + 1}\n"
