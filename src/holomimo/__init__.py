@@ -3,8 +3,8 @@
 Importing holomimo makes numpy's OpenBLAS single-threaded before any
 submodule imports numpy, leaving ``os.environ`` as found (``_blas``): the
 workers OpenBLAS starts as numpy loads spin ~0.1 s past their last job even
-once the count is lowered, and cost half of numpy's import; the plan QRs'
-last bits depend on the thread count.
+once the count is lowered, and cost half of numpy's import; the last bits
+of an element-domain plan QR depend on the thread count.
 """
 
 from . import _blas

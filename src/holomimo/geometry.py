@@ -39,8 +39,15 @@ class ArrayGeometry:
 
 def grid_count(aperture: float, spacing: float) -> int:
     """Element count aperture/spacing along one axis; NonIntegerGrid unless
-    it is a positive integer within relative tolerance 1e-9."""
-    n = round(aperture / spacing)
+    it is a positive integer within relative tolerance 1e-9 that a numpy
+    array index can hold."""
+    ratio = aperture / spacing
+    if not ratio <= np.iinfo(np.intp).max:  # also an infinite or NaN ratio
+        raise NonIntegerGrid(
+            f"spacing {spacing} divides aperture {aperture} into {ratio:g} "
+            f"elements, more than an array can hold"
+        )
+    n = round(ratio)
     if n < 1 or abs(n * spacing - aperture) > _GRID_RTOL * aperture:
         raise NonIntegerGrid(
             f"spacing {spacing} does not divide aperture {aperture} into an "

@@ -9,9 +9,9 @@ per aperture, and each distinct lattice pair gets its variances
 (``build_variance_table``).  None of these, nor a user's Fourier
 coefficients, depend on the spacing: each is made once, the block's
 coefficients in one ``draw_block`` call, and every spacing maps the
-block's stack of draws through its plan (``Scenario.plans``; a plan's bases
-and R factors do not depend on the users either).  Only the capacity
-differs: a single user's channels of every spacing of one shape are
+block's stack of draws through its plan (``Scenario.plans``; a plan's
+kept harmonics and R factors do not depend on the users either).  Only the
+capacity differs: a single user's channels of every spacing of one shape are
 water-filled row by row from one stacked SVD (one ``su_capacities`` call
 per block), and each multi-user realization runs the sum-capacity solver.
 A link end with one cell in the unit disk (``inert_ends``, the presets'
@@ -115,7 +115,7 @@ class SweepResult:
 class Scenario:
     """A validated config turned into the objects that synthesis needs.
 
-    A synthesis plan belongs to a spacing: its bases, kept harmonics and R
+    A synthesis plan belongs to a spacing: its kept harmonics and R
     factors depend on the arrays and the apertures, not on any spectrum.
     The variances belong to the lattice pair of one user, who keeps them for
     all spacings.  Each part is built on first use and then kept:

@@ -1,11 +1,15 @@
 """Channel synthesis: pattern-modified harmonic bases and Monte Carlo draws.
 
 A synthesis plan freezes everything deterministic about an array pair: the
-two pattern-modified harmonic bases and the per-element efficiency
-amplitudes.  It takes the harmonics of each aperture, their angles and
-the ones in the disk from the aperture's cached ``harmonic_geometry`` and
-no spectrum, so one plan serves every user of a spacing; each basis is one
-phase product over that geometry, bit for bit the columns of
+two arrays and their coupling (element patterns and efficiencies), the
+harmonics each end keeps and the R factors of those harmonics.  It takes
+the harmonics of each aperture, their angles and the ones in the disk from
+the aperture's cached ``harmonic_geometry`` and no spectrum, so one plan
+serves every user of a spacing.  The pattern-modified element-domain bases
+and the efficiency amplitudes are made on first access under the plan's
+``bs_basis``/``ue_basis`` and ``bs_amplitudes``/``ue_amplitudes``; only
+``sample_channel`` (``holo synth``) reads them.  Each basis is one phase
+product over the harmonic geometry, bit for bit the columns of
 ``harmonic_vector``.  The separable variances sigma^2(l, m) belong to the
 propagation one user sees; ``lattice.build_variance_table`` makes them
 from the user's two lattices, and the samplers take them next to the plan.
@@ -34,12 +38,26 @@ isometries at both ends, so M has the nonzero singular values and the
 broadcast sum capacity of H.  The kept harmonics depend on the apertures
 alone, so channels of several users drawn on the same plan are in shared
 transmit coordinates.
+
+An end whose elements share one pattern object and one efficiency (every
+preset: ``relative_eta`` or ``hannan`` efficiencies with a uniform, dipole
+or one-element file pattern) gets its R factor from per-axis factors.  Its
+basis is a * (Phi_y kron Phi_x) diag(g) / sqrt(N), with the per-axis
+phasors Phi_x and Phi_y of the uniform grid (elements y-outer, x-inner), so
+the QRs Phi_x = Q_x R_x and Phi_y = Q_y R_y leave one QR of
+a * (R_y kron R_x)[:, S] diag(g) / sqrt(N): at most 81 x 45 for a
+4-wavelength aperture at any spacing, where the weighted basis is 1024 x 45
+at 1/8 wavelength.  These small QRs give the same bits at one and two BLAS
+threads, where the 1024 x 45 one does not.  An end with S-parameter
+efficiencies or a pattern file of several elements takes the QR of its
+weighted element-domain basis, which is built for it and not kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,24 +75,47 @@ MASK64 = (1 << 64) - 1
 @dataclass(frozen=True, eq=False)
 class SynthesisPlan:
     """Deterministic ingredients of the channel distribution for one array
-    pair."""
+    pair.
 
-    bs_basis: np.ndarray  # (N_S, n_S), transmit harmonics x element gains
-    ue_basis: np.ndarray  # (N_R, n_R), receive harmonics x element gains
-    bs_amplitudes: np.ndarray  # (N_S,) sqrt of element efficiencies
-    ue_amplitudes: np.ndarray  # (N_R,)
+    The element-domain bases and amplitudes are made on first access: only
+    ``sample_channel`` reads them, and a sweep never does."""
+
+    bs_geometry: ArrayGeometry
+    ue_geometry: ArrayGeometry
+    bs_coupling: CouplingProfile
+    ue_coupling: CouplingProfile
     bs_support: np.ndarray  # (k_S,) indices of the transmit harmonics in the disk
     ue_support: np.ndarray  # (k_R,)
-    bs_r: np.ndarray  # (min(N_S, k_S), k_S), R of the QR of (amplitudes * bs_basis)[:, bs_support]
-    ue_r: np.ndarray  # (min(N_R, k_R), k_R)
+    bs_r: np.ndarray  # (<= k_S, k_S), R of the QR of (bs_amplitudes * bs_basis)[:, bs_support]
+    ue_r: np.ndarray  # (<= k_R, k_R)
+
+    @cached_property
+    def bs_basis(self) -> np.ndarray:
+        """(N_S, n_S), transmit harmonics x element gains."""
+        return _modified_basis(self.bs_geometry, self.bs_coupling, sign=-1)
+
+    @cached_property
+    def ue_basis(self) -> np.ndarray:
+        """(N_R, n_R), receive harmonics x element gains."""
+        return _modified_basis(self.ue_geometry, self.ue_coupling, sign=+1)
+
+    @property
+    def bs_amplitudes(self) -> np.ndarray:
+        """(N_S,) sqrt of the transmit element efficiencies."""
+        return self.bs_coupling.amplitudes
+
+    @property
+    def ue_amplitudes(self) -> np.ndarray:
+        """(N_R,) sqrt of the receive element efficiencies."""
+        return self.ue_coupling.amplitudes
 
     @property
     def bs_count(self) -> int:
-        return self.bs_basis.shape[0]
+        return self.bs_geometry.count
 
     @property
     def ue_count(self) -> int:
-        return self.ue_basis.shape[0]
+        return self.ue_geometry.count
 
 
 def _modified_basis(
@@ -109,29 +150,55 @@ def _modified_basis(
     return basis
 
 
+def _axis_r(coordinates: np.ndarray, aperture: float, reach: int, sign: int) -> np.ndarray:
+    """R of the thin QR of one axis's phasors exp(2 pi j sign k c / L), a
+    row per coordinate c and a column per harmonic k = -reach..reach."""
+    phase = np.multiply.outer(coordinates, np.arange(-reach, reach + 1.0))
+    phase *= 2.0 * math.pi * sign / aperture
+    return np.linalg.qr(np.exp(1j * phase), mode="r")
+
+
+def _end_r(geometry: ArrayGeometry, coupling: CouplingProfile, sign: int,
+           support: np.ndarray) -> np.ndarray:
+    """R of the thin QR of one end's weighted basis restricted to ``support``:
+    from the per-axis factors R_x and R_y when every element has the same
+    pattern object and efficiency, at most (2K_y + 1)(2K_x + 1) rows
+    whatever the element count; else from the element-domain basis."""
+    patterns, efficiencies = coupling.patterns, coupling.efficiencies
+    if not (all(p is patterns[0] for p in patterns)
+            and (efficiencies == efficiencies[0]).all()):
+        weighted = coupling.amplitudes[:, None] * _modified_basis(geometry, coupling, sign)
+        return np.linalg.qr(weighted[:, support], mode="r")
+    harmonics = harmonic_geometry(geometry.aperture_x, geometry.aperture_y)
+    reach_x, reach_y = int(harmonics.ix.max()), int(harmonics.iy.max())
+    r_x = _axis_r(geometry.elements[:geometry.count_x, 0], geometry.aperture_x, reach_x, sign)
+    r_y = _axis_r(geometry.elements[::geometry.count_x, 1], geometry.aperture_y, reach_y, sign)
+    columns_x = (harmonics.ix[support] + reach_x).astype(np.intp)
+    columns_y = (harmonics.iy[support] + reach_y).astype(np.intp)
+    factor = (r_y[:, None, columns_y] * r_x[None, :, columns_x]).reshape(-1, len(support))
+    gains = patterns[0].gain(harmonics.elevation[support], harmonics.azimuth[support])
+    factor *= math.sqrt(efficiencies[0]) / math.sqrt(geometry.count) * gains
+    return np.linalg.qr(factor, mode="r")
+
+
 def build_plan(
     bs_geometry: ArrayGeometry,
     ue_geometry: ArrayGeometry,
     bs_coupling: CouplingProfile,
     ue_coupling: CouplingProfile,
 ) -> SynthesisPlan:
-    """Assemble the bases, amplitudes, kept harmonics and R factors of an
-    array pair."""
-    bs_basis = _modified_basis(bs_geometry, bs_coupling, sign=-1)
-    ue_basis = _modified_basis(ue_geometry, ue_coupling, sign=+1)
-    bs_amplitudes = bs_coupling.amplitudes
-    ue_amplitudes = ue_coupling.amplitudes
+    """Assemble the kept harmonics and R factors of an array pair."""
     bs_support = harmonic_geometry(bs_geometry.aperture_x, bs_geometry.aperture_y).support
     ue_support = harmonic_geometry(ue_geometry.aperture_x, ue_geometry.aperture_y).support
     return SynthesisPlan(
-        bs_basis=bs_basis,
-        ue_basis=ue_basis,
-        bs_amplitudes=bs_amplitudes,
-        ue_amplitudes=ue_amplitudes,
+        bs_geometry=bs_geometry,
+        ue_geometry=ue_geometry,
+        bs_coupling=bs_coupling,
+        ue_coupling=ue_coupling,
         bs_support=bs_support,
         ue_support=ue_support,
-        bs_r=np.linalg.qr(bs_amplitudes[:, None] * bs_basis[:, bs_support], mode="r"),
-        ue_r=np.linalg.qr(ue_amplitudes[:, None] * ue_basis[:, ue_support], mode="r"),
+        bs_r=_end_r(bs_geometry, bs_coupling, -1, bs_support),
+        ue_r=_end_r(ue_geometry, ue_coupling, +1, ue_support),
     )
 
 

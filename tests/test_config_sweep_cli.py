@@ -513,6 +513,34 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("spacing, apertures", [
+        (1e-309, {"ue_aperture": 1.0}),
+        (1e-308, {"bs_aperture": 1.5, "ue_aperture": 1.5}),
+    ])
+    def test_a_spacing_too_small_for_an_array_exits_2(self, tmp_path, capsys,
+                                                      spacing, apertures):
+        # 1/1e-309 overflows to inf; 1.5/1e-308 is a finite integral 1.5e308,
+        # far past the largest array index.
+        config = self.write_config(tmp_path, spacing_list=[spacing], **apertures)
+        assert main(["capacity", "su", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_synth_writes_the_pinned_bytes(self, tmp_path):
+        # A dipole pattern on 1.5-wavelength apertures at 1/4 wavelength: 6 x 6
+        # elements per end, twice the 3 harmonics per axis.
+        config = self.write_config(
+            tmp_path, bs_aperture=1.5, ue_aperture=1.5, spacing_list=[0.5, 0.25],
+            pattern_spec={"kind": "dipole"},
+            efficiency_spec={"kind": "relative_eta", "eta": 0.9}, realizations=1, seed=7,
+        )
+        out = tmp_path / "h.csv"
+        assert main(["synth", "--config", str(config), "--spacing-index", "1",
+                     "--realization", "2", "--out", str(out)]) == 0
+        pinned = Path(__file__).parent / "data" / "synth_dipole_1p5wl_quarter.csv"
+        assert out.read_bytes() == pinned.read_bytes()
+
     def test_sweep_reads_no_cdl_sidecar(self, tmp_path, capsys):
         # A sweep takes its spreads from the config and reads no sidecar,
         # so a malformed one next to the table cannot fail it.

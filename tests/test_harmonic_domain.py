@@ -189,6 +189,46 @@ def test_a_plan_drops_only_harmonics_without_variance(
     assert not variances[:, dropped_bs].any()
 
 
+def axis(spacing):
+    """(aperture, spacing) of one axis: a whole number of elements on an
+    aperture of 0.5-4 wavelengths."""
+    return st.integers(max(1, math.ceil(0.5 / spacing)), int(4.0 / spacing)).map(
+        lambda elements: (elements * spacing, spacing))
+
+
+# From 2 wavelengths, which leaves one or two elements per axis, fewer than
+# its harmonics, down to 1/8 wavelength, which leaves up to 32.
+AXIS = st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125]).flatmap(axis)
+
+
+@settings(max_examples=60, deadline=None)
+@example(x=(4.0, 0.125), y=(4.0, 0.125), dipole=False, eta=1.0)
+@example(x=(2.0, 2.0), y=(0.5, 0.125), dipole=True, eta=0.0)
+@given(x=AXIS, y=AXIS, dipole=st.booleans(),
+       eta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_per_axis_r_factors_reproduce_the_element_domain_gram(x, y, dipole, eta):
+    # A shared pattern and one efficiency for every element: the plan's R
+    # factors come from the per-axis phasors; the weighted element-domain
+    # basis is the oracle.
+    (aperture_x, spacing_x), (aperture_y, spacing_y) = x, y
+    geometry = build_planar_array(aperture_x, aperture_y, spacing_x, spacing_y)
+    pattern = ElementPattern.dipole() if dipole else ElementPattern.uniform()
+    coupling = build_coupling_profile(geometry, pattern, eta * HALF_WAVE_EFFICIENCY)
+    plan = build_plan(geometry, geometry, coupling, coupling)
+    assert not {"bs_basis", "ue_basis"} & plan.__dict__.keys()
+    for r, basis, amplitudes, support in (
+        (plan.bs_r, plan.bs_basis, plan.bs_amplitudes, plan.bs_support),
+        (plan.ue_r, plan.ue_basis, plan.ue_amplitudes, plan.ue_support),
+    ):
+        weighted = amplitudes[:, None] * basis[:, support]
+        gram = weighted.conj().T @ weighted
+        assert np.abs(r.conj().T @ r - gram).max() <= 1e-13 * np.abs(gram).max()
+        if x == y:
+            assert r.shape == np.linalg.qr(weighted, mode="r").shape
+        else:
+            assert r.shape[0] <= len(support) and r.shape[1] == len(support)
+
+
 class TestReducedChannel:
     def test_factors_reproduce_the_weighted_bases(self):
         # Only the cells that meet the unit disk are kept: the broadside one

@@ -298,10 +298,15 @@ sys.exit(f"exit {code}, loaded {loaded}" if code or loaded else 0)
     assert proc.returncode == 0, proc.stderr
 
 
-def run_and_list_numpy_polynomial(tmp_path, mode, **overrides):
+# numpy 2.4 loads these lazily: ``numpy.polynomial`` on a ``leggauss`` call,
+# ``numpy.ma`` (~8 ms) on an ``np.kron`` or ``np.unique`` call.
+LAZY_MODULES = ("numpy.polynomial", "numpy.ma")
+
+
+def run_and_list_imports(tmp_path, mode, modules=LAZY_MODULES, **overrides):
     """``holo capacity <mode>`` on a 2-wavelength BS config with
-    ``overrides``, in a fresh process: its exit code and whether it
-    imported ``numpy.polynomial``, as the output's last two words."""
+    ``overrides``, in a fresh process: its exit code, then for each of
+    ``modules`` whether it was imported, as the output's last words."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "carrier_ghz": 3.5, "bs_aperture": 2.0, "ue_aperture": 1.0,
@@ -316,27 +321,36 @@ def run_and_list_numpy_polynomial(tmp_path, mode, **overrides):
 import sys
 from holomimo.cli import main
 code = main(["capacity", sys.argv[2], "--config", sys.argv[1]])
-print(code, "numpy.polynomial" in sys.modules)
+print(code, *(name in sys.modules for name in sys.argv[3:]))
 """
     package_root = str(Path(sweep_module.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, str(config), mode],
+    proc = subprocess.run([sys.executable, "-c", script, str(config), mode, *modules],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()[-2:]
+    return proc.stdout.split()[-1 - len(modules):]
 
 
-def test_a_multi_user_cdl_run_does_not_import_numpy_polynomial(tmp_path):
-    # The cell quadrature's Gauss-Legendre rules are computed without it,
-    # so no sweep pays for its import.
-    assert run_and_list_numpy_polynomial(tmp_path, "mu") == ["0", "False"]
+def test_a_single_user_cdl_run_imports_neither_polynomial_nor_ma(tmp_path):
+    # Its plans take the per-axis R factors, with no np.kron.
+    assert run_and_list_imports(tmp_path, "su", users=1) == ["0", "False", "False"]
 
 
-def test_a_file_pattern_run_does_not_import_numpy_polynomial(tmp_path):
+def test_a_multi_user_cdl_run_imports_neither_polynomial_nor_ma(tmp_path):
+    # The cell quadrature's Gauss-Legendre rules are computed without
+    # numpy.polynomial, so no sweep pays for its import.
+    assert run_and_list_imports(tmp_path, "mu") == ["0", "False", "False"]
+
+
+def test_an_element_domain_run_imports_neither_polynomial_nor_ma(tmp_path):
     # A filed pattern's sphere power takes its elevation rule from the cell
-    # quadrature's, not from numpy's leggauss.
-    pattern = Path(__file__).parent / "data" / "pattern_one_element.csv"
-    assert run_and_list_numpy_polynomial(
-        tmp_path, "su", users=1, pattern_spec={"kind": "file", "path": str(pattern)},
-    ) == ["0", "False"]
+    # quadrature's, not from numpy's leggauss; S-parameter efficiencies put
+    # both ends on the element-domain QR.
+    data = Path(__file__).parent / "data"
+    assert run_and_list_imports(
+        tmp_path, "su", users=1, bs_aperture=1.5,
+        pattern_spec={"kind": "file", "path": str(data / "pattern_one_element.csv")},
+        efficiency_spec={"kind": "sparams", "bs_path": str(data / "sparams_bs_3x3.csv"),
+                         "ue_path": str(data / "sparams_ue_2x2.csv")},
+    ) == ["0", "False", "False"]

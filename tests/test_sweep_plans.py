@@ -1,10 +1,14 @@
 """One plan per spacing: sweep users share bases and R factors and differ
 only in their variances."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import holomimo.sweep as sweep_module
+import holomimo.synthesis as synthesis_module
 from holomimo import (
     CapacityReport,
     build_plan,
@@ -14,6 +18,7 @@ from holomimo import (
     drop_users,
     run_sweep,
 )
+from holomimo.cli import main
 from holomimo.config import bundled_cdl_path
 from holomimo.sweep import _drop_seed, resolve_scenario
 
@@ -31,6 +36,7 @@ BASE = {
     "seed": 7,
 }
 CDL = {"kind": "cdl", "path": bundled_cdl_path(), "asd_deg": 10.0, "asa_deg": 20.0}
+DATA = Path(__file__).parent / "data"
 
 
 def make_config(**overrides):
@@ -59,6 +65,78 @@ def test_one_plan_per_spacing(monkeypatch, overrides):
     config = make_config(**overrides)
     run_sweep(config)
     assert len(calls) == len(config.spacing_list)
+
+
+def refuse_element_bases(monkeypatch):
+    def refusing(*args, **kwargs):
+        raise AssertionError("an element-domain basis was built")
+
+    monkeypatch.setattr(synthesis_module, "_modified_basis", refusing)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"spectrum_spec": CDL},
+     {"users": 1, "ue_aperture": 1.5, "pattern_spec": {"kind": "dipole"},
+      "efficiency_spec": {"kind": "hannan"}},
+     {"users": 1, "spacing_list": [0.125],
+      "pattern_spec": {"kind": "file", "path": str(DATA / "pattern_one_element.csv")}}],
+    ids=["uniform-relative-eta", "dipole-hannan", "one-filed-pattern"],
+)
+def test_a_shared_pattern_sweep_builds_no_element_basis(monkeypatch, overrides):
+    # One pattern object and one efficiency for every element: each end's R
+    # factor comes from its per-axis factors.
+    refuse_element_bases(monkeypatch)
+    result = run_sweep(make_config(**overrides))
+    assert len(result.rows) == len(make_config(**overrides).spacing_list)
+
+
+def write_pattern_file(path, elements):
+    """A pattern file of ``elements`` different gridded patterns."""
+    lines = ["element_index,theta_deg,phi_deg,re,im"]
+    for element in range(elements):
+        for theta in range(0, 91, 15):
+            for phi in range(-180, 180, 30):
+                lines.append(f"{element},{theta},{phi},{1.0 + 0.01 * theta},"
+                             f"{0.1 * element * np.sin(np.radians(phi))}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["sparams", "pattern-file"])
+def test_per_element_inputs_take_the_element_domain_qr(monkeypatch, tmp_path, kind):
+    # S-parameter efficiencies differ per element, and a pattern file of
+    # several elements gives each its own pattern: both ends of the one
+    # spacing build their bases for the QR, and a sweep keeps neither.
+    if kind == "sparams":
+        overrides = {"efficiency_spec": {"kind": "sparams",
+                                         "bs_path": str(DATA / "sparams_bs_3x3.csv"),
+                                         "ue_path": str(DATA / "sparams_ue_2x2.csv")}}
+    else:
+        path = write_pattern_file(tmp_path / "patterns.csv", elements=4)
+        overrides = {"bs_aperture": 1.0,
+                     "pattern_spec": {"kind": "file", "path": str(path)}}
+    config = make_config(users=1, spacing_list=[0.5], **overrides)
+    calls = count_calls(monkeypatch, synthesis_module, "_modified_basis")
+    scenario = resolve_scenario(config)
+    plan = scenario.plans[0]
+    assert len(calls) == 2
+    assert "bs_basis" not in plan.__dict__ and "ue_basis" not in plan.__dict__
+    for r, basis, amplitudes, support in (
+        (plan.bs_r, plan.bs_basis, plan.bs_amplitudes, plan.bs_support),
+        (plan.ue_r, plan.ue_basis, plan.ue_amplitudes, plan.ue_support),
+    ):
+        np.testing.assert_array_equal(
+            r, np.linalg.qr(amplitudes[:, None] * basis[:, support], mode="r"))
+
+
+def test_synth_builds_the_element_bases(monkeypatch, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BASE))
+    calls = count_calls(monkeypatch, synthesis_module, "_modified_basis")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "h.csv")]) == 0
+    # The plan's R factors took none; the channel takes both ends' bases.
+    assert len(calls) == 2
 
 
 def test_isotropic_multi_user_sweep_builds_two_lattices(monkeypatch):
