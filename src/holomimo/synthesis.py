@@ -167,8 +167,8 @@ def _end_r(geometry: ArrayGeometry, coupling: CouplingProfile, sign: int,
     patterns, efficiencies = coupling.patterns, coupling.efficiencies
     if not (all(p is patterns[0] for p in patterns)
             and (efficiencies == efficiencies[0]).all()):
-        weighted = coupling.amplitudes[:, None] * _modified_basis(geometry, coupling, sign)
-        return np.linalg.qr(weighted[:, support], mode="r")
+        basis = _modified_basis(geometry, coupling, sign)
+        return np.linalg.qr(coupling.amplitudes[:, None] * basis[:, support], mode="r")
     harmonics = harmonic_geometry(geometry.aperture_x, geometry.aperture_y)
     reach_x, reach_y = int(harmonics.ix.max()), int(harmonics.iy.max())
     r_x = _axis_r(geometry.elements[:geometry.count_x, 0], geometry.aperture_x, reach_x, sign)

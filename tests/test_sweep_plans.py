@@ -1,5 +1,5 @@
-"""One plan per spacing: sweep users share bases and R factors and differ
-only in their variances."""
+"""One plan per spacing: sweep users share its R factors and differ only in
+their variances."""
 
 import json
 from pathlib import Path
