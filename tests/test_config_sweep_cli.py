@@ -12,13 +12,20 @@ import pytest
 import holomimo.sweep as sweep_module
 from holomimo import (
     AngularPowerSpectrum,
+    ElementPattern,
+    build_coupling_profile,
     build_lattice,
+    build_plan,
+    build_planar_array,
+    build_variance_table,
     config_from_dict,
+    load_cdl_rows,
     load_config,
     preset,
     render,
     run_sweep,
     sample_channel,
+    spectra_from_cdl,
     su_capacity,
 )
 from holomimo.cli import main
@@ -688,6 +695,33 @@ class TestCli:
             for index, value in zip(quadrature.indices, quadrature.marginal_integrals)
         ]
         assert float(rows[2][2]) == pytest.approx(2.0 * math.pi, rel=1e-6)
+
+    def test_lattice_and_synth_read_each_end_s_own_spectrum(self, tmp_path, capsys):
+        # Equal 2-wavelength apertures, so only the CDL spectrum tells the
+        # ends apart: departure at the BS, arrival at the UE.
+        cdl = {"kind": "cdl", "path": bundled_cdl_path(), "asd_deg": 10.0,
+               "asa_deg": 20.0}
+        config = self.write_config(tmp_path, ue_aperture=2.0, spectrum_spec=cdl)
+        spectra = spectra_from_cdl(load_cdl_rows(bundled_cdl_path()),
+                                   asd_deg=10.0, asa_deg=20.0)
+        lattices = [build_lattice(2.0, 2.0, spectrum) for spectrum in spectra]
+        for end, lattice in zip(("bs", "ue"), lattices):
+            assert main(["lattice", "--config", str(config), "--end", end]) == 0
+            assert capsys.readouterr().out == "ix,iy,integral\n" + "".join(
+                f"{index.ix},{index.iy},{format(value, '.9g')}\n"
+                for index, value in zip(lattice.indices, lattice.marginal_integrals)
+            )
+        out = tmp_path / "h.csv"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        geometry = build_planar_array(2.0, 2.0, 0.5, 0.5)
+        coupling = build_coupling_profile(geometry, ElementPattern.uniform(),
+                                          HALF_WAVE_EFFICIENCY)
+        plan = build_plan(geometry, geometry, coupling, coupling)
+        matrix = sample_channel(plan, build_variance_table(*lattices), BASE["seed"], 0)
+        assert out.read_text() == "row,col,re,im\n" + "".join(
+            f"{i},{j},{float(z.real)!r},{float(z.imag)!r}\n"
+            for i, row in enumerate(matrix) for j, z in enumerate(row)
+        )
 
     @pytest.mark.parametrize(
         "overrides",
