@@ -15,7 +15,7 @@ from itertools import chain
 from .config import PRESET_NAMES, load_config, preset
 from .errors import ConfigError, InputFileError, NumericalError
 from .lattice import build_lattice, build_variance_table
-from .sweep import render, resolve_scenario, run_sweep
+from .sweep import Scenario, render, run_sweep
 from .synthesis import MASK64, sample_channel
 
 EXIT_OK = 0
@@ -98,10 +98,8 @@ def _run(config, args) -> int:
 def _cmd_lattice(args) -> int:
     # The quadrature integrals, also at an end whose sweeps need only the
     # indicator of its one cell in the unit disk.
-    scenario = resolve_scenario(load_config(args.config))
-    aperture = getattr(scenario.config, f"{args.end}_aperture")
-    spectrum = scenario.spectra[0 if args.end == "bs" else 1]
-    lattice = build_lattice(aperture, aperture, spectrum)
+    end, = (e for e in Scenario(load_config(args.config)).ends if e.name == args.end)
+    lattice = build_lattice(end.aperture, end.aperture, end.spectrum)
     _write(["ix,iy,integral\n"] + [
         f"{idx.ix},{idx.iy},{format(val, '.9g')}\n"
         for idx, val in zip(lattice.indices, lattice.marginal_integrals)
@@ -116,8 +114,8 @@ def _cmd_synth(args) -> int:
             f"spacing index {args.spacing_index} outside the configured list"
         )
     # Lattices, plans, table: a config bad in several ways fails as a sweep does.
-    scenario = resolve_scenario(config)
-    lattices = scenario.bs_lattice, scenario.ue_lattice
+    scenario = Scenario(config)
+    lattices = [end.lattice for end in scenario.ends]
     plan = scenario.plans[args.spacing_index]
     matrix = sample_channel(plan, build_variance_table(*lattices), config.seed,
                             args.realization)

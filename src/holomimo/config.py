@@ -1,4 +1,4 @@
-"""Scenario configuration: schema, validation, loading, presets.
+"""Scenario configuration: schema, checks, loading, presets.
 
 The config file is read by ``files.read_json``.
 """
@@ -64,7 +64,9 @@ class ScenarioConfig:
     users: int
     seed: int
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self):
+        """Check every field, so that each config, ``dataclasses.replace``
+        results included, is valid once built."""
         for name in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db"):
             _require_finite(name, getattr(self, name))
         try:
@@ -134,7 +136,6 @@ class ScenarioConfig:
                 f"efficiency_spec kind 'sparams' needs exactly one spacing, "
                 f"got {len(self.spacing_list)}"
             )
-        return self
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -166,11 +167,12 @@ def _count(name: str, value) -> int:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a config from a JSON-shaped dict.
+    """Build a config from a JSON-shaped dict.
 
     Unknown keys are rejected at the top level and inside the nested specs.
-    Every number must be a JSON number (not a string or a boolean), counts
-    and the seed must be integral, and every real value must be finite.
+    ``spacing_list`` must be an array and each spec an object.  Every number
+    must be a JSON number (not a string or a boolean), counts and the seed
+    must be integral, and every real value must be finite.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -180,19 +182,21 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     missing = _TOP_FIELDS - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
+    if not isinstance(data["spacing_list"], list):
+        raise ConfigError(f"spacing_list must be an array, got {data['spacing_list']!r}")
+    for name in _SPEC_FIELDS:
+        if not isinstance(data[name], dict):
+            raise ConfigError(f"{name} must be an object, got {data[name]!r}")
     try:
-        config = ScenarioConfig(
+        numbers = {
             **{k: float(_number(k, data[k]))
                for k in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db")},
             **{k: _count(k, data[k]) for k in ("realizations", "users", "seed")},
-            spacing_list=tuple(float(_number("spacing", s)) for s in data["spacing_list"]),
-            spectrum_spec=dict(data["spectrum_spec"]),
-            pattern_spec=dict(data["pattern_spec"]),
-            efficiency_spec=dict(data["efficiency_spec"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+            "spacing_list": tuple(float(_number("spacing", s)) for s in data["spacing_list"]),
+        }
+    except OverflowError as exc:  # an int past the float range
         raise ConfigError(f"malformed config value: {exc}") from exc
-    return config.validate()
+    return ScenarioConfig(**numbers, **{name: dict(data[name]) for name in _SPEC_FIELDS})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -259,4 +263,4 @@ def preset(name: str) -> ScenarioConfig:
     if name not in _PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     config = replace(_PRESET_BASE, **_PRESETS[name])
-    return _paths_under(config, _bundled_data()).validate()
+    return _paths_under(config, _bundled_data())

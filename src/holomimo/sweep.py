@@ -5,16 +5,16 @@ realizations for every spacing in the scenario.  Single- and multi-user
 realizations run one loop over blocks of _BLOCK user channels (a single
 user is the unrotated reference user).  A block's users are dropped first,
 the lattices of all their rotated spectra are built in one quadrature pass
-per aperture, and each distinct lattice pair gets its variances
-(``build_variance_table``).  None of these, nor a user's Fourier
-coefficients, depend on the spacing: each is made once, the block's
+per link end (``LinkEnd.lattices``), and each distinct lattice pair gets
+its variances (``build_variance_table``).  None of these, nor a user's
+Fourier coefficients, depend on the spacing: each is made once, the block's
 coefficients in one ``draw_block`` call, and every spacing maps the
 block's stack of draws through its plan (``Scenario.plans``; a plan's
 kept harmonics and R factors do not depend on the users either).  Only the
 capacity differs: a single user's channels of every spacing of one shape are
 water-filled row by row from one stacked SVD (one ``su_capacities`` call
 per block), and each multi-user realization runs the sum-capacity solver.
-A link end with one cell in the unit disk (``inert_ends``, the presets'
+A link end with one cell in the unit disk (``LinkEnd.inert``, the presets'
 1-wavelength receive aperture) builds no lattice: the variance table
 normalizes any spectrum there to the indicator of that cell, so every user
 shares its ``indicator_lattice``; ``holo lattice`` still integrates it.
@@ -73,7 +73,7 @@ from .spectrum import (
 )
 from .synthesis import MASK64, build_plan, draw_block, harmonic_channels
 
-__all__ = ["SweepRow", "SweepResult", "Scenario", "resolve_scenario",
+__all__ = ["SweepRow", "SweepResult", "Scenario", "LinkEnd",
            "run_sweep", "render"]
 
 CSV_HEADER = "spacing_wl,efficiency_mode,spectrum,pattern,mean_bits,std_bits,realizations,seed"
@@ -112,8 +112,55 @@ class SweepResult:
 
 
 @dataclass(frozen=True, eq=False)
+class LinkEnd:
+    """One end of the link: its name ("bs" or "ue"), its square aperture in
+    wavelengths, its spectrum before any user rotation, and the ``UserDrop``
+    angle that rotates that spectrum (the sector azimuth at the BS, the
+    terminal orientation at the UE)."""
+
+    name: str
+    aperture: float
+    spectrum: AngularPowerSpectrum
+    angle: str
+
+    @cached_property
+    def inert(self) -> bool:
+        """Whether no spectrum can change this end's normalized variances.
+
+        An aperture with one cell that meets the unit disk (at 1
+        wavelength, the broadside cell) holds the end's whole hemisphere
+        mass there, so the variance table normalizes that end to the same
+        indicator for every spectrum and every user rotation."""
+        return len(harmonic_geometry(self.aperture, self.aperture).support) == 1
+
+    @cached_property
+    def lattice(self):
+        """The lattice of the unrotated spectrum that the variance table
+        sees: at an inert end the quadrature-free indicator_lattice, else
+        the quadrature of build_lattice."""
+        if self.inert:
+            return indicator_lattice(self.aperture, self.aperture, self.spectrum)
+        return build_lattice(self.aperture, self.aperture, self.spectrum)
+
+    def lattices(self, drops):
+        """The lattice of each dropped user's rotated spectrum, from one
+        ``build_lattices`` pass.  An inert end rotates nothing, and it and
+        a spectrum that rotation hands back unchanged (isotropic, or any at
+        the reference user's angle of 0) keep the unrotated lattice, which
+        is looked up only then; its ``DegenerateSpectrum`` check covers
+        every user, since rotation keeps the hemisphere mass and peak."""
+        if self.inert:
+            return [self.lattice] * len(drops)
+        rotated = [rotate_spectrum(self.spectrum, math.radians(getattr(drop, self.angle)))
+                   for drop in drops]
+        changed = [s for s in rotated if s is not self.spectrum]
+        built = iter(build_lattices(self.aperture, self.aperture, changed))
+        return [self.lattice if s is self.spectrum else next(built) for s in rotated]
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A validated config turned into the objects that synthesis needs.
+    """A config turned into the objects that synthesis needs.
 
     A synthesis plan belongs to a spacing: its kept harmonics and R
     factors depend on the arrays and the apertures, not on any spectrum.
@@ -125,34 +172,20 @@ class Scenario:
     config: ScenarioConfig
 
     @cached_property
-    def spectra(self):
-        """(departure, arrival) spectra before any user rotation."""
+    def ends(self):
+        """The (BS, UE) link ends, with the (departure, arrival) spectra."""
         spec = self.config.spectrum_spec
         if spec["kind"] == "isotropic":
-            iso = AngularPowerSpectrum.isotropic()
-            return iso, iso
-        rows = load_cdl_rows(spec["path"])
-        try:
-            return spectra_from_cdl(rows, asd_deg=spec["asd_deg"], asa_deg=spec["asa_deg"])
-        except MalformedTableFile as exc:  # a cluster's power: name the file too
-            raise MalformedTableFile(f"{spec['path']}: {exc}") from exc
-
-    @cached_property
-    def bs_lattice(self):
-        return self._lattice("bs", self.spectra[0])
-
-    @cached_property
-    def ue_lattice(self):
-        return self._lattice("ue", self.spectra[1])
-
-    def _lattice(self, end, spectrum):
-        """The lattice of an unrotated spectrum that the variance table
-        sees: at an inert end the quadrature-free indicator_lattice, else
-        the quadrature of build_lattice."""
-        aperture = getattr(self.config, f"{end}_aperture")
-        if end in self.inert_ends:
-            return indicator_lattice(aperture, aperture, spectrum)
-        return build_lattice(aperture, aperture, spectrum)
+            spectra = (AngularPowerSpectrum.isotropic(),) * 2
+        else:
+            rows = load_cdl_rows(spec["path"])
+            try:
+                spectra = spectra_from_cdl(rows, asd_deg=spec["asd_deg"],
+                                           asa_deg=spec["asa_deg"])
+            except MalformedTableFile as exc:  # a cluster's power: name the file too
+                raise MalformedTableFile(f"{spec['path']}: {exc}") from exc
+        return (LinkEnd("bs", self.config.bs_aperture, spectra[0], "azimuth_deg"),
+                LinkEnd("ue", self.config.ue_aperture, spectra[1], "orientation_deg"))
 
     @cached_property
     def _pattern_source(self):
@@ -188,45 +221,10 @@ class Scenario:
             mode = f"relative_eta={efficiency['eta']:.9g}"
         return mode, self.config.spectrum_spec["kind"], self.config.pattern_spec["kind"]
 
-    @cached_property
-    def inert_ends(self):
-        """Link ends whose normalized variances no spectrum can change.
-
-        An aperture with one cell that meets the unit disk (at 1
-        wavelength, the broadside cell) holds the end's whole hemisphere
-        mass there, so the variance table normalizes that end to the same
-        indicator for every spectrum and every user rotation."""
-        return frozenset(
-            end for end, a in (("bs", self.config.bs_aperture),
-                               ("ue", self.config.ue_aperture))
-            if len(harmonic_geometry(a, a).support) == 1
-        )
-
     def realization_lattices(self, drops):
-        """(departure, arrival) lattices of each dropped user's rotated spectra.
-
-        The sector azimuth rotates the departure spectrum and the terminal
-        orientation the arrival spectrum, each end's in one ``build_lattices``
-        pass.  An inert end (``inert_ends``) rotates nothing, and it and a
-        spectrum that rotation hands back unchanged (isotropic, or any at
-        the reference user's angles of 0) keep the unrotated lattice, which
-        is looked up only then; its ``DegenerateSpectrum`` check covers
-        every user, since rotation keeps the hemisphere mass and peak."""
-        ends = []
-        for end, spectrum, angles in (
-            ("bs", self.spectra[0], [drop.azimuth_deg for drop in drops]),
-            ("ue", self.spectra[1], [drop.orientation_deg for drop in drops]),
-        ):
-            if end in self.inert_ends:
-                ends.append([getattr(self, f"{end}_lattice")] * len(angles))
-                continue
-            aperture = getattr(self.config, f"{end}_aperture")
-            rotated = [rotate_spectrum(spectrum, math.radians(a)) for a in angles]
-            changed = [s for s in rotated if s is not spectrum]
-            built = iter(build_lattices(aperture, aperture, changed))
-            ends.append([getattr(self, f"{end}_lattice") if s is spectrum
-                         else next(built) for s in rotated])
-        return list(zip(*ends))
+        """(departure, arrival) lattices of each dropped user's rotated
+        spectra, one ``LinkEnd.lattices`` pass per end."""
+        return list(zip(*(end.lattices(drops) for end in self.ends)))
 
     @cached_property
     def plans(self):
@@ -241,11 +239,6 @@ class Scenario:
             plans.append(build_plan(bs, ue, self.coupling("bs", bs),
                                     self.coupling("ue", ue)))
         return plans
-
-
-def resolve_scenario(config: ScenarioConfig) -> Scenario:
-    """Validate a config and return the Scenario that builds its objects."""
-    return Scenario(config.validate())
 
 
 def _process_pool():
@@ -340,7 +333,7 @@ def run_sweep(config: ScenarioConfig, jobs: int = 1) -> SweepResult:
     sum-power iterative water-filling solver.  ``jobs`` worker processes
     each take a contiguous chunk of realizations across all spacings.
     """
-    scenario = resolve_scenario(config)
+    scenario = Scenario(config)
     tasks = [(scenario, chunk) for chunk in _chunks(config.realizations, jobs)]
     if jobs <= 1 or len(tasks) <= 1:
         chunks = [_evaluate_chunk(t) for t in tasks]

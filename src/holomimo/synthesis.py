@@ -5,14 +5,15 @@ two arrays and their coupling (element patterns and efficiencies), the
 harmonics each end keeps and the R factors of those harmonics.  It takes
 the harmonics of each aperture, their angles and the ones in the disk from
 the aperture's cached ``harmonic_geometry`` and no spectrum, so one plan
-serves every user of a spacing.  The pattern-modified element-domain bases
-and the efficiency amplitudes are made on first access under the plan's
-``bs_basis``/``ue_basis`` and ``bs_amplitudes``/``ue_amplitudes``; only
-``sample_channel`` (``holo synth``) reads them.  Each basis is one phase
-product over the harmonic geometry, bit for bit the columns of
-``harmonic_vector``.  The separable variances sigma^2(l, m) belong to the
-propagation one user sees; ``lattice.build_variance_table`` makes them
-from the user's two lattices, and the samplers take them next to the plan.
+serves every user of a spacing.  A plan is the pair ``(bs, ue)`` of its
+transmit and receive ends (``PlanEnd``).  Each end's pattern-modified
+element-domain basis is made on first read of its ``basis``; only
+``sample_channel`` (``holo synth``) reads it, with the efficiency amplitudes
+of the end's coupling.  Each basis is one phase product over the harmonic
+geometry, bit for bit the columns of ``harmonic_vector``.  The separable
+variances sigma^2(l, m) belong to the propagation one user sees;
+``lattice.build_variance_table`` makes them from the user's two lattices,
+and the samplers take them next to the plan.
 
 Realizations are pure functions of (plan, variances, seed,
 realization_index): every Fourier coefficient is drawn from a
@@ -58,6 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
 from .lattice import harmonic_geometry
 
-__all__ = ["SynthesisPlan", "build_plan", "draw_block", "sample_channel",
+__all__ = ["SynthesisPlan", "PlanEnd", "build_plan", "draw_block", "sample_channel",
            "harmonic_channels", "MASK64"]
 
 # Seeds and counters enter every random stream as unsigned 64-bit words.
@@ -73,49 +75,30 @@ MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)
-class SynthesisPlan:
+class PlanEnd:
+    """One end of a synthesis plan: its array, its coupling, the sign of its
+    harmonic phases (-1 transmit, +1 receive), the harmonics it keeps and
+    the R factor of the QR of its weighted basis restricted to them."""
+
+    geometry: ArrayGeometry
+    coupling: CouplingProfile
+    sign: int
+    support: np.ndarray  # (k,) indices of the harmonics in the disk
+    r: np.ndarray  # (<= k, k), R of the QR of (amplitudes * basis)[:, support]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(N, n), harmonics x element gains; made on first read, which
+        only ``sample_channel`` does."""
+        return _modified_basis(self.geometry, self.coupling, self.sign)
+
+
+class SynthesisPlan(NamedTuple):
     """Deterministic ingredients of the channel distribution for one array
-    pair.
+    pair: the transmit and the receive end."""
 
-    The element-domain bases and amplitudes are made on first access: only
-    ``sample_channel`` reads them, and a sweep never does."""
-
-    bs_geometry: ArrayGeometry
-    ue_geometry: ArrayGeometry
-    bs_coupling: CouplingProfile
-    ue_coupling: CouplingProfile
-    bs_support: np.ndarray  # (k_S,) indices of the transmit harmonics in the disk
-    ue_support: np.ndarray  # (k_R,)
-    bs_r: np.ndarray  # (<= k_S, k_S), R of the QR of (bs_amplitudes * bs_basis)[:, bs_support]
-    ue_r: np.ndarray  # (<= k_R, k_R)
-
-    @cached_property
-    def bs_basis(self) -> np.ndarray:
-        """(N_S, n_S), transmit harmonics x element gains."""
-        return _modified_basis(self.bs_geometry, self.bs_coupling, sign=-1)
-
-    @cached_property
-    def ue_basis(self) -> np.ndarray:
-        """(N_R, n_R), receive harmonics x element gains."""
-        return _modified_basis(self.ue_geometry, self.ue_coupling, sign=+1)
-
-    @property
-    def bs_amplitudes(self) -> np.ndarray:
-        """(N_S,) sqrt of the transmit element efficiencies."""
-        return self.bs_coupling.amplitudes
-
-    @property
-    def ue_amplitudes(self) -> np.ndarray:
-        """(N_R,) sqrt of the receive element efficiencies."""
-        return self.ue_coupling.amplitudes
-
-    @property
-    def bs_count(self) -> int:
-        return self.bs_geometry.count
-
-    @property
-    def ue_count(self) -> int:
-        return self.ue_geometry.count
+    bs: PlanEnd
+    ue: PlanEnd
 
 
 def _modified_basis(
@@ -158,18 +141,20 @@ def _axis_r(coordinates: np.ndarray, aperture: float, reach: int, sign: int) -> 
     return np.linalg.qr(np.exp(1j * phase), mode="r")
 
 
-def _end_r(geometry: ArrayGeometry, coupling: CouplingProfile, sign: int,
-           support: np.ndarray) -> np.ndarray:
-    """R of the thin QR of one end's weighted basis restricted to ``support``:
-    from the per-axis factors R_x and R_y when every element has the same
-    pattern object and efficiency, at most (2K_y + 1)(2K_x + 1) rows
-    whatever the element count; else from the element-domain basis."""
+def _plan_end(geometry: ArrayGeometry, coupling: CouplingProfile, sign: int) -> PlanEnd:
+    """The kept harmonics of one end and the R factor of the thin QR of its
+    weighted basis restricted to them: from the per-axis factors R_x and R_y
+    when every element has the same pattern object and efficiency, at most
+    (2K_y + 1)(2K_x + 1) rows whatever the element count; else from the
+    element-domain basis."""
+    harmonics = harmonic_geometry(geometry.aperture_x, geometry.aperture_y)
+    support = harmonics.support
     patterns, efficiencies = coupling.patterns, coupling.efficiencies
     if not (all(p is patterns[0] for p in patterns)
             and (efficiencies == efficiencies[0]).all()):
         basis = _modified_basis(geometry, coupling, sign)
-        return np.linalg.qr(coupling.amplitudes[:, None] * basis[:, support], mode="r")
-    harmonics = harmonic_geometry(geometry.aperture_x, geometry.aperture_y)
+        r = np.linalg.qr(coupling.amplitudes[:, None] * basis[:, support], mode="r")
+        return PlanEnd(geometry, coupling, sign, support, r)
     reach_x, reach_y = int(harmonics.ix.max()), int(harmonics.iy.max())
     r_x = _axis_r(geometry.elements[:geometry.count_x, 0], geometry.aperture_x, reach_x, sign)
     r_y = _axis_r(geometry.elements[::geometry.count_x, 1], geometry.aperture_y, reach_y, sign)
@@ -178,7 +163,7 @@ def _end_r(geometry: ArrayGeometry, coupling: CouplingProfile, sign: int,
     factor = (r_y[:, None, columns_y] * r_x[None, :, columns_x]).reshape(-1, len(support))
     gains = patterns[0].gain(harmonics.elevation[support], harmonics.azimuth[support])
     factor *= math.sqrt(efficiencies[0]) / math.sqrt(geometry.count) * gains
-    return np.linalg.qr(factor, mode="r")
+    return PlanEnd(geometry, coupling, sign, support, np.linalg.qr(factor, mode="r"))
 
 
 def build_plan(
@@ -188,18 +173,8 @@ def build_plan(
     ue_coupling: CouplingProfile,
 ) -> SynthesisPlan:
     """Assemble the kept harmonics and R factors of an array pair."""
-    bs_support = harmonic_geometry(bs_geometry.aperture_x, bs_geometry.aperture_y).support
-    ue_support = harmonic_geometry(ue_geometry.aperture_x, ue_geometry.aperture_y).support
-    return SynthesisPlan(
-        bs_geometry=bs_geometry,
-        ue_geometry=ue_geometry,
-        bs_coupling=bs_coupling,
-        ue_coupling=ue_coupling,
-        bs_support=bs_support,
-        ue_support=ue_support,
-        bs_r=_end_r(bs_geometry, bs_coupling, -1, bs_support),
-        ue_r=_end_r(ue_geometry, ue_coupling, +1, ue_support),
-    )
+    return SynthesisPlan(_plan_end(bs_geometry, bs_coupling, -1),
+                         _plan_end(ue_geometry, ue_coupling, +1))
 
 
 def draw_block(tables, seed: int, keys) -> np.ndarray:
@@ -246,11 +221,12 @@ def sample_channel(
     elements, where s = sqrt(N_R*N_S) is the front factor of the series
     expansion and C has the (n_R, n_S) ``variances``.
     """
+    bs, ue = plan
     coeffs = draw_block([variances], seed, [realization_index])[0]
-    return np.sqrt(plan.ue_count * plan.bs_count) * (
-        (plan.ue_amplitudes[:, None] * plan.ue_basis)
+    return np.sqrt(ue.geometry.count * bs.geometry.count) * (
+        (ue.coupling.amplitudes[:, None] * ue.basis)
         @ coeffs
-        @ (plan.bs_basis.conj().T * plan.bs_amplitudes[None, :])
+        @ (bs.basis.conj().T * bs.coupling.amplitudes[None, :])
     )
 
 
@@ -258,6 +234,7 @@ def harmonic_channels(plan: SynthesisPlan, coefficients: np.ndarray) -> np.ndarr
     """M = s * R_R C[S_R, S_S] R_S^H of a coefficient array C, or of each
     array of a stack (..., n_R, n_S): every matrix of the stack is the
     product it would be alone.  The dropped rows and columns of C are 0."""
-    scale = np.sqrt(plan.ue_count * plan.bs_count)
-    kept = coefficients[..., plan.ue_support[:, None], plan.bs_support]
-    return scale * (plan.ue_r @ kept @ plan.bs_r.conj().T)
+    bs, ue = plan
+    scale = np.sqrt(ue.geometry.count * bs.geometry.count)
+    kept = coefficients[..., ue.support[:, None], bs.support]
+    return scale * (ue.r @ kept @ bs.r.conj().T)

@@ -14,9 +14,9 @@ def expected_frobenius(plan: SynthesisPlan, variances: np.ndarray) -> float:
     oracle for the sampler.
     """
     ue_norms = np.sum(
-        np.abs(plan.ue_amplitudes[:, None] * plan.ue_basis) ** 2, axis=0
+        np.abs(plan.ue.coupling.amplitudes[:, None] * plan.ue.basis) ** 2, axis=0
     )
     bs_norms = np.sum(
-        np.abs(plan.bs_amplitudes[:, None] * plan.bs_basis) ** 2, axis=0
+        np.abs(plan.bs.coupling.amplitudes[:, None] * plan.bs.basis) ** 2, axis=0
     )
-    return float(plan.ue_count * plan.bs_count * (ue_norms @ variances @ bs_norms))
+    return float(plan.ue.geometry.count * plan.bs.geometry.count * (ue_norms @ variances @ bs_norms))

@@ -144,7 +144,7 @@ def test_criterion_05_moment_checks():
     start = time.time()
     plan, variances = iso_unit_plan(2.0, 1.0, 0.5)
     target = expected_frobenius(plan, variances)
-    assert target == pytest.approx(plan.bs_count * plan.ue_count, abs=1e-9)
+    assert target == pytest.approx(plan.bs.geometry.count * plan.ue.geometry.count, abs=1e-9)
     draws = 2000
     mean = np.mean(
         [
@@ -155,9 +155,9 @@ def test_criterion_05_moment_checks():
     assert abs(mean - target) <= 0.05 * target
 
     toy, variances = iso_unit_plan(2.0, 2.0, 1.0)  # 2x2 elements at both ends
-    g_r = toy.ue_amplitudes[:, None] * toy.ue_basis
-    g_s = toy.bs_amplitudes[:, None] * toy.bs_basis
-    scale = toy.ue_count * toy.bs_count
+    g_r = toy.ue.coupling.amplitudes[:, None] * toy.ue.basis
+    g_s = toy.bs.coupling.amplitudes[:, None] * toy.bs.basis
+    scale = toy.ue.geometry.count * toy.bs.geometry.count
     samples = np.stack(
         [hm.sample_channel(toy, variances, SEED + 1, r) for r in range(20000)]
     )

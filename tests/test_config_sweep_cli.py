@@ -4,7 +4,7 @@ import json
 import math
 import shutil
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -161,6 +161,13 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(UnknownPreset):
             preset("nope")
+
+    @pytest.mark.parametrize("change", [{"seed": -1}, {"realizations": 0},
+                                        {"spacing_list": (0.3,)}])
+    def test_a_replaced_config_is_checked(self, change):
+        # Every config is checked when it is built, a replaced one too.
+        with pytest.raises(ConfigError):
+            replace(preset("fig3-cdlb"), **change)
 
 
 class TestSingleUserSweep:
@@ -783,6 +790,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert spec_name in captured.err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"spacing_list": "0.5"}, "spacing_list must be an array, got '0.5'"),
+            ({"spacing_list": {"0.5": 1}}, "spacing_list must be an array, got {'0.5': 1}"),
+            ({"spectrum_spec": [1, 2]}, "spectrum_spec must be an object, got [1, 2]"),
+            ({"pattern_spec": "uniform"}, "pattern_spec must be an object, got 'uniform'"),
+            ({"efficiency_spec": None}, "efficiency_spec must be an object, got None"),
+        ],
+        ids=["spacing-string", "spacing-object", "spec-array", "spec-string", "spec-null"],
+    )
+    def test_config_shape_errors_name_the_field(self, tmp_path, capsys, overrides,
+                                                message):
+        config = self.write_config(tmp_path, **overrides)
+        assert main(["capacity", "su", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_sparams_with_several_spacings_exits_2(self, tmp_path, capsys):
         data = Path(__file__).parent / "data"

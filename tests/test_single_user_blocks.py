@@ -11,7 +11,7 @@ from holomimo.cli import main
 from holomimo.capacity import su_capacities, su_capacity
 from holomimo.errors import EmptyGains, NonFiniteChannel, ZeroChannel
 from holomimo.lattice import build_variance_table
-from holomimo.sweep import _BLOCK, _evaluate_chunk, resolve_scenario
+from holomimo.sweep import _BLOCK, Scenario, _evaluate_chunk
 from holomimo.synthesis import draw_block, harmonic_channels
 from draw_coefficients_oracle import draw_coefficients
 
@@ -36,8 +36,8 @@ def make_config(realizations):
 
 def plans_and_variances(config):
     """(plans, variances of the unrotated lattice pair) of a single user."""
-    scenario = resolve_scenario(config)
-    return scenario.plans, build_variance_table(scenario.bs_lattice, scenario.ue_lattice)
+    scenario = Scenario(config)
+    return scenario.plans, build_variance_table(scenario.ends[0].lattice, scenario.ends[1].lattice)
 
 
 def oracle_values(config, indices):
@@ -60,7 +60,7 @@ def test_sweep_equals_the_per_realization_oracle(realizations):
     # A chunk that starts at 0 and one that starts inside a block, as the
     # second of two workers' chunks does.
     for indices in (range(realizations), range(realizations // 2, realizations)):
-        chunk = _evaluate_chunk((resolve_scenario(config), indices))
+        chunk = _evaluate_chunk((Scenario(config), indices))
         assert [[value for value, _ in pairs] for pairs in chunk] == [
             expected[r] for r in indices
         ]

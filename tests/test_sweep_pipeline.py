@@ -118,7 +118,7 @@ def test_rendered_sweep_is_byte_identical_across_jobs(users, spectrum):
 def full_chunk(users, count):
     """(scenario, _evaluate_chunk of realizations 0..count-1) of a CDL sweep."""
     config = replace(golden_config(users=users, spectrum="cdl"), realizations=count)
-    scenario = sweep_module.resolve_scenario(config)
+    scenario = sweep_module.Scenario(config)
     return scenario, sweep_module._evaluate_chunk((scenario, range(count)))
 
 

@@ -20,7 +20,7 @@ from holomimo import (
 )
 from holomimo.cli import main
 from holomimo.config import bundled_cdl_path
-from holomimo.sweep import _drop_seed, resolve_scenario
+from holomimo.sweep import Scenario, _drop_seed
 
 BASE = {
     "carrier_ghz": 3.5,
@@ -118,13 +118,13 @@ def test_per_element_inputs_take_the_element_domain_qr(monkeypatch, tmp_path, ki
                      "pattern_spec": {"kind": "file", "path": str(path)}}
     config = make_config(users=1, spacing_list=[0.5], **overrides)
     calls = count_calls(monkeypatch, synthesis_module, "_modified_basis")
-    scenario = resolve_scenario(config)
+    scenario = Scenario(config)
     plan = scenario.plans[0]
     assert len(calls) == 2
-    assert "bs_basis" not in plan.__dict__ and "ue_basis" not in plan.__dict__
+    assert "basis" not in plan.bs.__dict__ and "basis" not in plan.ue.__dict__
     for r, basis, amplitudes, support in (
-        (plan.bs_r, plan.bs_basis, plan.bs_amplitudes, plan.bs_support),
-        (plan.ue_r, plan.ue_basis, plan.ue_amplitudes, plan.ue_support),
+        (plan.bs.r, plan.bs.basis, plan.bs.coupling.amplitudes, plan.bs.support),
+        (plan.ue.r, plan.ue.basis, plan.ue.coupling.amplitudes, plan.ue.support),
     ):
         np.testing.assert_array_equal(
             r, np.linalg.qr(amplitudes[:, None] * basis[:, support], mode="r"))
@@ -155,7 +155,7 @@ def test_user_plans_equal_plans_built_on_their_own_lattices(monkeypatch):
     # variances of that user's own rotated lattices.
     config = make_config(spectrum_spec=CDL, pattern_spec={"kind": "dipole"},
                          ue_aperture=1.5)
-    scenario = resolve_scenario(config)
+    scenario = Scenario(config)
     drops = drop_users(config.users, _drop_seed(config.seed, 1))
     lattices = scenario.realization_lattices(drops)
     for s, spacing in enumerate(config.spacing_list):
@@ -163,11 +163,11 @@ def test_user_plans_equal_plans_built_on_their_own_lattices(monkeypatch):
         ue = build_planar_array(1.5, 1.5, spacing, spacing)
         reference = build_plan(bs, ue, scenario.coupling("bs", bs),
                                scenario.coupling("ue", ue))
-        for name in ("bs_basis", "ue_basis", "bs_amplitudes",
-                     "ue_amplitudes", "bs_r", "ue_r"):
-            np.testing.assert_array_equal(
-                getattr(scenario.plans[s], name), getattr(reference, name)
-            )
+        for end, expected in zip(scenario.plans[s], reference):
+            for name in ("basis", "r"):
+                np.testing.assert_array_equal(getattr(end, name), getattr(expected, name))
+            np.testing.assert_array_equal(end.coupling.amplitudes,
+                                          expected.coupling.amplitudes)
     draws, maps = [], []
     draw = sweep_module.draw_block
 
@@ -197,12 +197,12 @@ def test_user_plans_equal_plans_built_on_their_own_lattices(monkeypatch):
 
 
 def test_rotation_invariant_spectra_keep_the_unrotated_lattices():
-    scenario = resolve_scenario(make_config())
+    scenario = Scenario(make_config())
     pairs = scenario.realization_lattices(drop_users(4, 3))
     assert len(pairs) == 4
     for bs_lattice, ue_lattice in pairs:
-        assert bs_lattice is scenario.bs_lattice
-        assert ue_lattice is scenario.ue_lattice
+        assert bs_lattice is scenario.ends[0].lattice
+        assert ue_lattice is scenario.ends[1].lattice
 
 
 def cdl_lattice_builds(monkeypatch, ue_aperture):
@@ -211,18 +211,18 @@ def cdl_lattice_builds(monkeypatch, ue_aperture):
     scenarios = []
 
     def capturing(config):
-        scenarios.append(resolve_scenario(config))
+        scenarios.append(Scenario(config))
         return scenarios[-1]
 
-    monkeypatch.setattr(sweep_module, "resolve_scenario", capturing)
+    monkeypatch.setattr(sweep_module, "Scenario", capturing)
     calls = count_calls(monkeypatch, sweep_module, "build_lattice")
     batches = count_calls(monkeypatch, sweep_module, "build_lattices")
     run_sweep(make_config(spectrum_spec=CDL, ue_aperture=ue_aperture))
     built = [spectrum for args in batches for spectrum in args[2]]
-    assert not any(s is spectrum for s in built for spectrum in scenarios[0].spectra)
+    assert not any(s is spectrum for s in built for spectrum in (end.spectrum for end in scenarios[0].ends))
     # Rotation changes every CDL spectrum, so the unrotated BS lattice is
     # never evaluated.
-    assert "bs_lattice" not in scenarios[0].__dict__
+    assert "lattice" not in scenarios[0].ends[0].__dict__
     return scenarios[0], calls, built
 
 
@@ -233,27 +233,27 @@ def test_cdl_multi_user_sweep_builds_no_unrotated_lattice(monkeypatch):
     scenario, calls, built = cdl_lattice_builds(monkeypatch, ue_aperture=1.0)
     assert not calls
     assert len(built) == BASE["users"] * BASE["realizations"]
-    assert scenario.ue_lattice.marginal_integrals.tolist() == [0, 0, 1, 0, 0]
+    assert scenario.ends[1].lattice.marginal_integrals.tolist() == [0, 0, 1, 0, 0]
     for _, ue_lattice in scenario.realization_lattices(drop_users(3, 0)):
-        assert ue_lattice is scenario.ue_lattice
+        assert ue_lattice is scenario.ends[1].lattice
 
 
 def test_an_inert_end_rotates_no_spectrum_and_builds_no_lattices(monkeypatch):
-    scenario = resolve_scenario(make_config(spectrum_spec=CDL))
-    assert scenario.inert_ends == {"ue"}
+    scenario = Scenario(make_config(spectrum_spec=CDL))
+    assert [end.inert for end in scenario.ends] == [False, True]
     rotations = count_calls(monkeypatch, sweep_module, "rotate_spectrum")
     passes = count_calls(monkeypatch, sweep_module, "build_lattices")
     pairs = scenario.realization_lattices(drop_users(3, 0))
-    assert [args[0] for args in rotations] == [scenario.spectra[0]] * 3
+    assert [args[0] for args in rotations] == [scenario.ends[0].spectrum] * 3
     assert [(args[0], len(args[2])) for args in passes] == [(BASE["bs_aperture"], 3)]
-    assert all(ue_lattice is scenario.ue_lattice for _, ue_lattice in pairs)
+    assert all(ue_lattice is scenario.ends[1].lattice for _, ue_lattice in pairs)
 
 
 def test_cdl_multi_user_sweep_at_a_2_wavelength_ue_rotates_both_ends(monkeypatch):
     scenario, calls, built = cdl_lattice_builds(monkeypatch, ue_aperture=2.0)
     assert not calls
     assert len(built) == 2 * BASE["users"] * BASE["realizations"]
-    assert "ue_lattice" not in scenario.__dict__
+    assert "lattice" not in scenario.ends[1].__dict__
 
 
 def test_block_lattices_equal_lattices_built_one_realization_at_a_time(monkeypatch):
@@ -273,14 +273,14 @@ def test_block_lattices_equal_lattices_built_one_realization_at_a_time(monkeypat
     monkeypatch.setattr(sweep_module, "mu_sum_capacity",
                         lambda channels, budget: CapacityReport(0.0))
     passes = count_calls(monkeypatch, sweep_module, "build_lattices")
-    sweep_module._evaluate_chunk((resolve_scenario(config), range(count)))
+    sweep_module._evaluate_chunk((Scenario(config), range(count)))
     # One pass per aperture and block: a full block and then 2 realizations
     # of 3 users.
     assert [len(args[2]) for args in passes] == [per_block * 3] * 2 + [2 * 3] * 2
     assert [len(drops) for drops, _ in blocks] == [per_block * 3, 2 * 3]
     drops = [drop for block, _ in blocks for drop in block]
     lattices = [pair for _, block in blocks for pair in block]
-    oracle = resolve_scenario(config)
+    oracle = Scenario(config)
     for r in range(count):
         users = slice(r * config.users, (r + 1) * config.users)
         assert drops[users] == drop_users(config.users, _drop_seed(config.seed, r))

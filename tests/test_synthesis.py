@@ -61,25 +61,25 @@ class TestBases:
         plan, _ = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.25)
         idx = enumerate_lattice(2.0, 2.0)
         plain = np.column_stack([harmonic_vector(i, bs, -1) for i in idx])
-        np.testing.assert_allclose(plan.bs_basis, plain, atol=1e-12)
-        norms = np.linalg.norm(plan.bs_basis, axis=0)
+        np.testing.assert_allclose(plan.bs.basis, plain, atol=1e-12)
+        norms = np.linalg.norm(plan.bs.basis, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_half_wavelength_apertures_are_single_column(self):
         plan, _ = simple_plan(bs_ap=0.5, ue_ap=0.5, spacing=0.5)
-        assert plan.bs_basis.shape == (1, 1)
-        assert plan.ue_basis.shape == (1, 1)
+        assert plan.bs.basis.shape == (1, 1)
+        assert plan.ue.basis.shape == (1, 1)
 
     def test_column_count_equals_lattice_cardinality(self):
         plan, _ = simple_plan(bs_ap=4.0, ue_ap=1.0, spacing=0.5)
-        assert plan.bs_basis.shape == (64, 49)
-        assert plan.ue_basis.shape == (4, 5)
+        assert plan.bs.basis.shape == (64, 49)
+        assert plan.ue.basis.shape == (4, 5)
 
     def test_dipole_nulls_broadside_column(self):
         plan, _ = simple_plan(bs_ap=2.0, ue_ap=1.0, spacing=0.5, ue_pattern=ElementPattern.dipole())
         ue_idx = enumerate_lattice(1.0, 1.0)
         broadside = ue_idx.index((0, 0))
-        np.testing.assert_array_equal(plan.ue_basis[:, broadside], 0.0)
+        np.testing.assert_array_equal(plan.ue.basis[:, broadside], 0.0)
 
 
 class TestSampling:
@@ -150,10 +150,10 @@ class TestMoments:
         # entry by entry: Cov(H_ab, H_cd) = N_R*N_S * sum sigma^2 *
         # g_R(l)_a g_R(l)_c^* g_S(m)_b^* g_S(m)_d.
         plan, variances = simple_plan(bs_ap=2.0, ue_ap=2.0, spacing=1.0)
-        assert plan.bs_count == 4 and plan.ue_count == 4
-        g_r = plan.ue_amplitudes[:, None] * plan.ue_basis
-        g_s = plan.bs_amplitudes[:, None] * plan.bs_basis
-        scale = plan.ue_count * plan.bs_count
+        assert plan.bs.geometry.count == 4 and plan.ue.geometry.count == 4
+        g_r = plan.ue.coupling.amplitudes[:, None] * plan.ue.basis
+        g_s = plan.bs.coupling.amplitudes[:, None] * plan.bs.basis
+        scale = plan.ue.geometry.count * plan.bs.geometry.count
 
         def oracle(a, b, c, d):
             total = 0.0 + 0.0j
@@ -181,7 +181,7 @@ class TestMoments:
     def test_mean_is_zero(self):
         plan, variances = simple_plan(bs_ap=1.0, ue_ap=1.0, spacing=0.5)
         draws = 4000
-        acc = np.zeros((plan.ue_count, plan.bs_count), dtype=complex)
+        acc = np.zeros((plan.ue.geometry.count, plan.bs.geometry.count), dtype=complex)
         for r in range(draws):
             acc += sample_channel(plan, variances, 5, r)
         assert np.abs(acc / draws).max() < 0.1
