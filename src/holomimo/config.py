@@ -66,9 +66,26 @@ class ScenarioConfig:
 
     def __post_init__(self):
         """Check every field, so that each config, ``dataclasses.replace``
-        results included, is valid once built."""
-        for name in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db"):
-            _require_finite(name, getattr(self, name))
+        results included, is valid once built.
+
+        Every number must be a JSON number (an int or a float, not a bool or
+        a string), counts and the seed integral and reals finite.  Reals are
+        stored as float, counts as int, ``spacing_list`` as a tuple and each
+        spec as a copy of its dict."""
+        if not isinstance(self.spacing_list, (list, tuple)):
+            raise ConfigError(f"spacing_list must be an array, got {self.spacing_list!r}")
+        for name in _SPEC_FIELDS:
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be an object, got {getattr(self, name)!r}")
+        stored = {
+            **{k: _real(k, getattr(self, k))
+               for k in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db")},
+            **{k: _count(k, getattr(self, k)) for k in ("realizations", "users", "seed")},
+            "spacing_list": tuple(_real("spacing", s) for s in self.spacing_list),
+            **{name: dict(getattr(self, name)) for name in _SPEC_FIELDS},
+        }
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)  # frozen
         try:
             budget = 10.0 ** (self.snr_db / 10.0)
         except OverflowError:
@@ -84,7 +101,6 @@ class ScenarioConfig:
         if not self.spacing_list:
             raise ConfigError("spacing_list must not be empty")
         for spacing in self.spacing_list:
-            _require_finite("spacing", spacing)
             if spacing <= 0:
                 raise ConfigError(f"spacing {spacing} must be positive")
             for aperture in (self.bs_aperture, self.ue_aperture):
@@ -101,9 +117,9 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.seed > MASK64:
             raise ConfigError(f"seed must be < 2**64, got {self.seed}")
-        for spec_name in ("spectrum_spec", "pattern_spec", "efficiency_spec"):
+        for spec_name in _SPEC_FIELDS:
             spec = getattr(self, spec_name)
-            if not isinstance(spec, dict) or "kind" not in spec:
+            if "kind" not in spec:
                 raise ConfigError(f"{spec_name} needs a 'kind' field")
             kinds = _SPEC_FIELDS[spec_name]
             kind = spec["kind"]
@@ -120,7 +136,7 @@ class ScenarioConfig:
             for key, value in spec.items():
                 name = f"{spec_name}.{key}"
                 if key in _SPEC_REALS:
-                    _require_finite(name, _number(name, value))
+                    _real(name, value)
                 elif key != "kind" and not isinstance(value, str):
                     raise ConfigError(f"{name} must be a path string, got {value!r}")
         if self.spectrum_spec["kind"] == "cdl":
@@ -146,18 +162,22 @@ class ScenarioConfig:
 _TOP_FIELDS = {f.name for f in fields(ScenarioConfig)}
 
 
-def _require_finite(name: str, value: float) -> None:
-    # A comparison, not math.isfinite, which overflows on an int past the
-    # float range; such an int fails the range checks that follow.
-    if not -math.inf < value < math.inf:
-        raise ConfigError(f"{name} must be finite, got {value}")
-
-
 def _number(name: str, value):
     """``value`` if it is a JSON number: an int or a float, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return value
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float if it is a finite JSON number."""
+    try:
+        real = float(_number(name, value))
+    except OverflowError as exc:  # an int past the float range
+        raise ConfigError(f"{name}: {exc}") from None
+    if not math.isfinite(real):
+        raise ConfigError(f"{name} must be finite, got {real}")
+    return real
 
 
 def _count(name: str, value) -> int:
@@ -169,10 +189,8 @@ def _count(name: str, value) -> int:
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a config from a JSON-shaped dict.
 
-    Unknown keys are rejected at the top level and inside the nested specs.
-    ``spacing_list`` must be an array and each spec an object.  Every number
-    must be a JSON number (not a string or a boolean), counts and the seed
-    must be integral, and every real value must be finite.
+    Unknown and missing top-level keys are rejected here; ``ScenarioConfig``
+    checks the values, the nested specs' keys included.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -182,21 +200,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     missing = _TOP_FIELDS - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    if not isinstance(data["spacing_list"], list):
-        raise ConfigError(f"spacing_list must be an array, got {data['spacing_list']!r}")
-    for name in _SPEC_FIELDS:
-        if not isinstance(data[name], dict):
-            raise ConfigError(f"{name} must be an object, got {data[name]!r}")
-    try:
-        numbers = {
-            **{k: float(_number(k, data[k]))
-               for k in ("carrier_ghz", "bs_aperture", "ue_aperture", "snr_db")},
-            **{k: _count(k, data[k]) for k in ("realizations", "users", "seed")},
-            "spacing_list": tuple(float(_number("spacing", s)) for s in data["spacing_list"]),
-        }
-    except OverflowError as exc:  # an int past the float range
-        raise ConfigError(f"malformed config value: {exc}") from exc
-    return ScenarioConfig(**numbers, **{name: dict(data[name]) for name in _SPEC_FIELDS})
+    return ScenarioConfig(**data)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -14,7 +14,6 @@ __all__ = [
     "UnknownPreset",
     "InputFileError",
     "EmptyFile",
-    "EmptyTable",
     "MalformedTableFile",
     "MalformedPatternFile",
     "MalformedSParameterFile",
@@ -69,11 +68,7 @@ class InputFileError(HolomimoError):
 
 
 class EmptyFile(InputFileError):
-    """Input file contains no data rows."""
-
-
-class EmptyTable(InputFileError):
-    """Cluster table contains no rows."""
+    """Input file or cluster table contains no data rows."""
 
 
 class MalformedTableFile(InputFileError):

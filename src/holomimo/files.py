@@ -36,20 +36,20 @@ def read_json(path, error):
         raise error(f"{path} is not valid JSON: {exc}") from exc
 
 
-def read_table(path, columns, parse, error, empty=EmptyFile) -> list:
+def read_table(path, columns, parse, error) -> list:
     """``parse`` of each row of the UTF-8 CSV table ``path``, in file order.
 
     The header must be ``columns`` (names stripped of surrounding space),
     blank rows are skipped, and every other row must have one field per
     column.  A ``ValueError`` from ``parse`` becomes ``error`` with the
-    row's line; a file without a header or without rows raises ``empty``.
+    row's line; a file without a header or without rows raises ``EmptyFile``.
     """
     reader = csv.reader(io.StringIO(_read_text(path, error), newline=""))
     rows = []
     try:
         header = next(reader, None)
         if header is None:
-            raise empty(f"{path}: file is empty")
+            raise EmptyFile(f"{path}: file is empty")
         if [h.strip() for h in header] != columns:
             raise error(f"{path}: expected header {','.join(columns)}")
         for rec in reader:
@@ -60,5 +60,5 @@ def read_table(path, columns, parse, error, empty=EmptyFile) -> list:
     except (csv.Error, ValueError) as exc:
         raise error(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
-        raise empty(f"{path}: no data rows")
+        raise EmptyFile(f"{path}: no data rows")
     return rows

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyTable, MalformedTableFile, SpreadOutOfRange
+from .errors import EmptyFile, MalformedTableFile, SpreadOutOfRange
 from .files import read_table
 
 __all__ = [
@@ -178,7 +178,7 @@ def spectra_from_cdl(rows, asd_deg: float, asa_deg: float):
     """
     rows = list(rows)
     if not rows:
-        raise EmptyTable("cluster table has no rows")
+        raise EmptyFile("cluster table has no rows")
     alpha_dep = concentration_from_spread(asd_deg)
     alpha_arr = concentration_from_spread(asa_deg)
 
@@ -221,8 +221,7 @@ def load_cdl_rows(path) -> list[CdlClusterRow]:
 
     The header must be exactly ``cluster_id,power_db,aod_deg,zod_deg,
     aoa_deg,zoa_deg``."""
-    return read_table(path, _TABLE_COLUMNS, _cluster_row, MalformedTableFile,
-                      EmptyTable)
+    return read_table(path, _TABLE_COLUMNS, _cluster_row, MalformedTableFile)
 
 
 def rotate_spectrum(

@@ -9,11 +9,11 @@ serves every user of a spacing.  A plan is the pair ``(bs, ue)`` of its
 transmit and receive ends (``PlanEnd``).  Each end's pattern-modified
 element-domain basis is made on first read of its ``basis``; only
 ``sample_channel`` (``holo synth``) reads it, with the efficiency amplitudes
-of the end's coupling.  Each basis is one phase product over the harmonic
-geometry, bit for bit the columns of ``harmonic_vector``.  The separable
-variances sigma^2(l, m) belong to the propagation one user sees;
-``lattice.build_variance_table`` makes them from the user's two lattices,
-and the samplers take them next to the plan.
+of the end's coupling.  Each basis is the columns of ``harmonic_vector``
+times the element pattern gains.  The separable variances sigma^2(l, m)
+belong to the propagation one user sees; ``lattice.build_variance_table``
+makes them from the user's two lattices, and the samplers take them next
+to the plan.
 
 Realizations are pure functions of (plan, variances, seed,
 realization_index): every Fourier coefficient is drawn from a
@@ -65,7 +65,7 @@ import numpy as np
 
 from .coupling import CouplingProfile
 from .geometry import ArrayGeometry
-from .lattice import harmonic_geometry
+from .lattice import harmonic_geometry, harmonic_vector
 
 __all__ = ["SynthesisPlan", "PlanEnd", "build_plan", "draw_block", "sample_channel",
            "harmonic_channels", "MASK64"]
@@ -104,33 +104,17 @@ class SynthesisPlan(NamedTuple):
 def _modified_basis(
     geometry: ArrayGeometry, coupling: CouplingProfile, sign: int
 ) -> np.ndarray:
-    """The aperture's harmonic vectors as columns, each weighted by the
-    per-element pattern gain at that harmonic's propagation angles.
-
-    Column j is ``harmonic_vector(index_j, geometry, sign)`` bit for bit:
-    the phases of all harmonics are one outer product of the element
-    coordinates with the aperture's cached indices (``harmonic_geometry``),
-    taking the same operations in the same order, and the exp and the
-    weighting run in place on one array."""
+    """The aperture's harmonic vectors (``harmonic_vector``) as columns,
+    each weighted by the per-element pattern gain at that harmonic's
+    propagation angles."""
     harmonics = harmonic_geometry(geometry.aperture_x, geometry.aperture_y)
-    phase = np.multiply(harmonics.ix, geometry.elements[:, 0, None])
-    phase /= geometry.aperture_x
-    term = np.multiply(harmonics.iy, geometry.elements[:, 1, None])
-    term /= geometry.aperture_y
-    phase += term
-    del term  # each real temporary is freed before the next array: peak RSS
-    phase *= 2.0 * math.pi * sign
-    basis = np.multiply(1j, phase)
-    del phase
-    np.exp(basis, out=basis)
-    basis /= math.sqrt(geometry.count)
+    basis = np.column_stack([harmonic_vector(index, geometry, sign)
+                             for index in harmonics.indices])
     patterns = coupling.patterns
     theta, phi = harmonics.elevation, harmonics.azimuth
     if all(p is patterns[0] for p in patterns):
-        basis *= patterns[0].gain(theta, phi)  # one row, broadcast to every element
-    else:
-        basis *= np.array([p.gain(theta, phi) for p in patterns])
-    return basis
+        return basis * patterns[0].gain(theta, phi)  # one row, broadcast to every element
+    return basis * np.array([p.gain(theta, phi) for p in patterns])
 
 
 def _axis_r(coordinates: np.ndarray, aperture: float, reach: int, sign: int) -> np.ndarray:
@@ -188,9 +172,8 @@ def draw_block(tables, seed: int, keys) -> np.ndarray:
     through its ``state`` for each key, at counter 0 with an empty buffer
     as a fresh ``Philox(key=...)`` starts, and writes its normals into one
     buffer; a new generator per key would seed a throwaway SeedSequence
-    from OS entropy.  Each distinct table (by identity) computes its
-    sqrt(variances / 2) once and scales all its draws.  The tables share
-    one shape.
+    from OS entropy.  One product scales every draw by the
+    sqrt(variances / 2) of its table.  The tables share one shape.
     """
     normals = np.empty((len(keys), *tables[0].shape, 2))
     bits = np.random.Philox(key=0)
@@ -204,11 +187,7 @@ def draw_block(tables, seed: int, keys) -> np.ndarray:
         bits.state = state
         generator.standard_normal(out=row)
     coefficients = normals[..., 0] + 1j * normals[..., 1]
-    rows = {}
-    for row, table in enumerate(tables):
-        rows.setdefault(id(table), (table, []))[1].append(row)
-    for table, members in rows.values():
-        coefficients[members] *= np.sqrt(table / 2.0)
+    coefficients *= np.sqrt(np.stack(tables) / 2.0)
     return coefficients
 
 

@@ -162,12 +162,26 @@ class TestPresets:
         with pytest.raises(UnknownPreset):
             preset("nope")
 
-    @pytest.mark.parametrize("change", [{"seed": -1}, {"realizations": 0},
-                                        {"spacing_list": (0.3,)}])
+    @pytest.mark.parametrize("change", [
+        {"seed": -1}, {"realizations": 0}, {"spacing_list": (0.3,)},
+        # the JSON number rule
+        {"realizations": 2.5}, {"users": True}, {"seed": "7"}, {"seed": 1.5},
+        {"snr_db": "0"}, {"spacing_list": (0.5, "0.25")}, {"spacing_list": "0.5"},
+        {"carrier_ghz": 10**400},
+    ])
     def test_a_replaced_config_is_checked(self, change):
         # Every config is checked when it is built, a replaced one too.
         with pytest.raises(ConfigError):
             replace(preset("fig3-cdlb"), **change)
+
+    def test_a_replaced_config_stores_floats_and_ints(self):
+        config = replace(preset("fig3-isotropic"), realizations=3.0, snr_db=0)
+        assert type(config.realizations) is int and config.realizations == 3
+        assert type(config.snr_db) is float and config.snr_db == 0.0
+        read = config_from_dict({**preset("fig3-isotropic").to_dict(),
+                                 "realizations": 3.0, "snr_db": 0})
+        assert (render(SweepResult(rows=(), config=config), "json")
+                == render(SweepResult(rows=(), config=read), "json"))
 
 
 class TestSingleUserSweep:
@@ -554,6 +568,21 @@ class TestCli:
                      "--realization", "2", "--out", str(out)]) == 0
         pinned = Path(__file__).parent / "data" / "synth_dipole_1p5wl_quarter.csv"
         assert out.read_bytes() == pinned.read_bytes()
+
+    def test_synth_of_sparams_writes_the_pinned_bytes(self, tmp_path):
+        # S-parameter efficiencies on a 1.5-wavelength BS and a 1-wavelength
+        # UE at 1/2 wavelength: 3 x 3 transmit and 2 x 2 receive elements,
+        # each with its own amplitude.
+        data = Path(__file__).parent / "data"
+        config = self.write_config(
+            tmp_path, bs_aperture=1.5, seed=0,
+            efficiency_spec={"kind": "sparams",
+                             "bs_path": str(data / "sparams_bs_3x3.csv"),
+                             "ue_path": str(data / "sparams_ue_2x2.csv")},
+        )
+        out = tmp_path / "h.csv"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (data / "synth_sparams_1p5wl_half.csv").read_bytes()
 
     def test_sweep_reads_no_cdl_sidecar(self, tmp_path, capsys):
         # A sweep takes its spreads from the config and reads no sidecar,

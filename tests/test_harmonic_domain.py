@@ -41,6 +41,7 @@ from holomimo.coupling import HALF_WAVE_EFFICIENCY
 from holomimo.synthesis import harmonic_channels
 from draw_coefficients_oracle import draw_coefficients
 from expected_frobenius_oracle import expected_frobenius
+from test_sweep_plans import write_pattern_file
 
 ISO = AngularPowerSpectrum.isotropic()
 PATTERN_FILE = Path(__file__).parent / "data" / "pattern_one_element.csv"
@@ -148,6 +149,21 @@ class TestVectorizedBasis:
             [harmonic_angles(index, aperture_x, aperture_y) for index in indices]
         ).T
         gains = pattern.gain(theta, phi)
+        for basis, sign in ((plan.bs.basis, -1), (plan.ue.basis, +1)):
+            vectors = np.column_stack([harmonic_vector(i, geometry, sign) for i in indices])
+            assert basis.tobytes() == (vectors * gains).tobytes()
+
+    def test_per_element_bases_are_the_harmonic_vectors_bit_for_bit(self, tmp_path):
+        # Four distinct gridded patterns on the 2 x 2 elements of
+        # 1-wavelength apertures at 1/2 wavelength: row p takes pattern p.
+        patterns = load_pattern_file(write_pattern_file(tmp_path / "p.csv", elements=4))
+        geometry = build_planar_array(1.0, 1.0, 0.5, 0.5)
+        coupling = build_coupling_profile(geometry, patterns, HALF_WAVE_EFFICIENCY)
+        plan = build_plan(geometry, geometry, coupling, coupling)
+        indices = enumerate_lattice(1.0, 1.0)
+        theta, phi = np.array([harmonic_angles(index, 1.0, 1.0) for index in indices]).T
+        gains = np.array([p.gain(theta, phi) for p in patterns])
+        assert len({row.tobytes() for row in gains}) == 4
         for basis, sign in ((plan.bs.basis, -1), (plan.ue.basis, +1)):
             vectors = np.column_stack([harmonic_vector(i, geometry, sign) for i in indices])
             assert basis.tobytes() == (vectors * gains).tobytes()

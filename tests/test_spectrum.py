@@ -15,7 +15,7 @@ from holomimo import (
     spectra_from_cdl,
 )
 from holomimo.config import bundled_cdl_path
-from holomimo.errors import EmptyTable, MalformedTableFile, SpreadOutOfRange
+from holomimo.errors import EmptyFile, MalformedTableFile, SpreadOutOfRange
 from holomimo.spectrum import _wrap_azimuth
 from spectrum_oracle import spectrum_value
 from vmf_density_oracle import vmf_density
@@ -192,7 +192,7 @@ class TestCdl:
         assert dep.components[0].mean_azimuth == pytest.approx(math.radians(30.0))
 
     def test_empty_table_rejected(self):
-        with pytest.raises(EmptyTable):
+        with pytest.raises(EmptyFile):
             spectra_from_cdl([], 10.0, 10.0)
 
     def test_weights_follow_linear_power(self):
@@ -226,13 +226,13 @@ class TestCdl:
     def test_empty_file(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        with pytest.raises(EmptyTable):
+        with pytest.raises(EmptyFile):
             load_cdl_rows(empty)
 
     def test_header_only_file(self, tmp_path):
         f = tmp_path / "header.csv"
         f.write_text("cluster_id,power_db,aod_deg,zod_deg,aoa_deg,zoa_deg\n")
-        with pytest.raises(EmptyTable):
+        with pytest.raises(EmptyFile):
             load_cdl_rows(f)
 
 
